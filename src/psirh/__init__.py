@@ -2,21 +2,20 @@
 criterion: arithmetic functions, exception scans, champion sequences and
 primorial-scale asymptotic checks."""
 
-from .arith import (Factorization, SpfTable, dedekind_psi, factorize,
-                    is_squarefree, num_divisors, sigma)
+from .arith import (Factorization, dedekind_psi, factorize, is_squarefree,
+                    num_divisors, sigma)
 from .champions import (ChampionNumber, PropositionCheck, RecordScanResult,
                         generate_s_sequence, generate_superabundant,
                         is_psi_champion, psi_multiple_identity_check,
-                        psi_record_scan, read_bfile, verify_prop1,
-                        verify_prop2)
+                        read_bfile, verify_prop1, verify_prop2)
 from .criteria import (CONSTANTS, BoundCheckResult, Constants, CriterionKind,
                        CriterionValue, ExceptionReport,
                        check_sigma_upper_bound, dedekind_f, robin_g,
                        scan_exceptions)
 from .errors import (BFileParseError, CacheParseError, CacheVersionError,
                      DomainError, ResourceLimitError)
-from .prime_engine import (PrimeRange, ThetaCache, ThetaPoint, cache_load,
-                           cache_save, nth_prime, sieve_range, theta_stream)
+from .prime_engine import (ThetaCache, ThetaPoint, cache_load, cache_save,
+                           nth_prime)
 from .primorial import (FullScanResult, PrimorialStats,
                         check_f_primorial_bound, check_loglogN_lower_bound,
                         ftilde_ratio_deviation, full_scan, k_ratio,

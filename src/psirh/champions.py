@@ -12,17 +12,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath as mp
+import numpy as np
 
 from .arith import dedekind_psi, psi_table, sigma_table
 from .criteria import CONSTANTS, ESCALATION_DPS, dedekind_f, mp_e_gamma
 from .errors import BFileParseError, DomainError, ResourceLimitError
-from .prime_engine import _simple_sieve
+from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
 PSI_CHAMPION_CEILING = 10**6
-SUPERABUNDANT_CEILING = 10**8
+# Budget: 10^7 takes about 2 s and 0.5 GB peak on a 2-core, 7 GB machine.
+# Memory grows by about 50 bytes per n (the sigma table and the Python list
+# the record scan walks), so 10^8 would need about 5 GB.
+SUPERABUNDANT_CEILING = 10**7
 PROP1_CEILING = 10**8
 PROP2_CEILING = 10**6
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
@@ -58,11 +61,13 @@ class PropositionCheck:
     failures: tuple[tuple[int, ...], ...]
 
 
-def _primes_for_primorials(limit_bits: int) -> list[int]:
-    # enough primes that the running primorial can exceed any `limit` of the
-    # given bit length
-    bound = max(64, 4 * limit_bits)
-    return _simple_sieve(bound).tolist()
+def first_primes(k: int) -> list[int]:
+    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k.
+
+    N_k >= 2^k, so every N_k <= limit and its successor prime p_{k+1} lie
+    within first_primes(limit.bit_length() + 1).
+    """
+    return _simple_sieve(max(_nth_prime_value_bound(k), 16))[:k].tolist()
 
 
 def generate_s_sequence(limit: int) -> list[ChampionNumber]:
@@ -73,7 +78,7 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     """
     if limit < 2:
         return []
-    primes = _primes_for_primorials(limit.bit_length())
+    primes = first_primes(int(limit).bit_length() + 1)
     out: list[ChampionNumber] = []
     primorial = 1
     ratio_log = 0.0
@@ -92,32 +97,22 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     return out
 
 
-def primorial(k: int) -> int:
-    """N_k, the product of the first k primes."""
-    if k < 1:
-        raise DomainError("primorial index must be >= 1")
-    primes = _simple_sieve(max(64, int(1.3 * k * (math.log(max(k, 3)) + 2)))).tolist()
-    if len(primes) < k:
-        primes = _simple_sieve(32 * k).tolist()
-    result = 1
-    for p in primes[:k]:
-        result *= p
-    return result
-
-
-def psi_record_scan(limit: int) -> RecordScanResult:
-    """Record holders of psi(n)/n for 1 <= n <= limit, exact fractions."""
-    if limit > PSI_CHAMPION_CEILING:
-        raise ResourceLimitError(
-            f"limit={limit} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    psi = psi_table(limit).tolist()
-    records = []
+def _record_scan(table: np.ndarray, start: int, keep_ties: bool) -> list[int]:
+    """Every n from start to the end of table whose ratio table[n]/n exceeds
+    the best ratio at start <= m < n (or equals it, when keep_ties).
+    Decided by exact integer cross-multiplication."""
+    values = table.tolist()
     best_num, best_den = 0, 1
-    for n in range(1, limit + 1):
-        if psi[n] * best_den > best_num * n:
-            best_num, best_den = psi[n], n
-            records.append((n, psi[n], n))
-    return RecordScanResult(records=tuple(records), limit=limit)
+    out = []
+    for n in range(start, len(values)):
+        lhs = values[n] * best_den
+        rhs = best_num * n
+        if lhs > rhs:
+            best_num, best_den = values[n], n
+            out.append(n)
+        elif keep_ties and lhs == rhs:
+            out.append(n)
+    return out
 
 
 def is_psi_champion(n: int) -> bool:
@@ -133,12 +128,7 @@ def is_psi_champion(n: int) -> bool:
     if n > PSI_CHAMPION_CEILING:
         raise ResourceLimitError(
             f"n={n} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    psi = psi_table(n).tolist()
-    best_num, best_den = 1, 1
-    for m in range(2, n):
-        if psi[m] * best_den > best_num * m:
-            best_num, best_den = psi[m], m
-    return psi[n] * best_den >= best_num * n
+    return _record_scan(psi_table(n), 2, keep_ties=True)[-1] == n
 
 
 def psi_champion_scan(limit: int) -> list[int]:
@@ -147,17 +137,7 @@ def psi_champion_scan(limit: int) -> list[int]:
     if limit > PSI_CHAMPION_CEILING:
         raise ResourceLimitError(
             f"limit={limit} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    psi = psi_table(max(limit, 1)).tolist()
-    out = []
-    best_num, best_den = 1, 1
-    for n in range(2, limit + 1):
-        lhs = psi[n] * best_den
-        rhs = best_num * n
-        if lhs >= rhs:
-            out.append(n)
-            if lhs > rhs:
-                best_num, best_den = psi[n], n
-    return out
+    return _record_scan(psi_table(max(limit, 1)), 2, keep_ties=True)
 
 
 def generate_superabundant(limit: int) -> RecordScanResult:
@@ -171,14 +151,10 @@ def generate_superabundant(limit: int) -> RecordScanResult:
             f"limit={limit} exceeds ceiling {SUPERABUNDANT_CEILING}")
     if limit < 1:
         return RecordScanResult(records=(), limit=limit)
-    sig = sigma_table(limit).tolist()
-    records = []
-    best_num, best_den = 0, 1
-    for n in range(1, limit + 1):
-        if sig[n] * best_den > best_num * n:
-            best_num, best_den = sig[n], n
-            records.append((n, sig[n], n))
-    return RecordScanResult(records=tuple(records), limit=limit)
+    sig = sigma_table(limit)
+    records = tuple((n, int(sig[n]), n)
+                    for n in _record_scan(sig, 1, keep_ties=False))
+    return RecordScanResult(records=records, limit=limit)
 
 
 def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
@@ -188,7 +164,7 @@ def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
     if k_max > IDENTITY_KMAX:
         raise ResourceLimitError(
             f"k_max={k_max} exceeds exact-arithmetic ceiling {IDENTITY_KMAX}")
-    primes = _simple_sieve(64).tolist()
+    primes = first_primes(k_max + 1)
     cases = 0
     failures = []
     prim = 1
@@ -214,7 +190,7 @@ def verify_prop1(limit: int) -> PropositionCheck:
     f(l*N_k) < f(N_k)."""
     if limit > PROP1_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP1_CEILING}")
-    primes = _primes_for_primorials(int(limit).bit_length())
+    primes = first_primes(int(limit).bit_length() + 1)
     cases = 0
     failures = []
     prim = 1
@@ -245,7 +221,7 @@ def verify_prop2(limit: int) -> PropositionCheck:
     l*N_k < m < (l+1)*N_k: f(m) < f(N_k)."""
     if limit > PROP2_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP2_CEILING}")
-    primes = _primes_for_primorials(int(limit).bit_length())
+    primes = first_primes(int(limit).bit_length() + 1)
     psi = psi_table(max(limit, 2)).tolist()
     e_gamma = CONSTANTS.e_gamma
     cases = 0

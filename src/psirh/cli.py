@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from . import champions, criteria, primorial
+from . import champions, criteria, prime_engine, primorial
 from .champions import read_bfile
 from .criteria import CriterionKind
 from .errors import (BFileParseError, CacheParseError, CacheVersionError,
@@ -115,12 +115,9 @@ def _cmd_table2(args) -> tuple[RenderedReport, bool]:
 def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
     first = args.lo
     if first is None:
-        # first index with p_n >= 20000
-        first = 1
-        while primorial.nth_prime(first) < primorial.BOUND_PRIME_THRESHOLD:
-            first += 256
-        while primorial.nth_prime(first - 1) >= primorial.BOUND_PRIME_THRESHOLD:
-            first -= 1
+        # first index with p_n >= 20000: one more than the primes below it
+        first = 1 + sum(len(chunk) for chunk in prime_engine.iter_prime_chunks(
+            primorial.BOUND_PRIME_THRESHOLD))
     last = args.hi
     res = primorial.full_scan(last, (), check_bounds=True,
                               bounds_first=first, bounds_last=last)

@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
 
-from .arith import SpfTable, dedekind_psi, sigma
+from .arith import dedekind_psi, multiplicative_range, sigma
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _simple_sieve
 
 ESCALATION_BAND = 1e-9
 ESCALATION_DPS = 30
-# Float chunk scans multiply ~log log n rounded factors; anything this close
-# to the threshold gets the exact treatment.
+# Float chunk scans round the ratio once and the threshold once per step;
+# anything this close to the threshold gets the exact treatment.
 _CANDIDATE_BAND = 1e-6
 
 SCAN_CEILING = 10**8
@@ -61,7 +60,7 @@ class CriterionKind(enum.Enum):
     DEDEKIND_F = "f"
 
 
-_RATIO_FN: dict[CriterionKind, Callable[[int, Optional[SpfTable]], int]] = {
+_RATIO_FN: dict[CriterionKind, Callable[[int], int]] = {
     CriterionKind.ROBIN_G: sigma,
     CriterionKind.DEDEKIND_F: dedekind_psi,
 }
@@ -109,11 +108,10 @@ def _escalated_value(n: int, numer: int) -> float:
         return float(ratio - thr)
 
 
-def _criterion(n: int, kind: CriterionKind,
-               accel: Optional[SpfTable] = None) -> CriterionValue:
+def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     if n <= 1:
         raise DomainError(f"log log n undefined for n={n}")
-    numer = _RATIO_FN[kind](n, accel)
+    numer = _RATIO_FN[kind](n)
     ratio = numer / n
     thr = threshold(n)
     value = ratio - thr
@@ -124,17 +122,12 @@ def _criterion(n: int, kind: CriterionKind,
                           value=value, precision_escalated=escalated)
 
 
-def robin_g(n: int, accel: Optional[SpfTable] = None) -> CriterionValue:
-    return _criterion(n, CriterionKind.ROBIN_G, accel)
+def robin_g(n: int) -> CriterionValue:
+    return _criterion(n, CriterionKind.ROBIN_G)
 
 
-def dedekind_f(n: int, accel: Optional[SpfTable] = None) -> CriterionValue:
-    return _criterion(n, CriterionKind.DEDEKIND_F, accel)
-
-
-def exact_ratio(n: int, kind: CriterionKind,
-                accel: Optional[SpfTable] = None) -> Fraction:
-    return Fraction(_RATIO_FN[kind](n, accel), n)
+def dedekind_f(n: int) -> CriterionValue:
+    return _criterion(n, CriterionKind.DEDEKIND_F)
 
 
 # ---------------------------------------------------------------------------
@@ -142,39 +135,12 @@ def exact_ratio(n: int, kind: CriterionKind,
 
 def _chunk_ratios(lo: int, hi: int, kind: CriterionKind,
                   base_primes: list[int]) -> np.ndarray:
-    """Float psi(n)/n or sigma(n)/n for n in [lo, hi).
-
-    Deterministic regardless of chunk boundaries: every n collects its
-    factors in the same order (primes ascending, powers ascending, large
-    cofactor last).
-    """
-    size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    ratio = np.ones(size, dtype=np.float64)
-    want_sigma = kind is CriterionKind.ROBIN_G
-    for p in base_primes:
-        if p * p >= hi:
-            break
-        pk = p
-        k = 1
-        s_prev = 1.0 + 1.0 / p  # sigma(p)/p
-        while pk < hi:
-            start = ((lo + pk - 1) // pk) * pk
-            if start >= hi:
-                break
-            idx = np.arange(start - lo, size, pk)
-            if k == 1:
-                ratio[idx] *= s_prev
-            elif want_sigma:
-                s_cur = s_prev + p ** float(-k)
-                ratio[idx] *= s_cur / s_prev
-                s_prev = s_cur
-            rem[idx] //= p
-            pk *= p
-            k += 1
-    big = rem > 1
-    ratio[big] *= 1.0 + 1.0 / rem[big]
-    return ratio
+    """Float psi(n)/n or sigma(n)/n for n in [lo, hi): the exact kernel
+    value divided by n, so each ratio is correctly rounded and does not
+    depend on chunk boundaries."""
+    exact = multiplicative_range(lo, hi, kind is CriterionKind.ROBIN_G,
+                                 base_primes)
+    return exact / np.arange(lo, hi, dtype=np.float64)
 
 
 def _chunk_values(lo: int, hi: int, kind: CriterionKind,
@@ -185,8 +151,7 @@ def _chunk_values(lo: int, hi: int, kind: CriterionKind,
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
-                    chunk_size: int = DEFAULT_CHUNK,
-                    accel: Optional[SpfTable] = None) -> ExceptionReport:
+                    chunk_size: int = DEFAULT_CHUNK) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
     exact confirmation of every near-threshold candidate."""
     if lo < 2 or hi <= lo:
@@ -200,7 +165,7 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
         c_hi = min(c_lo + chunk_size, hi)
         values = _chunk_values(c_lo, c_hi, kind, base_primes)
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
-            cv = _criterion(c_lo + int(off), kind, accel)
+            cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
                 escalations += 1
             if cv.value >= 0:
@@ -214,7 +179,11 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
 def check_sigma_upper_bound(lo: int, hi: int,
                             c: float = DEFAULT_SIGMA_BOUND_C,
                             chunk_size: int = DEFAULT_CHUNK) -> BoundCheckResult:
-    """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi)."""
+    """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
+
+    The float pass finds the witness with the smallest margin; the margin
+    reported, and the pass/fail decision, come from mpmath at the witness.
+    """
     if lo < 3:
         raise DomainError("bound is stated for n >= 3")
     if hi <= lo:
@@ -234,10 +203,9 @@ def check_sigma_upper_bound(lo: int, hi: int,
         if margin[i] < worst:
             worst = float(margin[i])
             witness = c_lo + i
-    if abs(worst) < _CANDIDATE_BAND:
-        worst = _exact_sigma_bound_margin(witness, c)
+    exact = _exact_sigma_bound_margin(witness, c)
     return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
-                            passed=worst > 0, worst_margin=worst,
+                            passed=exact > 0, worst_margin=exact,
                             witness=witness)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +27,6 @@ PRIME_VALUE_CEILING = 220_000_000
 
 _SEG_ODDS = 1 << 20
 _SEG_SPAN = _SEG_ODDS * 2
-
-# Indices always emitted by theta_stream when in range.
-DEFAULT_REPORT_INDICES = (10, 10**3, 10**5, 10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +67,6 @@ def _chain_neg(values, hi):
 # ---------------------------------------------------------------------------
 # sieving
 
-@dataclass(frozen=True)
-class PrimeRange:
-    lo: int
-    hi: int
-    primes: np.ndarray  # int64, strictly increasing
-
-
 @lru_cache(maxsize=8)
 def _simple_sieve(limit: int) -> np.ndarray:
     if limit < 2:
@@ -114,25 +104,6 @@ def _segment_primes(lo: int, hi: int, base: Sequence[int]) -> np.ndarray:
             continue
         mask[(start - lo_odd) // 2:: p] = False
     return lo_odd + 2 * np.nonzero(mask)[0].astype(np.int64)
-
-
-def sieve_range(lo: int, hi: int) -> PrimeRange:
-    """All primes in [lo, hi), segmented so memory stays bounded."""
-    if hi <= lo:
-        raise DomainError(f"empty range: hi={hi} <= lo={lo}")
-    if hi > PRIME_VALUE_CEILING:
-        raise ResourceLimitError(
-            f"hi={hi} exceeds configured ceiling {PRIME_VALUE_CEILING}")
-    base = _base_primes(hi)
-    parts = []
-    if lo <= 2 < hi:
-        parts.append(np.array([2], dtype=np.int64))
-    start = max(lo, 3)
-    for seg_lo in range(start, hi, _SEG_SPAN):
-        seg_hi = min(seg_lo + _SEG_SPAN, hi)
-        parts.append(_segment_primes(seg_lo, seg_hi, base))
-    primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return PrimeRange(lo=lo, hi=hi, primes=primes)
 
 
 def iter_prime_chunks(value_limit: int) -> Iterator[np.ndarray]:
@@ -189,53 +160,6 @@ class ThetaPoint:
     @property
     def theta(self) -> float:
         return self.theta_hi + self.theta_lo
-
-
-def theta_stream(n_max: int, stride: int,
-                 extra_indices: Iterable[int] = ()) -> list[ThetaPoint]:
-    """ThetaPoints at every multiple of stride up to n_max, plus the default
-    report indices and any extra_indices that fall in range."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(
-            f"n_max={n_max} exceeds configured index ceiling {PRIME_INDEX_CEILING}")
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
-
-    wanted = set(range(stride, n_max + 1, stride))
-    wanted.update(i for i in DEFAULT_REPORT_INDICES if i <= n_max)
-    wanted.update(i for i in extra_indices if 1 <= i <= n_max)
-    checkpoints = sorted(wanted)
-
-    points: list[ThetaPoint] = []
-    hi, lo = 0.0, 0.0
-    count = 0
-    ci = 0
-    bound = min(_nth_prime_value_bound(n_max), PRIME_VALUE_CEILING)
-    for chunk in iter_prime_chunks(bound):
-        if count >= n_max and ci >= len(checkpoints):
-            break
-        if count + len(chunk) > n_max:
-            chunk = chunk[: n_max - count]
-        logs = np.log(chunk.astype(np.float64))
-        pos = 0
-        while ci < len(checkpoints) and checkpoints[ci] <= count + len(chunk):
-            cut = checkpoints[ci] - count
-            h, l = chunk_sum_dd(logs[pos:cut])
-            hi, lo = dd_add(hi, lo, h, l)
-            points.append(ThetaPoint(index=checkpoints[ci],
-                                     prime=int(chunk[cut - 1]),
-                                     theta_hi=hi, theta_lo=lo))
-            pos = cut
-            ci += 1
-        if pos < len(logs):
-            h, l = chunk_sum_dd(logs[pos:])
-            hi, lo = dd_add(hi, lo, h, l)
-        count += len(chunk)
-        if count >= n_max:
-            break
-    return points
 
 
 # ---------------------------------------------------------------------------

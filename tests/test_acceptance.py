@@ -221,8 +221,8 @@ def test_09_property_suites(announce, full_scan_result, stats_by_index):
 
 
 def _primorial(k):
-    from psirh.champions import primorial
-    return primorial(k)
+    from psirh.champions import first_primes
+    return math.prod(first_primes(k))
 
 
 def test_10_mertens_convergence(announce, stats_by_index):

@@ -2,13 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from psirh.arith import SpfTable, psi_table, sigma_table
+from psirh.arith import multiplicative_range, psi_table, sigma_table
 from psirh.errors import DomainError
+from psirh.prime_engine import _simple_sieve, iter_prime_chunks
 
 
 def divisors(n):
@@ -36,24 +38,16 @@ class TestFactorize:
             primes = [p for p, _ in f.factors]
             assert primes == sorted(primes)
 
-    def test_with_accel(self):
-        accel = SpfTable(10**4)
-        for n in range(1, 2000):
-            assert psirh.factorize(n, accel) == psirh.factorize(n)
-
-
-class TestSpfTable:
-    def test_entries_divide_and_are_prime(self):
-        t = SpfTable(500)
+    def test_smallest_factor_divides_and_is_prime(self):
         for m in range(2, 501):
-            p = t.smallest_factor(m)
+            p = psirh.factorize(m).factors[0][0]
             assert m % p == 0
+            assert all(m % d for d in range(2, p))
             assert psirh.factorize(p).factors == ((p, 1),)
 
     def test_prime_maps_to_itself(self):
-        t = SpfTable(100)
         for p in (2, 3, 5, 53, 97):
-            assert t.smallest_factor(p) == p
+            assert psirh.factorize(p).factors == ((p, 1),)
 
 
 class TestFunctionValues:
@@ -95,7 +89,7 @@ class TestFunctionValues:
             assert psirh.dedekind_psi(n) == expect
 
     def test_prime_case(self):
-        for p in psirh.sieve_range(0, 10**4).primes.tolist():
+        for p in np.concatenate(list(iter_prime_chunks(10**4))).tolist():
             assert psirh.dedekind_psi(p) == p + 1
             assert psirh.sigma(p) == p + 1
             assert psirh.num_divisors(p) == 2
@@ -132,3 +126,29 @@ class TestTables:
         t = sigma_table(3000)
         for n in random.Random(8).sample(range(1, 3001), 200):
             assert t[n] == psirh.sigma(n)
+
+
+class TestKernel:
+    def test_matches_factorization_below_2000(self):
+        psi, sig = psi_table(1999), sigma_table(1999)
+        assert psi[0] == sig[0] == 0
+        for n in range(1, 2000):
+            assert psi[n] == psirh.dedekind_psi(n)
+            assert sig[n] == psirh.sigma(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.integers(2, 10**8 - 1), span=st.integers(1, 3000),
+           data=st.data())
+    def test_split_windows_match_pointwise(self, lo, span, data):
+        hi = min(lo + span, 10**8)
+        cut = data.draw(st.integers(lo, hi), label="cut")
+        sample = data.draw(st.lists(st.integers(lo, hi - 1), min_size=1,
+                                    max_size=10), label="sample")
+        base = _simple_sieve(math.isqrt(hi - 1)).tolist()
+        for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
+            whole = multiplicative_range(lo, hi, want_sigma, base)
+            parts = [multiplicative_range(a, b, want_sigma, base)
+                     for a, b in ((lo, cut), (cut, hi)) if a < b]
+            assert np.array_equal(np.concatenate(parts), whole)
+            for n in sample:
+                assert whole[n - lo] == fn(n)

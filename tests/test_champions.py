@@ -3,7 +3,7 @@ import math
 import pytest
 
 import psirh
-from psirh.champions import (Proposition, primorial, psi_champion_scan,
+from psirh.champions import (Proposition, first_primes, psi_champion_scan,
                              read_bfile)
 from psirh.errors import BFileParseError, DomainError, ResourceLimitError
 
@@ -26,7 +26,7 @@ class TestSSequence:
 
     def test_structure(self):
         for c in psirh.generate_s_sequence(10**5):
-            n_k = primorial(c.primorial_index)
+            n_k = math.prod(first_primes(c.primorial_index))
             assert c.value == c.multiplier * n_k
             # multiplier is p_k-smooth
             if c.multiplier > 1:
@@ -81,8 +81,9 @@ class TestSuperabundant:
             assert n1 * d2 < n2 * d1
 
     def test_ceiling(self):
-        with pytest.raises(ResourceLimitError):
-            psirh.generate_superabundant(10**9)
+        for limit in (10**7 + 1, 10**9):
+            with pytest.raises(ResourceLimitError):
+                psirh.generate_superabundant(limit)
 
 
 class TestPsiMultipleIdentity:

@@ -113,6 +113,15 @@ class TestSigmaUpperBound:
         assert res.witness == 12
         assert res.worst_margin == pytest.approx(9.4866e-5, rel=1e-3)
 
+    @pytest.mark.parametrize("c", [0.6483, 0.6482])
+    def test_margin_is_exact_at_witness(self, c):
+        res = check_sigma_upper_bound(3, 10**4, c=c)
+        assert res.witness == 12
+        with mp.workdps(50):
+            llg = mp.log(mp.log(12))
+            exact = mp_e_gamma() * llg + mp.mpf(c) / llg - mp.mpf(28) / 12
+            assert res.worst_margin == float(exact)
+
     def test_paper_constant_holds_excluding_12(self):
         res = check_sigma_upper_bound(13, 10**4, c=0.6482)
         assert res.passed

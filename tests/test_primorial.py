@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 import psirh
-from psirh.champions import primorial as nth_primorial
+from psirh.champions import first_primes
 from psirh.criteria import CONSTANTS
 from psirh.errors import DomainError, ResourceLimitError
 from psirh.primorial import (f_bound_rhs, f_bound_slope_from_constants,
@@ -15,7 +15,7 @@ from psirh.primorial import (f_bound_rhs, f_bound_slope_from_constants,
 def mp_ftilde_deviation(n, dps=50):
     """Oracle: compute ftilde(N_{n+1})/ftilde(N_n) - 1 directly at high precision."""
     with mp.workdps(dps):
-        primes = psirh.sieve_range(0, 2 * 10**4).primes.tolist()
+        primes = first_primes(n + 1)
         theta_n = mp.fsum(mp.log(p) for p in primes[:n])
         theta_n1 = theta_n + mp.log(primes[n])
         ratio = (1 + mp.mpf(1) / primes[n]) * mp.log(theta_n) / mp.log(theta_n1)
@@ -37,7 +37,7 @@ class TestStatsStream:
     def test_consistency_with_exact_arithmetic(self):
         stats = psirh.stats_stream(14, range(1, 15))
         for s in stats:
-            n_k = nth_primorial(s.index)
+            n_k = math.prod(first_primes(s.index))
             exact = Fraction(psirh.dedekind_psi(n_k), n_k)
             assert abs(s.psi_over_n - exact) / float(exact) < 1e-14
             assert s.theta == pytest.approx(math.log(n_k), rel=1e-14)
