@@ -3,15 +3,18 @@
 Primes are produced by a segmented sieve of Eratosthenes over an odd-number
 bitmap (2**20 entries per segment, cache-resident inner loop).  The running
 sum of log p is kept as an unevaluated (hi, lo) pair of binary64 values so
-the accumulated theta carries roughly twice the precision of a single double;
-chunk sums are obtained from math.fsum plus an exact residual pass, and the
-pairs are combined with error-free double-double addition in fixed index
-order, so results are bit-reproducible.
+the accumulated theta carries roughly twice the precision of a single double.
+Each chunk is summed exactly with vectorized integer-valued buckets per
+binary exponent (chunk_sum_dd), giving its correctly rounded sum and
+residual; the pairs are combined with error-free double-double addition in
+fixed index order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -45,23 +48,49 @@ def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float
     return hi, e - (hi - s)
 
 
+# A chunk sum buckets integer-valued doubles below 2**27 by exponent; with at
+# most 2**26 of them every partial sum of a bucket is an integer below 2**53,
+# so no addition rounds.
+CHUNK_SUM_MAX_VALUES = 1 << 26
+_EXP_BIAS = 1073              # frexp(2**-1074) = (0.5, -1073)
+_UNIT = 1 << (_EXP_BIAS + 53)  # the exact total is an integer count of 1/_UNIT
+
+
 def chunk_sum_dd(values) -> tuple[float, float]:
-    """Sum a chunk of floats to a (hi, lo) pair.
+    """Sum a chunk of finite floats to a (hi, lo) pair, exactly.
 
-    hi is the correctly rounded sum (math.fsum); lo is the correctly rounded
-    residual, so hi + lo carries ~32 significant decimal digits of the true
-    sum of the given binary64 values.
+    Each value m * 2**e (frexp) is split into two integer-valued doubles,
+    the top 27 and the low 26 bits of its mantissa, which are summed per
+    exponent with np.bincount; no partial sum rounds (see
+    CHUNK_SUM_MAX_VALUES).  The buckets combine into one Python int, the
+    exact sum in units of 1/_UNIT.  hi is that sum correctly rounded (the
+    value of math.fsum) and lo the correctly rounded residual, so hi + lo
+    carries ~32 significant decimal digits of the true sum.
     """
-    hi = math.fsum(values)
-    if hi == 0.0:
-        return 0.0, 0.0
-    lo = math.fsum(_chain_neg(values, hi))
-    return hi, lo
-
-
-def _chain_neg(values, hi):
-    yield from values
-    yield -hi
+    n = len(values)
+    if n > CHUNK_SUM_MAX_VALUES:
+        raise ResourceLimitError(
+            f"chunk of {n} values exceeds {CHUNK_SUM_MAX_VALUES}")
+    if not np.isfinite(values).all():
+        raise DomainError("chunk contains inf or nan")
+    mant = np.empty(n)
+    expo = np.empty(n, dtype=np.intp)
+    np.frexp(values, out=(mant, expo))
+    expo += _EXP_BIAS
+    mant *= 2.0 ** 27
+    top = np.trunc(mant)
+    mant -= top
+    mant *= 2.0 ** 26
+    top_sums = np.bincount(expo, weights=top)
+    low_sums = np.bincount(expo, weights=mant)
+    total = 0
+    for k in np.flatnonzero(top_sums).tolist():
+        total += int(top_sums[k]) << (k + 26)
+    for k in np.flatnonzero(low_sums).tolist():
+        total += int(low_sums[k]) << k
+    hi = total / _UNIT
+    num, den = hi.as_integer_ratio()
+    return hi, (total - num * (_UNIT // den)) / _UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +193,13 @@ class ThetaPoint:
 
 # ---------------------------------------------------------------------------
 # theta cache file
+#
+# A header line, one line per point, then a trailer line
+# "end points=<count> sha256=<hex>" whose digest covers every byte before it.
+# A file cut or altered anywhere fails the trailer check instead of loading
+# a different value.
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -178,20 +212,34 @@ class ThetaCache:
         return {p.index: p for p in self.points}
 
 
+def _cache_trailer(body: bytes, count: int) -> bytes:
+    return f"end points={count} sha256={hashlib.sha256(body).hexdigest()}\n".encode()
+
+
 def cache_save(cache: ThetaCache, path) -> None:
+    """Write the cache atomically: a temp file in the same directory, then
+    os.replace, so readers see the old file or the whole new one."""
     lines = [f"psicache v{cache.format_version} stride={cache.checkpoint_stride}"]
     for p in sorted(cache.points, key=lambda q: q.index):
         lines.append(f"{p.index} {p.prime} "
                      f"{float(p.theta_hi).hex()} {float(p.theta_lo).hex()}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = ("\n".join(lines) + "\n").encode()
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + _cache_trailer(body, len(cache.points)))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cache_load(path) -> ThetaCache:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
         raise CacheParseError("empty cache file", 1)
+    lines = data.decode("utf-8", errors="replace").split("\n")
     header = lines[0].split()
     if len(header) != 3 or header[0] != "psicache" or not header[1].startswith("v"):
         raise CacheParseError(f"bad header {lines[0]!r}", 1)
@@ -211,8 +259,16 @@ def cache_load(path) -> ThetaCache:
     if stride < 1:
         raise CacheParseError(f"stride must be >= 1, got {stride}", 1)
 
+    # the last line must be the trailer of every byte before it
+    body = data[:data.rfind(b"\n", 0, len(data) - 1) + 1]
+    rows = lines[1:-2]
+    if data[len(body):] != _cache_trailer(body, len(rows)):
+        raise CacheParseError(
+            "missing or mismatched trailer (truncated or altered file)",
+            len(lines) if lines[-1] else len(lines) - 1)
+
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         parts = line.split(" ")
         if len(parts) != 4:
             raise CacheParseError(f"expected 4 fields, got {len(parts)}", lineno)

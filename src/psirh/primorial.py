@@ -292,10 +292,11 @@ def _validate_bound_range(first: int, last: int) -> None:
         raise DomainError(f"empty index range [{first}, {last}]")
     if last > PRIME_INDEX_CEILING:
         raise ResourceLimitError(f"last={last} exceeds index ceiling")
-    if nth_prime(first) < BOUND_PRIME_THRESHOLD:
+    p_first = nth_prime(first)
+    if p_first < BOUND_PRIME_THRESHOLD:
         raise DomainError(
             f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
-            f"p_{first} = {nth_prime(first)}")
+            f"p_{first} = {p_first}")
 
 
 def f_bound_rhs(p: float) -> float:

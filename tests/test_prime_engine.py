@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
+from psirh import prime_engine
 from psirh.errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
-from psirh.prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
-                                chunk_sum_dd, dd_add, iter_prime_chunks)
+from psirh.prime_engine import (CHUNK_SUM_MAX_VALUES, PRIME_INDEX_CEILING,
+                                ThetaCache, ThetaPoint, chunk_sum_dd, dd_add,
+                                iter_prime_chunks)
 from psirh.primorial import TABLE1_DEFAULT_INDICES
 
 # theta(p_10000), 40 digits, summed independently at 60-digit precision
@@ -135,6 +138,109 @@ class TestDoubleDouble:
         assert hi == 1.0 and lo == 2.0**-60
 
 
+def fsum_pair(values):
+    """Oracle: the correctly rounded sum and the correctly rounded residual
+    (a zero sum is +0.0)."""
+    hi = math.fsum(values)
+    return hi + 0.0, math.fsum(list(values) + [-hi]) + 0.0
+
+
+def same_bits(got, want):
+    return [v.hex() for v in got] == [v.hex() for v in want]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64,
+                   min_value=-2.0**600, max_value=2.0**600)
+spread = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-600, 600))
+subnormal = st.floats(min_value=-2.0**-1022, max_value=2.0**-1022)
+
+
+@pytest.fixture(scope="module")
+def real_chunks():
+    """log p and log(1 + 1/p) for the first stream chunk and for one segment
+    of primes near p_1e7."""
+    lo = 179_000_000
+    late = prime_engine._segment_primes(
+        lo, lo + 2**21, prime_engine._base_primes(lo + 2**21))
+    out = []
+    for primes in (next(iter_prime_chunks(2**21)), late):
+        pf = primes.astype(np.float64)
+        out += [np.log(pf), np.log1p(1.0 / pf)]
+    return out
+
+
+class TestChunkSum:
+    """chunk_sum_dd is exact: hi and lo carry the bits of math.fsum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(finite, spread, subnormal), max_size=60))
+    def test_matches_fsum(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert same_bits(chunk_sum_dd(x), fsum_pair(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(spread, subnormal), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_exact_cancellation(self, values, rnd):
+        both = values + [-v for v in values]
+        rnd.shuffle(both)
+        assert same_bits(chunk_sum_dd(np.array(both)), (0.0, 0.0))
+        both.append(values[0])
+        assert same_bits(chunk_sum_dd(np.array(both)), fsum_pair(both))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(subnormal, max_size=40), st.lists(spread, max_size=5))
+    def test_subnormals(self, tiny, big):
+        """Sums that land in the gradual-underflow range round like fsum."""
+        values = tiny + big
+        assert same_bits(chunk_sum_dd(np.array(values, dtype=np.float64)),
+                         fsum_pair(values))
+
+    def test_empty_and_single(self):
+        assert same_bits(chunk_sum_dd(np.array([])), (0.0, 0.0))
+        for v in (0.0, -0.0, 1.5, -2.0**-1074, 2.0**1023, math.pi):
+            assert same_bits(chunk_sum_dd(np.array([v])), fsum_pair([v]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, 3), start=st.integers(0, 10**5),
+           length=st.integers(0, 60000))
+    def test_real_chunk_slices(self, real_chunks, which, start, length):
+        arr = real_chunks[which]
+        start %= len(arr)
+        part = arr[start:start + length]
+        assert same_bits(chunk_sum_dd(part), fsum_pair(part.tolist()))
+
+    def test_whole_real_chunks(self, real_chunks):
+        for arr in real_chunks:
+            assert same_bits(chunk_sum_dd(arr), fsum_pair(arr.tolist()))
+
+    @pytest.mark.parametrize("bad", [[math.inf], [-math.inf], [math.nan],
+                                     [1.0, math.inf, -math.inf],
+                                     [2.0, math.nan, -2.0]])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(DomainError):
+            chunk_sum_dd(np.array(bad))
+
+    def test_non_finite_in_real_chunk_raises(self, real_chunks):
+        arr = real_chunks[1].copy()
+        arr[len(arr) // 2] = math.inf
+        with pytest.raises(DomainError):
+            chunk_sum_dd(arr)
+
+    def test_size_limit(self):
+        too_long = np.broadcast_to(np.float64(1.0), (CHUNK_SUM_MAX_VALUES + 1,))
+        with pytest.raises(ResourceLimitError):
+            chunk_sum_dd(too_long)
+
+
+def write_cache(path, body):
+    """A cache file with a valid trailer over the given header and rows."""
+    data = body.encode()
+    rows = body.count("\n") - 1
+    digest = hashlib.sha256(data).hexdigest()
+    path.write_bytes(data + f"end points={rows} sha256={digest}\n".encode())
+
+
 class TestThetaCache:
     def _points(self):
         return [ThetaPoint(10, 29, 22.59039453011, 1.23e-15),
@@ -148,16 +254,19 @@ class TestThetaCache:
         loaded = psirh.cache_load(path)
         assert loaded.checkpoint_stride == 10
         assert loaded.points == self._points()
+        assert [p.name for p in tmp_path.iterdir()] == ["theta.cache"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.cache"
-        path.write_text("psicache v99 stride=1\n")
-        with pytest.raises(CacheVersionError):
-            psirh.cache_load(path)
+        for text in ("psicache v99 stride=1\n",
+                     "psicache v1 stride=1\n10 29 0x1.69724188e9583p+4 0x0.0p+0\n"):
+            path.write_text(text)
+            with pytest.raises(CacheVersionError):
+                psirh.cache_load(path)
 
     def test_truncated_row_names_line(self, tmp_path):
         path = tmp_path / "trunc.cache"
-        path.write_text("psicache v1 stride=1\n10 29 0x1.6p+4\n")
+        write_cache(path, "psicache v2 stride=1\n10 29 0x1.6p+4\n")
         with pytest.raises(CacheParseError) as exc:
             psirh.cache_load(path)
         assert exc.value.line_number == 2
@@ -167,3 +276,38 @@ class TestThetaCache:
         path.write_text("not a cache\n")
         with pytest.raises(CacheParseError):
             psirh.cache_load(path)
+
+    def test_missing_trailer(self, tmp_path):
+        path = tmp_path / "notrailer.cache"
+        path.write_text("psicache v2 stride=1\n10 29 0x1.6p+4 0x0.0p+0\n")
+        with pytest.raises(CacheParseError) as exc:
+            psirh.cache_load(path)
+        assert exc.value.line_number == 2
+
+    def test_altered_value_rejected(self, tmp_path):
+        path = tmp_path / "theta.cache"
+        psirh.cache_save(ThetaCache(checkpoint_stride=10, points=self._points()), path)
+        data = path.read_bytes()
+        at = data.index(b"0x1.")
+        path.write_bytes(data[:at + 4] + b"7" + data[at + 5:])
+        with pytest.raises(CacheParseError):
+            psirh.cache_load(path)
+
+    def test_every_truncation_raises_or_loads_identical(self, tmp_path):
+        # 9.8e-14 cut inside its hex exponent used to load as 1.724
+        points = [ThetaPoint(10, 29, 22.59039453011, 9.8e-14),
+                  ThetaPoint(20, 71, 56.5, -4.5e-16)]
+        path = tmp_path / "theta.cache"
+        psirh.cache_save(ThetaCache(checkpoint_stride=1, points=points), path)
+        data = path.read_bytes()
+        cut_path = tmp_path / "cut.cache"
+        loaded = []
+        for cut in range(len(data) + 1):
+            cut_path.write_bytes(data[:cut])
+            try:
+                got = psirh.cache_load(cut_path)
+            except (CacheParseError, CacheVersionError):
+                continue
+            assert got.points == points, f"cut at byte {cut}"
+            loaded.append(cut)
+        assert loaded == [len(data)]

@@ -6,7 +6,7 @@ import pytest
 
 import psirh
 from psirh.champions import first_primes
-from psirh.criteria import CONSTANTS
+from psirh.criteria import CONSTANTS, BoundCheckResult
 from psirh.errors import DomainError, ResourceLimitError
 from psirh.primorial import (f_bound_rhs, f_bound_slope_from_constants,
                              round_half_even)
@@ -58,6 +58,32 @@ class TestStatsStream:
             psirh.stats_stream(10**8, [10])
 
 
+# float.hex of (theta_hi, theta_lo, psi_ratio_log_hi, psi_ratio_log_lo), as
+# computed by the fsum-based chunk sums the exact bucket sums replaced
+GOLDEN_BITS = {
+    10**5: ("0x1.3d02a6ebac22bp+20", "0x1.ac54a00000000p-34",
+            "0x1.5cb164a6d4a08p+1", "-0x1.441e000000000p-58"),
+    10**7: ("0x1.5636143850f22p+27", "0x1.13bb1a8000000p-28",
+            "0x1.831a32fc16bffp+1", "0x1.98315b2000000p-53"),
+}
+
+
+class TestFullScanGoldenBits:
+    def test_checkpoint_bits(self, stats_by_index):
+        for index, want in GOLDEN_BITS.items():
+            s = stats_by_index[index]
+            got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
+            assert tuple(v.hex() for v in got) == want, index
+
+    def test_bound_results(self, full_scan_result):
+        assert full_scan_result.loglog_bound == BoundCheckResult(
+            bound="loglogN_lower", first=2263, last=10000001, passed=True,
+            worst_margin=0.0015700270492207125, witness=2347)
+        assert full_scan_result.f_bound == BoundCheckResult(
+            bound="f_primorial_upper", first=2263, last=10000001, passed=True,
+            worst_margin=0.0015466132614552208, witness=2347)
+
+
 class TestMertensRatio:
     def test_n10(self):
         assert psirh.mertens_ratio(10) == pytest.approx(1.1513, abs=1e-4)
@@ -107,7 +133,7 @@ class TestBounds:
         assert res.passed
 
     def test_threshold_guard(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="p_100 = 541"):
             psirh.check_loglogN_lower_bound(100, 5000)
 
     def test_rhs_near_minus_6_89(self):
