@@ -17,8 +17,8 @@ from .errors import (BFileParseError, CacheParseError, CacheVersionError,
 from .prime_engine import (ThetaCache, ThetaPoint, cache_load, cache_save,
                            nth_prime)
 from .primorial import (FullScanResult, PrimorialStats,
-                        check_f_primorial_bound, check_loglogN_lower_bound,
-                        ftilde_ratio_deviation, full_scan, k_ratio,
-                        mertens_ratio, stats_stream, table1, table2)
+                        check_primorial_bounds, ftilde_ratio_deviation,
+                        full_scan, k_ratio, mertens_ratio, stats_stream,
+                        table1, table2)
 
 __version__ = "0.1.0"

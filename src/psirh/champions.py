@@ -13,11 +13,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
+from . import criteria
 from .arith import dedekind_psi, psi_table, sigma_table
-from .criteria import CONSTANTS, ESCALATION_DPS, dedekind_f, mp_e_gamma
+from .criteria import (_CANDIDATE_BAND, CriterionKind, _f_at_least,
+                       dedekind_f)
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
@@ -29,8 +30,6 @@ SUPERABUNDANT_CEILING = 10**7
 PROP1_CEILING = 10**8
 PROP2_CEILING = 10**6
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
-
-_TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,14 +179,12 @@ def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
                             failures=tuple(failures))
 
 
-def _f_mp(n: int):
-    ratio = mp.mpf(dedekind_psi(n)) / n
-    return ratio - mp_e_gamma() * mp.log(mp.log(n))
-
-
 def verify_prop1(limit: int) -> PropositionCheck:
     """For every N_k <= limit and 1 < l < p_{k+1} with l*N_k < min(N_{k+1}, limit):
-    f(l*N_k) < f(N_k)."""
+    f(l*N_k) < f(N_k).
+
+    As in the scans, a float value below f(N_k) - _CANDIDATE_BAND is
+    trusted; every other case is decided by criteria._f_at_least."""
     if limit > PROP1_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP1_CEILING}")
     primes = first_primes(int(limit).bit_length() + 1)
@@ -198,7 +195,7 @@ def verify_prop1(limit: int) -> PropositionCheck:
         prim *= p
         if prim > limit:
             break
-        f_prim = dedekind_f(prim).value
+        band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
         p_next = primes[k]
         next_prim = prim * p_next
         for l in range(2, p_next):
@@ -206,11 +203,8 @@ def verify_prop1(limit: int) -> PropositionCheck:
             if value >= min(next_prim, limit):
                 break
             cases += 1
-            diff = dedekind_f(value).value - f_prim
-            if abs(diff) < _TIE_BAND:
-                with mp.workdps(ESCALATION_DPS):
-                    diff = float(_f_mp(value) - _f_mp(prim))
-            if diff >= 0:
+            if (dedekind_f(value).value > band_floor
+                    and _f_at_least(value, prim)):
                 failures.append((k, l))
     return PropositionCheck(proposition=Proposition.PROP1, limit=limit,
                             cases_checked=cases, failures=tuple(failures))
@@ -218,12 +212,16 @@ def verify_prop1(limit: int) -> PropositionCheck:
 
 def verify_prop2(limit: int) -> PropositionCheck:
     """For every N_k, l >= 1 with (l+1)*N_k < min(N_{k+1}, limit) and every
-    l*N_k < m < (l+1)*N_k: f(m) < f(N_k)."""
+    l*N_k < m < (l+1)*N_k: f(m) < f(N_k).
+
+    The m of one k fill the window N_k < m < L*N_k, multiples of N_k
+    excluded; its float values come from the scan prefilter and every
+    value above f(N_k) - _CANDIDATE_BAND is decided by
+    criteria._f_at_least."""
     if limit > PROP2_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP2_CEILING}")
     primes = first_primes(int(limit).bit_length() + 1)
-    psi = psi_table(max(limit, 2)).tolist()
-    e_gamma = CONSTANTS.e_gamma
+    base_primes = _simple_sieve(math.isqrt(max(limit, 1)) + 1).tolist()
     cases = 0
     failures = []
     prim = 1
@@ -231,19 +229,19 @@ def verify_prop2(limit: int) -> PropositionCheck:
         prim *= p
         if prim > limit:
             break
-        f_prim = dedekind_f(prim).value
-        next_prim = prim * primes[k]
-        l = 1
-        while (l + 1) * prim < min(next_prim, limit):
-            for m in range(l * prim + 1, (l + 1) * prim):
-                cases += 1
-                diff = psi[m] / m - e_gamma * math.log(math.log(m)) - f_prim
-                if abs(diff) < _TIE_BAND:
-                    with mp.workdps(ESCALATION_DPS):
-                        diff = float(_f_mp(m) - _f_mp(prim))
-                if diff >= 0:
-                    failures.append((k, l, m))
-            l += 1
+        big_l = (min(prim * primes[k], limit) - 1) // prim
+        if big_l < 2:
+            continue
+        lo = prim + 1
+        values = criteria._chunk_values(lo, big_l * prim,
+                                        CriterionKind.DEDEKIND_F, base_primes)
+        values[prim - 1::prim] = -np.inf  # the multiples l*N_k
+        cases += (big_l - 1) * (prim - 1)
+        band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
+        for off in np.nonzero(values > band_floor)[0]:
+            m = lo + int(off)
+            if _f_at_least(m, prim):
+                failures.append((k, m // prim, m))
     return PropositionCheck(proposition=Proposition.PROP2, limit=limit,
                             cases_checked=cases, failures=tuple(failures))
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from . import champions, criteria, prime_engine, primorial
+from . import champions, criteria, primorial
 from .champions import read_bfile
 from .criteria import CriterionKind
 from .errors import (BFileParseError, CacheParseError, CacheVersionError,
@@ -24,9 +24,12 @@ OEIS_SUPERABUNDANT_LIMIT = 10**6
 
 def _parse_indices(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t]
+        indices = [int(t) for t in text.split(",") if t]
     except ValueError:
         raise DomainError(f"bad --indices list {text!r}") from None
+    if not indices:
+        raise DomainError("empty --indices list")
+    return indices
 
 
 def _cmd_scan(args) -> tuple[RenderedReport, bool]:
@@ -113,27 +116,20 @@ def _cmd_table2(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
-    first = args.lo
-    if first is None:
-        # first index with p_n >= 20000: one more than the primes below it
-        first = 1 + sum(len(chunk) for chunk in prime_engine.iter_prime_chunks(
-            primorial.BOUND_PRIME_THRESHOLD))
-    last = args.hi
-    res = primorial.full_scan(last, (), check_bounds=True,
-                              bounds_first=first, bounds_last=last)
+    loglog, f_bound = primorial.check_primorial_bounds(args.hi, args.lo)
     sig = criteria.check_sigma_upper_bound(3, args.sigma_hi, c=args.c)
     rows = []
-    for b in (res.loglog_bound, res.f_bound, sig):
+    for b in (loglog, f_bound, sig):
         rows.append({"bound": b.bound, "first": b.first, "last": b.last,
                      "passed": b.passed, "worst_margin": b.worst_margin,
                      "witness": b.witness})
     report = RenderedReport(
         command="bounds",
-        parameters={"lo": first, "hi": last, "sigma_hi": args.sigma_hi,
-                    "c": args.c},
+        parameters={"lo": loglog.first, "hi": args.hi,
+                    "sigma_hi": args.sigma_hi, "c": args.c},
         columns=["bound", "first", "last", "passed", "worst_margin", "witness"],
         rows=rows)
-    dirty = not all(b.passed for b in (res.loglog_bound, res.f_bound, sig))
+    dirty = not all(b.passed for b in (loglog, f_bound, sig))
     return report, dirty
 
 
@@ -143,9 +139,9 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     limit = criteria.CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:
-        s = stats[n]
-        rows.append({"n": n, "p_n": s.prime, "ratio": s.mertens_ratio,
-                     "deviation": abs(s.mertens_ratio - limit)})
+        ratio = primorial.mertens_ratio(n, stats.get(n))
+        rows.append({"n": n, "p_n": stats[n].prime, "ratio": ratio,
+                     "deviation": abs(ratio - limit)})
     report = RenderedReport(
         command="mertens", parameters={"indices": args.indices},
         columns=["n", "p_n", "ratio", "deviation"],

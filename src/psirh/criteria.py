@@ -7,7 +7,9 @@ Membership of n in an exception set is a sign decision, so the ratio comes
 from the exact integer function value, the threshold is evaluated with one
 rounding per step (log n, then log of that, then multiply), and any value
 within the 1e-9 escalation band is re-evaluated at 30 significant digits
-with mpmath before its sign is trusted.
+with mpmath before its sign is trusted.  The same 30-digit evaluator gives
+the sigma-bound margin at its witness and settles the proposition cases
+the float pass leaves within _CANDIDATE_BAND.
 """
 
 from __future__ import annotations
@@ -101,11 +103,24 @@ def threshold(n: int) -> float:
     return CONSTANTS.e_gamma * math.log(math.log(n))
 
 
-def _escalated_value(n: int, numer: int) -> float:
+def _exact_value(n: int, numer: int) -> mp.mpf:
+    """numer/n - e^gamma log log n to ESCALATION_DPS significant digits.
+
+    The one evaluator behind every sign decision the float pass leaves
+    open: the escalated criterion value, the sigma-bound margin at its
+    witness and the proposition tie-breaks.  The mpf keeps its 30 digits
+    after the context closes; callers that combine it with more arithmetic
+    do so under mp.workdps(ESCALATION_DPS) and round to float once.
+    """
     with mp.workdps(ESCALATION_DPS):
-        ratio = mp.mpf(numer) / n
-        thr = mp_e_gamma() * mp.log(mp.log(n))
-        return float(ratio - thr)
+        return mp.mpf(numer) / n - mp_e_gamma() * mp.log(mp.log(n))
+
+
+def _f_at_least(m: int, ref: int) -> bool:
+    """f(m) >= f(ref), decided on the 30-digit values (an exact mpf
+    comparison), so a tie counts against m."""
+    return (_exact_value(m, dedekind_psi(m))
+            >= _exact_value(ref, dedekind_psi(ref)))
 
 
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
@@ -117,7 +132,7 @@ def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     value = ratio - thr
     escalated = abs(value) < ESCALATION_BAND
     if escalated:
-        value = _escalated_value(n, numer)
+        value = float(_exact_value(n, numer))
     return CriterionValue(n=n, kind=kind, ratio=ratio, threshold=thr,
                           value=value, precision_escalated=escalated)
 
@@ -203,14 +218,10 @@ def check_sigma_upper_bound(lo: int, hi: int,
         if margin[i] < worst:
             worst = float(margin[i])
             witness = c_lo + i
-    exact = _exact_sigma_bound_margin(witness, c)
+    with mp.workdps(ESCALATION_DPS):
+        exact = float(mp.mpf(c) / mp.log(mp.log(witness))
+                      - _exact_value(witness, sigma(witness)))
     return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
                             passed=exact > 0, worst_margin=exact,
                             witness=witness)
 
-
-def _exact_sigma_bound_margin(n: int, c: float) -> float:
-    with mp.workdps(ESCALATION_DPS):
-        llg = mp.log(mp.log(n))
-        ratio = mp.mpf(sigma(n)) / n
-        return float(mp_e_gamma() * llg + mp.mpf(c) / llg - ratio)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .criteria import CONSTANTS, BoundCheckResult
-from .errors import DomainError, ResourceLimitError
+from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
 from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
                            cache_load, cache_save, chunk_sum_dd, dd_add,
@@ -104,14 +104,13 @@ class FullScanResult:
 
 
 def full_scan(n_max: int, report_indices: Iterable[int] = (),
-              check_bounds: bool = True,
-              bounds_first: Optional[int] = None,
-              bounds_last: Optional[int] = None) -> FullScanResult:
+              bounds_first: Optional[int] = None) -> FullScanResult:
     """Single ordered pass over the first n_max primes.
 
     Emits PrimorialStats at each requested index, verifies theta monotonicity
-    and theta(p_n) < p_n per element, and (optionally) tracks the worst
-    margins of the two explicit bounds over indices with p_n >= 20000.
+    and theta(p_n) < p_n per element, and, unless bounds_first is None,
+    tracks the worst margins of the two explicit bounds over the indices
+    [bounds_first, n_max] (check_primorial_bounds validates that range).
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -132,8 +131,6 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
     worst_m1_witness = 0
     worst_m2 = math.inf
     worst_m2_witness = 0
-    first_bound_index: Optional[int] = None
-    last_bound_index: Optional[int] = None
 
     bound = min(_nth_prime_value_bound(n_max), prime_engine.PRIME_VALUE_CEILING)
     for chunk in iter_prime_chunks(bound):
@@ -154,32 +151,22 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
         if monotonic and np.any(np.diff(theta_cum) <= 0):
             monotonic = False
 
-        if check_bounds:
+        if bounds_first is not None and count + len(chunk) >= bounds_first:
+            start = max(bounds_first - count - 1, 0)
             r_cum = (r_hi + r_lo) + np.cumsum(rl)
-            idx = np.arange(count + 1, count + len(chunk) + 1)
-            mask = chunk >= BOUND_PRIME_THRESHOLD
-            if bounds_first is not None:
-                mask &= idx >= bounds_first
-            if bounds_last is not None:
-                mask &= idx <= bounds_last
-            if np.any(mask):
-                sel = np.nonzero(mask)[0]
-                if first_bound_index is None:
-                    first_bound_index = int(idx[sel[0]])
-                last_bound_index = int(idx[sel[-1]])
-                logp = logs[sel]
-                llgN = np.log(theta_cum[sel])
-                m1 = llgN - (logp - LOGLOG_BOUND_OFFSET / logp)
-                f = np.exp(r_cum[sel]) - CONSTANTS.e_gamma * llgN
-                m2 = (F_BOUND_SLOPE * logp + F_BOUND_OFFSET / logp) - f
-                i1 = int(np.argmin(m1))
-                if m1[i1] < worst_m1:
-                    worst_m1 = float(m1[i1])
-                    worst_m1_witness = int(idx[sel[i1]])
-                i2 = int(np.argmin(m2))
-                if m2[i2] < worst_m2:
-                    worst_m2 = float(m2[i2])
-                    worst_m2_witness = int(idx[sel[i2]])
+            logp = logs[start:]
+            llgN = np.log(theta_cum[start:])
+            m1 = llgN - (logp - LOGLOG_BOUND_OFFSET / logp)
+            f = np.exp(r_cum[start:]) - CONSTANTS.e_gamma * llgN
+            m2 = (F_BOUND_SLOPE * logp + F_BOUND_OFFSET / logp) - f
+            i1 = int(np.argmin(m1))
+            if m1[i1] < worst_m1:
+                worst_m1 = float(m1[i1])
+                worst_m1_witness = count + start + i1 + 1
+            i2 = int(np.argmin(m2))
+            if m2[i2] < worst_m2:
+                worst_m2 = float(m2[i2])
+                worst_m2_witness = count + start + i2 + 1
 
         pos = 0
         while ci < len(checkpoints) and checkpoints[ci] <= count + len(chunk):
@@ -204,15 +191,15 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
 
     loglog_bound = None
     f_bound = None
-    if check_bounds and first_bound_index is not None:
+    if bounds_first is not None and count >= bounds_first:
         loglog_bound = BoundCheckResult(
-            bound="loglogN_lower", first=first_bound_index,
-            last=last_bound_index, passed=worst_m1 > 0,
-            worst_margin=worst_m1, witness=worst_m1_witness)
+            bound="loglogN_lower", first=bounds_first, last=count,
+            passed=worst_m1 > 0, worst_margin=worst_m1,
+            witness=worst_m1_witness)
         f_bound = BoundCheckResult(
-            bound="f_primorial_upper", first=first_bound_index,
-            last=last_bound_index, passed=worst_m2 > 0,
-            worst_margin=worst_m2, witness=worst_m2_witness)
+            bound="f_primorial_upper", first=bounds_first, last=count,
+            passed=worst_m2 > 0, worst_margin=worst_m2,
+            witness=worst_m2_witness)
     return FullScanResult(n_max=count, stats=stats, theta_monotonic=monotonic,
                           theta_below_prime=below_prime,
                           first_theta_violation=first_violation,
@@ -220,7 +207,7 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
 
 
 def stats_stream(n_max: int, report_indices: Iterable[int]) -> list[PrimorialStats]:
-    return full_scan(n_max, report_indices, check_bounds=False).stats
+    return full_scan(n_max, report_indices).stats
 
 
 def mertens_ratio(n: int, stats: Optional[PrimorialStats] = None) -> float:
@@ -271,23 +258,20 @@ def k_ratio(n: int, p_n: Optional[int] = None,
     return k * math.log(k) / (p_next * math.log(p_next))
 
 
-def check_loglogN_lower_bound(first: int, last: int) -> BoundCheckResult:
-    """log log N_n > log p_n - 0.123/log p_n over indices [first, last]."""
-    _validate_bound_range(first, last)
-    res = full_scan(last, (), check_bounds=True,
-                    bounds_first=first, bounds_last=last)
-    return res.loglog_bound
+def check_primorial_bounds(
+        last: int, first: Optional[int] = None
+) -> tuple[BoundCheckResult, BoundCheckResult]:
+    """Both explicit bounds over the indices [first, last], from one pass:
+    log log N_n > log p_n - 0.123/log p_n and
+    f(N_n) < -0.698 log p_n + 0.220/log p_n.
 
-
-def check_f_primorial_bound(first: int, last: int) -> BoundCheckResult:
-    """f(N_n) < -0.698 log p_n + 0.220/log p_n over indices [first, last]."""
-    _validate_bound_range(first, last)
-    res = full_scan(last, (), check_bounds=True,
-                    bounds_first=first, bounds_last=last)
-    return res.f_bound
-
-
-def _validate_bound_range(first: int, last: int) -> None:
+    They are claimed only for p_n >= 20000; first defaults to the first such
+    index, and a range that starts below it or is empty is rejected.
+    """
+    if first is None:
+        # one more than the number of primes below the threshold
+        first = 1 + sum(len(chunk) for chunk in
+                        iter_prime_chunks(BOUND_PRIME_THRESHOLD))
     if last < first:
         raise DomainError(f"empty index range [{first}, {last}]")
     if last > PRIME_INDEX_CEILING:
@@ -297,6 +281,8 @@ def _validate_bound_range(first: int, last: int) -> None:
         raise DomainError(
             f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
             f"p_{first} = {p_first}")
+    res = full_scan(last, bounds_first=first)
+    return res.loglog_bound, res.f_bound
 
 
 def f_bound_rhs(p: float) -> float:
@@ -321,14 +307,18 @@ def round_half_even(x: float, decimals: int) -> str:
 def _theta_points_for(indices: Sequence[int],
                       cache_path=None) -> dict[int, ThetaPoint]:
     """Theta points at the given indices, served from the on-disk cache when
-    it already covers them, re-sieving (and refreshing the cache) otherwise."""
+    it already covers them, re-sieving (and refreshing the cache) otherwise.
+    A cache in another format version counts as a miss and is rewritten; a
+    corrupt one raises CacheParseError."""
     need = sorted(set(indices))
+    cached = {}
     if cache_path is not None and os.path.exists(cache_path):
-        cached = cache_load(cache_path).by_index()
+        try:
+            cached = cache_load(cache_path).by_index()
+        except CacheVersionError:
+            pass  # another format version: rebuild the file
         if all(i in cached for i in need):
             return {i: cached[i] for i in need}
-    else:
-        cached = {}
     points = {s.index: s.theta_point()
               for s in stats_stream(max(need), need)}
     if cache_path is not None:

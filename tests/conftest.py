@@ -13,7 +13,8 @@ def full_scan_result():
     """One pass over the first 10^7 + 1 primes, shared by every heavy test."""
     indices = set(DECADES) | {n + 1 for n in TABLE1_INDICES} | {3, 10**4 + 1}
     t0 = time.perf_counter()
-    res = psirh.full_scan(10**7 + 1, sorted(indices), check_bounds=True)
+    # p_2263 = 20011 is the first prime above 20000, where the bounds start
+    res = psirh.full_scan(10**7 + 1, sorted(indices), bounds_first=2263)
     res.elapsed = time.perf_counter() - t0
     return res
 

@@ -1,8 +1,12 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 import psirh
+from psirh import criteria
+from psirh.arith import psi_table
 from psirh.champions import (Proposition, first_primes, psi_champion_scan,
                              read_bfile)
 from psirh.errors import BFileParseError, DomainError, ResourceLimitError
@@ -133,6 +137,75 @@ class TestProp2:
         chk = psirh.verify_prop2(12)
         assert chk.failures == ()
         assert chk.cases_checked == 1  # only m=3 inside the k=1 window
+
+
+def prop2_reference(limit):
+    """The per-m float loop verify_prop2 used before it shared the scan
+    prefilter: (cases_checked, failures)."""
+    primes = first_primes(int(limit).bit_length() + 1)
+    psi = psi_table(max(limit, 2)).tolist()
+    e_gamma = criteria.CONSTANTS.e_gamma
+
+    def f_mp(n):
+        ratio = mp.mpf(psi[n]) / n
+        return ratio - criteria.mp_e_gamma() * mp.log(mp.log(n))
+
+    cases = 0
+    failures = []
+    prim = 1
+    for k, p in enumerate(primes, start=1):
+        prim *= p
+        if prim > limit:
+            break
+        f_prim = psirh.dedekind_f(prim).value
+        next_prim = prim * primes[k]
+        l = 1
+        while (l + 1) * prim < min(next_prim, limit):
+            for m in range(l * prim + 1, (l + 1) * prim):
+                cases += 1
+                diff = psi[m] / m - e_gamma * math.log(math.log(m)) - f_prim
+                if abs(diff) < 1e-9:
+                    with mp.workdps(30):
+                        diff = float(f_mp(m) - f_mp(prim))
+                if diff >= 0:
+                    failures.append((k, l, m))
+            l += 1
+    return cases, tuple(failures)
+
+
+@pytest.fixture
+def every_m_a_candidate(monkeypatch):
+    """A prefilter whose every value lies above f(N_k) - _CANDIDATE_BAND."""
+    monkeypatch.setattr(criteria, "_chunk_values",
+                        lambda lo, hi, kind, base: np.full(hi - lo, np.inf))
+
+
+class TestDecisionPath:
+    def test_prop2_matches_reference_loop(self):
+        for limit in [*range(2, 3001), 10**4]:
+            chk = psirh.verify_prop2(limit)
+            assert (chk.cases_checked, chk.failures) == \
+                prop2_reference(limit), limit
+
+    def test_prop2_every_m_a_candidate(self, every_m_a_candidate):
+        chk = psirh.verify_prop2(2000)
+        assert chk.failures == ()
+        assert chk.cases_checked == prop2_reference(2000)[0] > 0
+
+    def test_failures_name_k_l_m(self, every_m_a_candidate, monkeypatch):
+        monkeypatch.setattr(psirh.champions, "_f_at_least", lambda m, ref: True)
+        chk = psirh.verify_prop2(1000)
+        assert len(chk.failures) == chk.cases_checked
+        for k, l, m in chk.failures:
+            n_k = math.prod(first_primes(k))
+            assert l * n_k < m < (l + 1) * n_k
+
+    def test_tie_counts_as_failure(self):
+        for k in range(1, 8):
+            n_k = math.prod(first_primes(k))
+            assert criteria._f_at_least(n_k, n_k)
+        assert not criteria._f_at_least(60, 30)
+        assert criteria._f_at_least(30, 60)
 
 
 class TestSuperabundantOverlap:

@@ -10,11 +10,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_span_install_resolves_every_layer():
+def run_with_spans(code):
+    """Run code after spans.install(rec) in a fresh interpreter; its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import spans; spans.install(spans.Recorder())"],
+         "import spans; rec = spans.Recorder(); spans.install(rec)\n" + code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_span_install_resolves_every_layer():
+    run_with_spans("")
+
+
+def test_prop2_float_pass_is_a_prefilter_span():
+    out = run_with_spans(
+        "from psirh import champions; champions.verify_prop2(10**4)\n"
+        "print(sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
+    assert int(out) > 0

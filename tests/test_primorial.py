@@ -7,7 +7,7 @@ import pytest
 import psirh
 from psirh.champions import first_primes
 from psirh.criteria import CONSTANTS, BoundCheckResult
-from psirh.errors import DomainError, ResourceLimitError
+from psirh.errors import CacheParseError, DomainError, ResourceLimitError
 from psirh.primorial import (f_bound_rhs, f_bound_slope_from_constants,
                              round_half_even)
 
@@ -124,17 +124,28 @@ class TestKRatio:
 
 class TestBounds:
     def test_loglog_lower_bound_short_range(self):
-        res = psirh.check_loglogN_lower_bound(2263, 5000)
+        res, _ = psirh.check_primorial_bounds(5000, first=2263)
         assert res.passed
         assert res.worst_margin > 0
 
     def test_f_bound_short_range(self):
-        res = psirh.check_f_primorial_bound(2263, 5000)
+        _, res = psirh.check_primorial_bounds(5000, first=2263)
         assert res.passed
 
     def test_threshold_guard(self):
         with pytest.raises(DomainError, match="p_100 = 541"):
-            psirh.check_loglogN_lower_bound(100, 5000)
+            psirh.check_primorial_bounds(5000, first=100)
+
+    def test_default_first_is_first_prime_above_20000(self):
+        assert psirh.nth_prime(2262) < 20000 <= psirh.nth_prime(2263)
+        loglog, f_bound = psirh.check_primorial_bounds(3000)
+        assert (loglog.first, loglog.last) == (f_bound.first, f_bound.last) \
+            == (2263, 3000)
+        assert (loglog, f_bound) == psirh.check_primorial_bounds(3000, 2263)
+
+    def test_empty_range(self):
+        with pytest.raises(DomainError, match="empty"):
+            psirh.check_primorial_bounds(100)
 
     def test_rhs_near_minus_6_89(self):
         assert f_bound_rhs(20000) == pytest.approx(-6.89, abs=0.01)
@@ -161,6 +172,23 @@ class TestTables:
         assert rows[1]["ftilde_ratio_printed"] == "0.9999980"
         # warm run must not change anything
         assert psirh.table1([10, 1000], cache_path=cache) == rows
+
+    def test_table1_rebuilds_older_cache_version(self, tmp_path):
+        cache = tmp_path / "theta.cache"
+        cache.write_text("psicache v1 stride=1\n"
+                         "10 29 0x1.69724188e9583p+4 0x0.0p+0\n")
+        assert psirh.table1([10, 1000], cache_path=cache) == \
+            psirh.table1([10, 1000])
+        assert cache.read_text().startswith("psicache v2 ")
+        assert {p.index for p in psirh.cache_load(cache).points} == \
+            {10, 11, 1000, 1001}
+
+    def test_table1_corrupt_cache_still_raises(self, tmp_path):
+        cache = tmp_path / "theta.cache"
+        cache.write_text("psicache v2 stride=1\n"
+                         "10 29 0x1.69724188e9583p+4 0x0.0p+0\n")
+        with pytest.raises(CacheParseError):
+            psirh.table1([10, 1000], cache_path=cache)
 
     def test_table1_index_guard(self):
         with pytest.raises(DomainError):

@@ -145,6 +145,22 @@ class TestOtherCommands:
         assert all(r["passed"] == "true" for r in rows)
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--hi", "100"),                # ends below the first index
+        ("bounds", "--lo", "5", "--hi", "3000"),  # p_5 = 11 < 20000
+        ("table1", "--indices", ""),
+        ("table2", "--indices", ""),
+        ("mertens", "--indices", ""),
+        ("mertens", "--indices", "5,0"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
+
+
 class TestOeisCheck:
     def test_agreement(self, capsys, tmp_path):
         bfile = tmp_path / "b060735.txt"
