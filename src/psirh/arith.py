@@ -3,8 +3,9 @@
 Everything here is integer-exact: Python ints widen automatically, so no
 function value can overflow or be corrupted by rounding.  Bulk values over a
 range come from one segmented sieve kernel (multiplicative_range) that
-returns exact int64 psi or sigma; single queries fall back to trial
-division by sieved primes up to sqrt(n).
+returns exact int64 psi or sigma; single queries use vectorized trial
+division over one grown prime list, with deterministic Miller-Rabin for the
+cofactor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .prime_engine import _simple_sieve
+from .prime_engine import _segment_primes, _simple_sieve
 
 
 @dataclass(frozen=True)
@@ -25,36 +26,89 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes increasing
 
 
-def _trial_primes(n: int):
-    """Primes for trial division, sieved lazily so the bound tracks the
-    shrinking cofactor instead of sqrt of the original n."""
-    lo = 2
-    block = 1 << 16
-    while True:
-        for p in _simple_sieve(min(lo + block, math.isqrt(n) + 2)).tolist():
-            if p >= lo:
-                yield p
-        lo += block
-        if lo > math.isqrt(n) + 1:
-            return
-        block *= 4
+# Deterministic Miller-Rabin: the 13 prime bases 2..41 prove primality below
+# psi_13, the least strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 86 (2017)).  The first 12 bases would stop at psi_12 =
+# 318665857834031151167461, a strong pseudoprime to 2..37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
+
+# (primes, hi): every prime below hi, increasing.  Replaced, never mutated.
+_prime_list = (_simple_sieve(255), 256)
+
+
+def _primes_below(limit: int) -> np.ndarray:
+    """An increasing int64 array that starts with every prime below limit.
+
+    The shared list grows by doubling its bound with the segmented sieve, so
+    nothing is sieved twice and it never holds primes beyond 2 * limit.
+    """
+    global _prime_list
+    primes, hi = _prime_list
+    while hi < limit:
+        base = primes[:primes.searchsorted(math.isqrt(2 * hi) + 1)]
+        primes = np.concatenate(
+            [primes, _segment_primes(hi, 2 * hi, base.tolist())])
+        hi *= 2
+        _prime_list = (primes, hi)
+    return primes
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; proven only for 0 <= m < _MR_LIMIT."""
+    if m < 2:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s, d odd
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime-power decomposition of n >= 1."""
+    """Exact prime-power decomposition of n >= 1.
+
+    Trial division runs over blocks of the shared prime list, the primes
+    below 256 and then those in [hi, 2 hi) for doubling hi: one numpy
+    remainder per block while the cofactor m fits in int64.  It stops once a
+    block passes sqrt(m) or m is 1 or proven prime.
+    """
     if n < 1:
         raise DomainError("cannot factorize n < 1")
     m = n
     factors = []
-    for p in _trial_primes(n):
-        if p * p > m:
-            break
-        if m % p == 0:
+    hi = 256
+    i = 0  # index of the first prime not yet tried
+    while True:
+        hi = min(hi, math.isqrt(m) + 1)
+        primes = _primes_below(hi)
+        j = int(primes.searchsorted(hi))
+        block = primes[i:j]
+        if m < 1 << 63:
+            hits = block[m % block == 0].tolist()
+        else:
+            hits = [p for p in block.tolist() if m % p == 0]
+        for p in hits:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
+        # m has no prime factor below hi: it is 1 or prime if m < hi^2
+        if m < hi * hi or (m < _MR_LIMIT and _is_prime(m)):
+            break
+        hi, i = 2 * hi, j
     if m > 1:
         factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))

@@ -250,7 +250,11 @@ def verify_prop2(limit: int) -> PropositionCheck:
 # OEIS b-file reader
 
 def read_bfile(path) -> list[tuple[int, int]]:
-    """Parse an OEIS b-file: lines of `<index> <value>`, `#` comments ignored."""
+    """Parse an OEIS b-file: lines of `<index> <value>`, `#` comments ignored.
+
+    Entries are compared by position, so each index must be the previous
+    one + 1; a gap, duplicate or out-of-order index raises BFileParseError.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -262,8 +266,12 @@ def read_bfile(path) -> list[tuple[int, int]]:
                 raise BFileParseError(
                     f"expected `<index> <value>`, got {line!r}", lineno)
             try:
-                entries.append((int(parts[0]), int(parts[1])))
+                index, value = int(parts[0]), int(parts[1])
             except ValueError:
                 raise BFileParseError(
                     f"non-integer field in {line!r}", lineno) from None
+            if entries and index != entries[-1][0] + 1:
+                raise BFileParseError(
+                    f"index {index} does not follow {entries[-1][0]}", lineno)
+            entries.append((index, value))
     return entries

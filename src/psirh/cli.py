@@ -76,7 +76,7 @@ def _cmd_superabundant(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_props(args) -> tuple[RenderedReport, bool]:
     p1 = champions.verify_prop1(args.limit)
-    p2 = champions.verify_prop2(min(args.prop2_limit, champions.PROP2_CEILING))
+    p2 = champions.verify_prop2(args.prop2_limit)
     ident = champions.psi_multiple_identity_check(args.identity_kmax)
     rows = []
     for chk in (p1, p2, ident):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from psirh.arith import multiplicative_range, psi_table, sigma_table
+from psirh.arith import _is_prime, multiplicative_range, psi_table, sigma_table
+from psirh.champions import first_primes
 from psirh.errors import DomainError
 from psirh.prime_engine import _simple_sieve, iter_prime_chunks
 
@@ -48,6 +49,66 @@ class TestFactorize:
     def test_prime_maps_to_itself(self):
         for p in (2, 3, 5, 53, 97):
             assert psirh.factorize(p).factors == ((p, 1),)
+
+    @pytest.mark.parametrize("n, factors", [
+        (999007 * 999023, ((999007, 1), (999023, 1))),  # no early stop
+        (999007**2, ((999007, 2),)),
+        (10**12 + 39, ((10**12 + 39, 1),)),             # prime near 10^12
+        (1009**7, ((1009, 7),)),                        # >= 2^63 past block 1
+        (3 * 1009**5 * (10**12 + 39),                   # starts above psi_13
+         ((3, 1), (1009, 5), (10**12 + 39, 1))),
+        (2**64 * 3**5 * 7, ((2, 64), (3, 5), (7, 1))),
+    ])
+    def test_awkward_points(self, n, factors):
+        assert psirh.factorize(n).factors == factors
+
+    def test_primorial(self):
+        primes = first_primes(62)  # 2 .. 293, across the first block edge
+        assert primes[-1] == 293
+        assert (psirh.factorize(math.prod(primes)).factors
+                == tuple((p, 1) for p in primes))
+
+    @settings(max_examples=5, deadline=None)
+    @given(lo=st.integers(10**11, 10**12 - 2000))
+    def test_window_matches_kernel(self, lo):
+        hi = lo + 2000
+        base = _simple_sieve(math.isqrt(hi - 1)).tolist()
+        psi = multiplicative_range(lo, hi, False, base)
+        sig = multiplicative_range(lo, hi, True, base)
+        for n in range(lo, hi):
+            factors = psirh.factorize(n).factors
+            assert math.prod(p**(e - 1) * (p + 1) for p, e in factors) == psi[n - lo]
+            assert (math.prod((p**(e + 1) - 1) // (p - 1) for p, e in factors)
+                    == sig[n - lo])
+
+    def test_no_sieve_per_query(self):
+        rng = random.Random(11)
+        psirh.factorize(10**12 - 11)  # warm-up: the prime list reaches 10^6
+        before = _simple_sieve.cache_info().misses
+        for n in rng.sample(range(10**11, 10**12), 200):
+            psirh.factorize(n)
+        assert _simple_sieve.cache_info().misses - before <= 2
+
+
+class TestMillerRabin:
+    @pytest.mark.parametrize("m", [
+        3215031751,                 # strong pseudoprime to 2, 3, 5, 7
+        3825123056546413051,        # strong pseudoprime to 2 .. 23
+        318665857834031151167461,   # psi_12: strong pseudoprime to 2 .. 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, m):
+        assert not _is_prime(m)
+
+    def test_psi_12_factors(self):
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert _is_prime(399165290221) and _is_prime(798330580441)
+
+    def test_mersenne_prime(self):
+        assert _is_prime(2**61 - 1)
+
+    def test_matches_sieve(self):
+        primes = set(_simple_sieve(10**5).tolist())
+        assert [m for m in range(10**5 + 1) if _is_prime(m)] == sorted(primes)
 
 
 class TestFunctionValues:

@@ -229,6 +229,23 @@ class TestBFileReader:
         path.write_text(f"1 {10**50}\n")
         assert read_bfile(path) == [(1, 10**50)]
 
+    @pytest.mark.parametrize("text, line", [
+        ("1 2\n2 4\n4 8\n", 3),        # gap
+        ("1 2\n2 4\n2 4\n", 3),        # duplicate
+        ("# c\n2 4\n1 2\n3 6\n", 3),  # swap
+    ])
+    def test_non_consecutive_index_names_line(self, tmp_path, text, line):
+        path = tmp_path / "b.txt"
+        path.write_text(text)
+        with pytest.raises(BFileParseError) as exc:
+            read_bfile(path)
+        assert exc.value.line_number == line
+
+    def test_offset_zero_accepted(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("0 1\n1 2\n")
+        assert read_bfile(path) == [(0, 1), (1, 2)]
+
     def test_malformed_names_line(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("1 2\nbogus line here\n")

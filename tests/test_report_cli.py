@@ -160,6 +160,13 @@ class TestRangeErrors:
         assert out == ""
         assert "domain error" in err
 
+    def test_prop2_limit_above_ceiling_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "props", "--limit", "1000",
+                                 "--prop2-limit", "2000000")
+        assert code == 3
+        assert out == ""
+        assert "ceiling" in err
+
 
 class TestOeisCheck:
     def test_agreement(self, capsys, tmp_path):
@@ -204,6 +211,15 @@ class TestOeisCheck:
         code, _, err = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
                                "--sequence", "A060735", "--count", "2")
         assert code == 2
+        assert "line 2" in err
+
+    def test_non_consecutive_index_exit_2(self, capsys, tmp_path):
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text("1 2\n3 6\n")
+        code, out, err = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
+                                 "--sequence", "A060735", "--count", "2")
+        assert code == 2
+        assert out == ""
         assert "line 2" in err
 
     def test_missing_bfile_exit_2(self, capsys, tmp_path):
