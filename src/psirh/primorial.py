@@ -39,10 +39,6 @@ _TABLE1_DECIMALS = {10: (3, 3, 3), 10**3: (3, 7, 5),
 _TABLE2_DECIMALS = 2
 
 
-def _dd_float(hi: float, lo: float) -> float:
-    return hi + lo
-
-
 def _dd_log(hi: float, lo: float) -> float:
     return math.log(hi) + math.log1p(lo / hi)
 
@@ -63,12 +59,12 @@ class PrimorialStats:
     @property
     def theta(self) -> float:
         """log N_n."""
-        return _dd_float(self.theta_hi, self.theta_lo)
+        return self.theta_hi + self.theta_lo
 
     @property
     def psi_ratio_log(self) -> float:
         """R_n = log(psi(N_n)/N_n)."""
-        return _dd_float(self.psi_ratio_log_hi, self.psi_ratio_log_lo)
+        return self.psi_ratio_log_hi + self.psi_ratio_log_lo
 
     @property
     def loglogN(self) -> float:
@@ -206,16 +202,12 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
                           loglog_bound=loglog_bound, f_bound=f_bound)
 
 
-def stats_stream(n_max: int, report_indices: Iterable[int]) -> list[PrimorialStats]:
-    return full_scan(n_max, report_indices).stats
-
-
 def mertens_ratio(n: int, stats: Optional[PrimorialStats] = None) -> float:
     """exp(R_n) / log p_n, tending to e^gamma / zeta(2)."""
     if n < 2:
         raise DomainError("mertens ratio defined for n >= 2")
     if stats is None:
-        stats = stats_stream(n, [n])[0]
+        stats = full_scan(n, [n]).stats[0]
     return stats.mertens_ratio
 
 
@@ -234,7 +226,7 @@ def ftilde_ratio_deviation(n: int,
     if n + 1 > PRIME_INDEX_CEILING:
         raise ResourceLimitError(f"n+1={n + 1} exceeds index ceiling")
     if theta_n is None or p_next is None:
-        sts = stats_stream(n + 1, [n, n + 1])
+        sts = full_scan(n + 1, [n, n + 1]).stats
         theta_n = sts[0].theta_point()
         p_next = sts[1].prime
     theta = theta_n.theta_hi + theta_n.theta_lo
@@ -320,12 +312,11 @@ def _theta_points_for(indices: Sequence[int],
         if all(i in cached for i in need):
             return {i: cached[i] for i in need}
     points = {s.index: s.theta_point()
-              for s in stats_stream(max(need), need)}
+              for s in full_scan(max(need), need).stats}
     if cache_path is not None:
         merged = dict(cached)
         merged.update(points)
-        cache_save(ThetaCache(checkpoint_stride=1,
-                              points=sorted(merged.values(),
+        cache_save(ThetaCache(points=sorted(merged.values(),
                                             key=lambda p: p.index)),
                    cache_path)
     return points
@@ -368,7 +359,7 @@ def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES,
         raise ResourceLimitError(f"index {max(need)} exceeds ceiling")
     if min(need) < 2:
         raise DomainError("table indices must be >= 2")
-    stats = {s.index: s for s in stats_stream(max(need), need)}
+    stats = {s.index: s for s in full_scan(max(need), need).stats}
     rows = []
     for n in indices:
         s = stats[n]

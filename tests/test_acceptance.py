@@ -98,7 +98,7 @@ def test_05_ratio_table(announce, full_scan_result, tmp_path):
     cache = tmp_path / "theta.cache"
     points = sorted((s.theta_point() for s in full_scan_result.stats),
                     key=lambda p: p.index)
-    cache_save(ThetaCache(checkpoint_stride=1, points=points), cache)
+    cache_save(ThetaCache(points=points), cache)
     t0 = time.perf_counter()
     rows = psirh.table1(sorted(TABLE1_TARGETS), cache_path=cache)
     warm_elapsed = time.perf_counter() - t0
@@ -199,7 +199,7 @@ def test_09_property_suites(announce, full_scan_result, stats_by_index):
     theta_oracle_ok = rel < 1e-15
 
     psi_log_ok = True
-    for st in psirh.stats_stream(14, range(2, 15)):
+    for st in psirh.full_scan(14, range(2, 15)).stats:
         n_k = _primorial(st.index)
         exact = Fraction(psirh.dedekind_psi(n_k), n_k)
         if abs(st.psi_over_n / float(exact) - 1) > 1e-14:

@@ -6,9 +6,10 @@ import pytest
 
 import psirh
 from psirh import criteria
-from psirh.arith import psi_table
+from psirh.arith import psi_table, sigma_table
 from psirh.champions import (Proposition, first_primes, psi_champion_scan,
                              read_bfile)
+from psirh.criteria import CriterionKind
 from psirh.errors import BFileParseError, DomainError, ResourceLimitError
 
 PAPER_S_LISTING = [2, 4, 6, 12, 18, 24, 30, 60, 90, 120, 150, 180, 210, 420,
@@ -56,17 +57,17 @@ class TestSSequence:
 
 class TestPsiChampion:
     def test_members(self):
-        assert psirh.is_psi_champion(24)
-        assert psirh.is_psi_champion(2310)
+        assert 24 in psi_champion_scan(24)
+        assert 2310 in psi_champion_scan(2310)
 
     def test_non_member(self):
-        assert not psirh.is_psi_champion(36)
+        assert 36 not in psi_champion_scan(36)
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            psirh.is_psi_champion(1)
+            psi_champion_scan(1)
         with pytest.raises(ResourceLimitError):
-            psirh.is_psi_champion(10**7)
+            psi_champion_scan(10**8 + 1)
 
 
 class TestSuperabundant:
@@ -85,7 +86,7 @@ class TestSuperabundant:
             assert n1 * d2 < n2 * d1
 
     def test_ceiling(self):
-        for limit in (10**7 + 1, 10**9):
+        for limit in (10**8 + 1, 10**9):
             with pytest.raises(ResourceLimitError):
                 psirh.generate_superabundant(limit)
 
@@ -206,6 +207,79 @@ class TestDecisionPath:
             assert criteria._f_at_least(n_k, n_k)
         assert not criteria._f_at_least(60, 30)
         assert criteria._f_at_least(30, 60)
+
+
+def record_reference(table, start, keep_ties):
+    """The whole-table record loop the record scans used before they walked
+    chunks: every n >= start whose table[n]/n beats (or, when keep_ties,
+    equals) the best earlier ratio, by exact cross-multiplication."""
+    values = table.tolist()
+    best_num, best_den = 0, 1
+    out = []
+    for n in range(start, len(values)):
+        lhs = values[n] * best_den
+        rhs = best_num * n
+        if lhs > rhs:
+            best_num, best_den = values[n], n
+            out.append(n)
+        elif keep_ties and lhs == rhs:
+            out.append(n)
+    return out
+
+
+DRIVER_LIMIT = 3000
+
+
+@pytest.fixture(params=[1, 2, 7, 64])
+def chunk_size(request, monkeypatch):
+    """Every range walk in chunks of this length.  At 1 and 2 the ties
+    (2, 4) and (6, 24) straddle a chunk boundary, and at 7 so does (6, 24)."""
+    monkeypatch.setattr(criteria, "DEFAULT_CHUNK", request.param)
+    return request.param
+
+
+@pytest.fixture
+def every_n_a_record_candidate(monkeypatch):
+    """Float ratios that rule nothing out, so the exact path decides all."""
+    monkeypatch.setattr(criteria, "_chunk_ratios",
+                        lambda lo, hi, kind, base: np.full(hi - lo, np.inf))
+
+
+def check_record_scans(limit):
+    assert psi_champion_scan(limit) == \
+        record_reference(psi_table(limit), 2, keep_ties=True)
+    sig = sigma_table(limit)
+    assert psirh.generate_superabundant(limit).records == tuple(
+        (n, int(sig[n]), n)
+        for n in record_reference(sig, 1, keep_ties=False))
+
+
+class TestChunkDriver:
+    def test_record_scans_chunk_invariant(self, chunk_size):
+        check_record_scans(DRIVER_LIMIT)
+
+    def test_prop2_chunk_invariant(self, chunk_size):
+        chk = psirh.verify_prop2(DRIVER_LIMIT)
+        assert (chk.cases_checked, chk.failures) == \
+            prop2_reference(DRIVER_LIMIT)
+
+    def test_exact_path_alone(self, every_n_a_record_candidate):
+        check_record_scans(DRIVER_LIMIT)
+
+    def test_float_maximum_carries_across_chunks(self, chunk_size,
+                                                 monkeypatch):
+        # below 3000 no float ratio ties the running maximum unless the
+        # exact ratio does, so only the record holders reach the exact path
+        for kind, scan in ((CriterionKind.DEDEKIND_F, psi_champion_scan),
+                           (CriterionKind.ROBIN_G, lambda limit: [
+                               r[0] for r in
+                               psirh.generate_superabundant(limit).records])):
+            exact = []
+            fn = criteria._RATIO_FN[kind]
+            monkeypatch.setitem(criteria._RATIO_FN, kind,
+                                lambda n, fn=fn: exact.append(n) or fn(n))
+            records = scan(DRIVER_LIMIT)
+            assert exact == records
 
 
 class TestSuperabundantOverlap:

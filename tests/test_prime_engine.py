@@ -88,29 +88,29 @@ class TestNthPrime:
 
 
 class TestThetaStream:
-    """theta(p_n) from the ordered double-double pass (stats_stream)."""
+    """theta(p_n) from the ordered double-double pass (full_scan)."""
 
     def test_theta_at_29(self):
-        pts = psirh.stats_stream(10, [10])
+        pts = psirh.full_scan(10, [10]).stats
         assert pts[0].index == 10 and pts[0].prime == 29
         assert pts[0].theta == pytest.approx(22.59039453, abs=5e-8)
 
     def test_emits_default_report_indices(self):
-        pts = psirh.stats_stream(1500, TABLE1_DEFAULT_INDICES)
+        pts = psirh.full_scan(1500, TABLE1_DEFAULT_INDICES).stats
         assert [p.index for p in pts] == [10, 1000]
 
     def test_extra_indices(self):
-        pts = psirh.stats_stream(100, [42, 7, 1000, 10])
+        pts = psirh.full_scan(100, [42, 7, 1000, 10]).stats
         assert [p.index for p in pts] == [7, 10, 42]
 
     def test_monotone(self):
-        pts = psirh.stats_stream(10**4, range(100, 10**4 + 1, 100))
+        pts = psirh.full_scan(10**4, range(100, 10**4 + 1, 100)).stats
         thetas = [p.theta for p in pts]
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
         assert all(p.theta < p.prime for p in pts)
 
     def test_against_high_precision_oracle(self):
-        pts = {p.index: p for p in psirh.stats_stream(10**4, [10, 10**4])}
+        pts = {p.index: p for p in psirh.full_scan(10**4, [10, 10**4]).stats}
         with mp.workdps(50):
             for index, frozen in ((10, THETA_10), (10**4, THETA_1E4)):
                 exact = mp.mpf(frozen)
@@ -119,11 +119,11 @@ class TestThetaStream:
 
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
-            psirh.stats_stream(0, [1])
+            psirh.full_scan(0, [1])
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            psirh.stats_stream(PRIME_INDEX_CEILING + 1, [10])
+            psirh.full_scan(PRIME_INDEX_CEILING + 1, [10])
 
 
 class TestDoubleDouble:
@@ -249,24 +249,24 @@ class TestThetaCache:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "theta.cache"
-        cache = ThetaCache(checkpoint_stride=10, points=self._points())
+        cache = ThetaCache(points=self._points())
         psirh.cache_save(cache, path)
         loaded = psirh.cache_load(path)
-        assert loaded.checkpoint_stride == 10
         assert loaded.points == self._points()
         assert [p.name for p in tmp_path.iterdir()] == ["theta.cache"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.cache"
         for text in ("psicache v99 stride=1\n",
-                     "psicache v1 stride=1\n10 29 0x1.69724188e9583p+4 0x0.0p+0\n"):
+                     "psicache v1 stride=1\n10 29 0x1.69724188e9583p+4 0x0.0p+0\n",
+                     "psicache v2 stride=1\n10 29 0x1.69724188e9583p+4 0x0.0p+0\n"):
             path.write_text(text)
             with pytest.raises(CacheVersionError):
                 psirh.cache_load(path)
 
     def test_truncated_row_names_line(self, tmp_path):
         path = tmp_path / "trunc.cache"
-        write_cache(path, "psicache v2 stride=1\n10 29 0x1.6p+4\n")
+        write_cache(path, "psicache v3\n10 29 0x1.6p+4\n")
         with pytest.raises(CacheParseError) as exc:
             psirh.cache_load(path)
         assert exc.value.line_number == 2
@@ -279,14 +279,14 @@ class TestThetaCache:
 
     def test_missing_trailer(self, tmp_path):
         path = tmp_path / "notrailer.cache"
-        path.write_text("psicache v2 stride=1\n10 29 0x1.6p+4 0x0.0p+0\n")
+        path.write_text("psicache v3\n10 29 0x1.6p+4 0x0.0p+0\n")
         with pytest.raises(CacheParseError) as exc:
             psirh.cache_load(path)
         assert exc.value.line_number == 2
 
     def test_altered_value_rejected(self, tmp_path):
         path = tmp_path / "theta.cache"
-        psirh.cache_save(ThetaCache(checkpoint_stride=10, points=self._points()), path)
+        psirh.cache_save(ThetaCache(points=self._points()), path)
         data = path.read_bytes()
         at = data.index(b"0x1.")
         path.write_bytes(data[:at + 4] + b"7" + data[at + 5:])
@@ -298,7 +298,7 @@ class TestThetaCache:
         points = [ThetaPoint(10, 29, 22.59039453011, 9.8e-14),
                   ThetaPoint(20, 71, 56.5, -4.5e-16)]
         path = tmp_path / "theta.cache"
-        psirh.cache_save(ThetaCache(checkpoint_stride=1, points=points), path)
+        psirh.cache_save(ThetaCache(points=points), path)
         data = path.read_bytes()
         cut_path = tmp_path / "cut.cache"
         loaded = []

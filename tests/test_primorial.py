@@ -24,18 +24,18 @@ def mp_ftilde_deviation(n, dps=50):
 
 class TestStatsStream:
     def test_index3(self):
-        s = psirh.stats_stream(3, [3])[0]
+        s = psirh.full_scan(3, [3]).stats[0]
         assert s.prime == 5
         assert s.f_value == pytest.approx(0.22, abs=0.005)
 
     def test_index10(self):
-        s = psirh.stats_stream(10, [10])[0]
+        s = psirh.full_scan(10, [10]).stats[0]
         assert s.psi_over_n == pytest.approx(3.8769, abs=1e-4)
         assert s.theta == pytest.approx(22.59039453, abs=5e-8)
         assert s.f_value == pytest.approx(-1.67, abs=0.01)
 
     def test_consistency_with_exact_arithmetic(self):
-        stats = psirh.stats_stream(14, range(1, 15))
+        stats = psirh.full_scan(14, range(1, 15)).stats
         for s in stats:
             n_k = math.prod(first_primes(s.index))
             exact = Fraction(psirh.dedekind_psi(n_k), n_k)
@@ -48,14 +48,14 @@ class TestStatsStream:
                 assert abs(s.f_value - g) < 1e-10
 
     def test_monotone_fields(self):
-        stats = psirh.stats_stream(100, range(1, 101))
+        stats = psirh.full_scan(100, range(1, 101)).stats
         for a, b in zip(stats, stats[1:]):
             assert a.theta < b.theta
             assert a.psi_ratio_log < b.psi_ratio_log
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            psirh.stats_stream(10**8, [10])
+            psirh.full_scan(10**8, [10])
 
 
 # float.hex of (theta_hi, theta_lo, psi_ratio_log_hi, psi_ratio_log_lo), as
@@ -179,13 +179,13 @@ class TestTables:
                          "10 29 0x1.69724188e9583p+4 0x0.0p+0\n")
         assert psirh.table1([10, 1000], cache_path=cache) == \
             psirh.table1([10, 1000])
-        assert cache.read_text().startswith("psicache v2 ")
+        assert cache.read_text().startswith("psicache v3\n")
         assert {p.index for p in psirh.cache_load(cache).points} == \
             {10, 11, 1000, 1001}
 
     def test_table1_corrupt_cache_still_raises(self, tmp_path):
         cache = tmp_path / "theta.cache"
-        cache.write_text("psicache v2 stride=1\n"
+        cache.write_text("psicache v3\n"
                          "10 29 0x1.69724188e9583p+4 0x0.0p+0\n")
         with pytest.raises(CacheParseError):
             psirh.table1([10, 1000], cache_path=cache)

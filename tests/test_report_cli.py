@@ -162,7 +162,7 @@ class TestRangeErrors:
 
     def test_prop2_limit_above_ceiling_exit_3(self, capsys):
         code, out, err = run_cli(capsys, "props", "--limit", "1000",
-                                 "--prop2-limit", "2000000")
+                                 "--prop2-limit", str(10**8 + 1))
         assert code == 3
         assert out == ""
         assert "ceiling" in err
@@ -221,6 +221,38 @@ class TestOeisCheck:
         assert code == 2
         assert out == ""
         assert "line 2" in err
+
+    def test_partial_bfile_pairs_by_index(self, capsys, tmp_path):
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text("2 4\n3 6\n")
+        code, out, _ = run_cli(capsys, "--fail-on-exception", "oeis-check",
+                               "--bfile", str(bfile),
+                               "--sequence", "A060735", "--count", "2")
+        assert code == 0
+        assert "# first_mismatch=\n" in out
+        rows = parse_csv(out)
+        assert [(r["index"], r["expected"]) for r in rows] == \
+            [("2", "4"), ("3", "6")]
+
+    def test_late_start_grows_the_sequence(self, capsys, tmp_path):
+        # a(61) = 5615610 lies beyond the 37 terms below 10^5
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text("61 5615610\n")
+        code, out, _ = run_cli(capsys, "--fail-on-exception", "oeis-check",
+                               "--bfile", str(bfile),
+                               "--sequence", "A060735", "--count", "1")
+        assert code == 0
+        assert "# compared=1\n" in out
+        assert "# truncated=false\n" in out
+
+    def test_index_below_1_exit_2(self, capsys, tmp_path):
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text("0 1\n1 2\n")
+        code, out, err = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
+                                 "--sequence", "A060735", "--count", "2")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
 
     def test_missing_bfile_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "oeis-check", "--bfile",
