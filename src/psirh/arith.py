@@ -10,6 +10,7 @@ cofactor.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,12 +27,16 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes increasing
 
 
-# Deterministic Miller-Rabin: the 13 prime bases 2..41 prove primality below
-# psi_13, the least strong pseudoprime to all of them (Sorenson & Webster,
-# Math. Comp. 86 (2017)).  The first 12 bases would stop at psi_12 =
-# 318665857834031151167461, a strong pseudoprime to 2..37.
+# Deterministic Miller-Rabin: the first k prime bases prove primality below
+# psi_k, the least strong pseudoprime to all of them (OEIS A014233; Sorenson
+# & Webster, Math. Comp. 86 (2017), for psi_12 and psi_13).  _is_prime uses
+# the least k with m < psi_k, so an m below psi_6 takes at most 6 bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981  # psi_13
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+_MR_LIMIT = _MR_PSI[-1]
 
 # (primes, hi): every prime below hi, increasing.  Replaced, never mutated.
 _prime_list = (_simple_sieve(255), 256)
@@ -63,7 +68,7 @@ def _is_prime(m: int) -> bool:
             return m == p
     s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s, d odd
     d = (m - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect.bisect_right(_MR_PSI, m) + 1]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -189,8 +194,7 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool,
                 sl *= p
             rem[start::pk] //= p
             pk *= p
-    big = rem > 1
-    val[big] *= rem[big] + 1
+    np.multiply(val, rem + 1, out=val, where=rem > 1)
     if lo == 0:
         val[0] = 0
     return val

@@ -24,12 +24,12 @@ from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
 # The record scans and prop2 walk their range in chunks, so memory stays
-# O(chunk): at most 94 MB peak RSS at each ceiling.  The ceilings are time
+# O(chunk): at most 65 MB peak RSS at each ceiling.  The ceilings are time
 # budgets, measured at the ceiling on a 2-core Xeon with 7 GB:
-PSI_CHAMPION_CEILING = 10**8   # 8.5 s, 78 records
-SUPERABUNDANT_CEILING = 10**8  # 8.8 s, 42 records
+PSI_CHAMPION_CEILING = 10**8   # 5.7 s, 78 records
+SUPERABUNDANT_CEILING = 10**8  # 5.7 s, 42 records
 PROP1_CEILING = 10**8
-PROP2_CEILING = 10**8          # 7.1 s, 96,453,730 cases
+PROP2_CEILING = 10**8          # 4.1 s, 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 

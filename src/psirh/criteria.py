@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,7 +35,13 @@ ESCALATION_DPS = 30
 _CANDIDATE_BAND = 1e-6
 
 SCAN_CEILING = 10**8
-DEFAULT_CHUNK = 1 << 20
+# A range walk keeps at most WORKERS chunks computing plus the one its
+# caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores stay
+# below the single 2^20 chunk of a serial walk.
+DEFAULT_CHUNK = 1 << 18
+# The CPUs this process may run on; _chunks reads it at call time.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 DEFAULT_SIGMA_BOUND_C = 0.6483  # 0.6482 as printed fails at n = 12
 
@@ -168,18 +176,48 @@ def _chunk_values(lo: int, hi: int, kind: CriterionKind,
 def _chunks(fn, lo: int, hi: int, kind: CriterionKind,
             chunk_size: Optional[int] = None):
     """Yield (c_lo, fn(c_lo, c_hi, kind, base_primes)) for the consecutive
-    chunks [c_lo, c_hi) of [lo, hi), fn being _chunk_values or
+    chunks [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
     _chunk_ratios.  The one walk of every range caller: the base primes are
     sieved once, and memory stays O(chunk) whatever the range.  The chunk
-    length is chunk_size, or DEFAULT_CHUNK read at call time."""
+    length is chunk_size, or DEFAULT_CHUNK read at call time.
+
+    With WORKERS > 1 and more than one chunk, up to WORKERS calls of fn run
+    ahead on a thread pool (the kernel's numpy loops release the GIL) while
+    the caller consumes the chunk before them.  Only fn runs in a worker:
+    everything the caller does between yields, mpmath and factorize
+    included, stays in the calling thread.  Each chunk's values depend only
+    on its bounds, so results do not depend on the worker count.
+    """
     size = DEFAULT_CHUNK if chunk_size is None else chunk_size
+    workers = WORKERS
     base_primes = _simple_sieve(math.isqrt(hi - 1) + 1).tolist()
-    for c_lo in range(lo, hi, size):
-        yield c_lo, fn(c_lo, min(c_lo + size, hi), kind, base_primes)
+    starts = range(lo, hi, size)
+    if workers == 1 or len(starts) == 1:
+        for c_lo in starts:
+            yield c_lo, fn(c_lo, min(c_lo + size, hi), kind, base_primes)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        try:
+            for c_lo in starts:
+                if len(pending) == workers:
+                    c, future = pending.popleft()
+                    yield c, future.result()
+                pending.append((c_lo, pool.submit(
+                    fn, c_lo, min(c_lo + size, hi), kind, base_primes)))
+            while pending:
+                c, future = pending.popleft()
+                yield c, future.result()
+        finally:
+            # a closed or failed walk drops the chunks not yet started; the
+            # pool's exit waits for those running
+            for _, future in pending:
+                future.cancel()
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
-                    chunk_size: int = DEFAULT_CHUNK) -> ExceptionReport:
+                    chunk_size: Optional[int] = None) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
     exact confirmation of every near-threshold candidate."""
     if lo < 2 or hi <= lo:
@@ -203,7 +241,8 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
 
 def check_sigma_upper_bound(lo: int, hi: int,
                             c: float = DEFAULT_SIGMA_BOUND_C,
-                            chunk_size: int = DEFAULT_CHUNK) -> BoundCheckResult:
+                            chunk_size: Optional[int] = None
+                            ) -> BoundCheckResult:
     """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
 
     The float pass finds the witness with the smallest margin; the margin

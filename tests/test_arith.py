@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from psirh.arith import _is_prime, multiplicative_range, psi_table, sigma_table
+from psirh import arith
+from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_range,
+                         psi_table, sigma_table)
 from psirh.champions import first_primes
 from psirh.errors import DomainError
 from psirh.prime_engine import _simple_sieve, iter_prime_chunks
@@ -109,6 +111,49 @@ class TestMillerRabin:
     def test_matches_sieve(self):
         primes = set(_simple_sieve(10**5).tolist())
         assert [m for m in range(10**5 + 1) if _is_prime(m)] == sorted(primes)
+
+    # each distinct psi_k below the proven limit, with its largest k
+    @pytest.mark.parametrize("psi, k", sorted(
+        {psi: k for k, psi in enumerate(_MR_PSI[:-1], start=1)}.items()))
+    def test_each_threshold_is_composite(self, psi, k):
+        # psi_k fools the first k bases, so _is_prime must take one more
+        assert all(strong_probable_prime(psi, a) for a in _MR_BASES[:k])
+        assert not _is_prime(psi)
+
+    @pytest.mark.parametrize("psi", sorted(set(_MR_PSI)))
+    def test_prime_just_below_each_threshold(self, psi):
+        p = next(m for m in range(psi - 2, 0, -2)  # psi is odd
+                 if all(strong_probable_prime(m, a) for a in _MR_BASES))
+        assert _is_prime(p)
+
+    @pytest.mark.parametrize("p, bases", [
+        (10**12 + 39, 5),            # below psi_5
+        (3 * 10**12 + 13, 6),        # in [psi_5, psi_6)
+        (10**20 + 39, 12),           # in [psi_11, psi_12)
+    ])
+    def test_base_count_sized_to_cofactor(self, monkeypatch, p, bases):
+        # a prime passes every base it is given, with one pow(a, d, m) each
+        calls = []
+        monkeypatch.setattr(arith, "pow",
+                            lambda *a: calls.append(a) or pow(*a),
+                            raising=False)
+        assert _is_prime(p)
+        assert len(calls) == bases
+
+
+def strong_probable_prime(m, a):
+    """The strong test of odd m > a to base a, written out independently."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
 
 
 class TestFunctionValues:

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -254,14 +256,83 @@ def check_record_scans(limit):
         for n in record_reference(sig, 1, keep_ties=False))
 
 
+@functools.cache
+def scan_reference(kind, hi):
+    """The per-n decisions of every 2 <= n < hi:
+    (exceptions, escalation count)."""
+    values = [criteria._criterion(n, kind) for n in range(2, hi)]
+    return (tuple(v.n for v in values if v.value >= 0),
+            sum(v.precision_escalated for v in values))
+
+
+def check_scans(hi):
+    for kind in CriterionKind:
+        rep = criteria.scan_exceptions(kind, 2, hi)
+        assert (rep.exceptions, rep.escalations) == scan_reference(kind, hi)
+
+
+def check_sigma_bound(hi):
+    """The witness is the first whole-table argmin of the float margin, and
+    the margin reported is the 30-digit one there."""
+    c = criteria.DEFAULT_SIGMA_BOUND_C
+    sig = sigma_table(hi - 1)
+    for lo in (3, 13):  # the witness is 12, then somewhere past it
+        n = np.arange(lo, hi, dtype=np.float64)
+        llg = np.log(np.log(n))
+        margin = criteria.CONSTANTS.e_gamma * llg + c / llg - sig[lo:] / n
+        witness = lo + int(np.argmin(margin))
+        with mp.workdps(criteria.ESCALATION_DPS):
+            exact = float(mp.mpf(c) / mp.log(mp.log(witness))
+                          - criteria._exact_value(witness, int(sig[witness])))
+        res = criteria.check_sigma_upper_bound(lo, hi)
+        assert (res.witness, res.worst_margin, res.passed) == \
+            (witness, exact, exact > 0)
+
+
+def check_prop2(limit):
+    chk = psirh.verify_prop2(limit)
+    assert (chk.cases_checked, chk.failures) == prop2_reference(limit)
+
+
+def check_every_caller(limit):
+    check_record_scans(limit)
+    check_prop2(limit)
+    check_scans(limit)
+    check_sigma_bound(limit)
+
+
 class TestChunkDriver:
     def test_record_scans_chunk_invariant(self, chunk_size):
         check_record_scans(DRIVER_LIMIT)
 
     def test_prop2_chunk_invariant(self, chunk_size):
-        chk = psirh.verify_prop2(DRIVER_LIMIT)
-        assert (chk.cases_checked, chk.failures) == \
-            prop2_reference(DRIVER_LIMIT)
+        check_prop2(DRIVER_LIMIT)
+
+    def test_scans_chunk_invariant(self, chunk_size):
+        check_scans(DRIVER_LIMIT)
+
+    def test_sigma_bound_chunk_invariant(self, chunk_size):
+        check_sigma_bound(DRIVER_LIMIT)
+
+    def test_every_caller_reads_the_chunk_size(self, chunk_size,
+                                               monkeypatch):
+        sizes = []
+        for name in ("_chunk_values", "_chunk_ratios"):
+            fn = getattr(criteria, name)
+            monkeypatch.setattr(
+                criteria, name, lambda lo, hi, *rest, fn=fn:
+                sizes.append(hi - lo) or fn(lo, hi, *rest))
+        callers = (
+            lambda: psi_champion_scan(DRIVER_LIMIT),
+            lambda: psirh.generate_superabundant(DRIVER_LIMIT),
+            lambda: psirh.verify_prop2(DRIVER_LIMIT),
+            lambda: criteria.scan_exceptions(CriterionKind.ROBIN_G, 2,
+                                             DRIVER_LIMIT),
+            lambda: criteria.check_sigma_upper_bound(3, DRIVER_LIMIT))
+        for caller in callers:
+            sizes.clear()
+            caller()
+            assert max(sizes) == chunk_size
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)
@@ -280,6 +351,27 @@ class TestChunkDriver:
                                 lambda n, fn=fn: exact.append(n) or fn(n))
             records = scan(DRIVER_LIMIT)
             assert exact == records
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_every_caller_matches_reference(self, monkeypatch, workers,
+                                            size):
+        monkeypatch.setattr(criteria, "WORKERS", workers)
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
+        check_every_caller(DRIVER_LIMIT)
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(criteria, "WORKERS", 4)
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            check_record_scans(DRIVER_LIMIT)
+            check_scans(DRIVER_LIMIT)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSuperabundantOverlap:

@@ -1,7 +1,11 @@
+import threading
+
 import mpmath as mp
+import numpy as np
 import pytest
 
 import psirh
+from psirh import criteria
 from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
                             mp_e_gamma, mp_zeta2, scan_exceptions)
 from psirh.errors import DomainError, ResourceLimitError
@@ -129,3 +133,52 @@ class TestSigmaUpperBound:
     def test_lo_validation(self):
         with pytest.raises(DomainError):
             check_sigma_upper_bound(2, 100)
+
+
+def walk(fn=criteria._chunk_values, lo=2, hi=1000, size=7):
+    return criteria._chunks(fn, lo, hi, CriterionKind.DEDEKIND_F, size)
+
+
+class TestChunkPipeline:
+    def test_close_mid_walk_stops_every_worker(self, monkeypatch):
+        monkeypatch.setattr(criteria, "WORKERS", 2)
+        before = threading.active_count()
+        chunks = walk()
+        assert [next(chunks)[0], next(chunks)[0]] == [2, 9]
+        assert threading.active_count() > before
+        chunks.close()
+        assert threading.active_count() == before
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(criteria, "WORKERS", 2)
+
+        class Boom(Exception):
+            pass
+
+        callers = set()
+
+        def fn(lo, hi, kind, base_primes):
+            callers.add(threading.get_ident())
+            if lo >= 100:
+                raise Boom(lo)
+            return np.zeros(hi - lo)
+
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(Boom):
+            for c_lo, _ in walk(fn):
+                seen.append(c_lo)
+        assert seen == list(range(2, 100, 7))
+        assert threading.get_ident() not in callers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9)])
+    def test_serial_walk_starts_no_thread(self, monkeypatch, workers, hi):
+        # one worker, or a range of one chunk, stays on the serial loop
+        monkeypatch.setattr(criteria, "WORKERS", workers)
+
+        def refuse(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert [c for c, _ in walk(hi=hi)] == list(range(2, hi, 7))

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psirh
 from psirh.cli import main
 
 SET_B = [2, 3, 4, 5, 6, 8, 10, 12, 18, 30]
@@ -259,3 +264,14 @@ class TestOeisCheck:
                              str(tmp_path / "nope.txt"),
                              "--sequence", "A060735", "--count", "2")
         assert code == 2
+
+
+def test_cli_import_loads_no_thread_pool():
+    # range walks import concurrent.futures on first use, so a command
+    # that walks no range never pays for it at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(psirh.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, psirh.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
