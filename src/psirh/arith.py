@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .prime_engine import _segment_primes, _simple_sieve
 
 
@@ -37,6 +37,11 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
            3825123056546413051, 3825123056546413051, 3825123056546413051,
            318665857834031151167461, 3317044064679887385961981)
 _MR_LIMIT = _MR_PSI[-1]
+# A cofactor >= _MR_LIMIT has no primality proof here, so trial division
+# alone must settle it, up to its square root (> 1.8e12).  It stops at this
+# bound instead: growing the prime list to 2^24 (1.08M primes, 8.6 MB) and
+# dividing by every prime takes about 0.2 s on 2 cores.
+FACTORIZE_TRIAL_CEILING = 1 << 24
 
 # (primes, hi): every prime below hi, increasing.  Replaced, never mutated.
 _prime_list = (_simple_sieve(255), 256)
@@ -53,7 +58,7 @@ def _primes_below(limit: int) -> np.ndarray:
     while hi < limit:
         base = primes[:primes.searchsorted(math.isqrt(2 * hi) + 1)]
         primes = np.concatenate(
-            [primes, _segment_primes(hi, 2 * hi, base.tolist())])
+            [primes, _segment_primes(hi, 2 * hi, base)])
         hi *= 2
         _prime_list = (primes, hi)
     return primes
@@ -87,7 +92,9 @@ def factorize(n: int) -> Factorization:
     Trial division runs over blocks of the shared prime list, the primes
     below 256 and then those in [hi, 2 hi) for doubling hi: one numpy
     remainder per block while the cofactor m fits in int64.  It stops once a
-    block passes sqrt(m) or m is 1 or proven prime.
+    block passes sqrt(m) or m is 1 or proven prime; a cofactor still
+    >= _MR_LIMIT once the primes below FACTORIZE_TRIAL_CEILING are tried
+    raises ResourceLimitError.
     """
     if n < 1:
         raise DomainError("cannot factorize n < 1")
@@ -113,6 +120,10 @@ def factorize(n: int) -> Factorization:
         # m has no prime factor below hi: it is 1 or prime if m < hi^2
         if m < hi * hi or (m < _MR_LIMIT and _is_prime(m)):
             break
+        if m >= _MR_LIMIT and hi >= FACTORIZE_TRIAL_CEILING:
+            raise ResourceLimitError(
+                f"cofactor {m} of {n} has no prime factor below {hi} and is "
+                f"too large for a primality proof")
         hi, i = 2 * hi, j
     if m > 1:
         factors.append((m, 1))

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import mpmath as mp
 import numpy as np
 
 from .arith import dedekind_psi, multiplicative_range, sigma
 from .errors import DomainError, ResourceLimitError
-from .prime_engine import _simple_sieve
+from .prime_engine import _ordered, _simple_sieve
 
 ESCALATION_BAND = 1e-9
 ESCALATION_DPS = 30
@@ -35,13 +32,10 @@ ESCALATION_DPS = 30
 _CANDIDATE_BAND = 1e-6
 
 SCAN_CEILING = 10**8
-# A range walk keeps at most WORKERS chunks computing plus the one its
-# caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores stay
-# below the single 2^20 chunk of a serial walk.
+# A range walk keeps at most prime_engine.WORKERS chunks computing plus the
+# one its caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores
+# stay below the single 2^20 chunk of a serial walk.
 DEFAULT_CHUNK = 1 << 18
-# The CPUs this process may run on; _chunks reads it at call time.
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
 
 DEFAULT_SIGMA_BOUND_C = 0.6483  # 0.6482 as printed fails at n = 12
 
@@ -57,11 +51,15 @@ class Constants:
 CONSTANTS = Constants()
 
 
+# mpmath is imported where a 30-digit value is needed: a command that makes
+# no such decision never pays for loading it.
 def mp_e_gamma():
+    import mpmath as mp
     return mp.exp(mp.euler)
 
 
 def mp_zeta2():
+    import mpmath as mp
     return mp.pi ** 2 / 6
 
 
@@ -111,7 +109,7 @@ def threshold(n: int) -> float:
     return CONSTANTS.e_gamma * math.log(math.log(n))
 
 
-def _exact_value(n: int, numer: int) -> mp.mpf:
+def _exact_value(n: int, numer: int):
     """numer/n - e^gamma log log n to ESCALATION_DPS significant digits.
 
     The one evaluator behind every sign decision the float pass leaves
@@ -120,6 +118,7 @@ def _exact_value(n: int, numer: int) -> mp.mpf:
     after the context closes; callers that combine it with more arithmetic
     do so under mp.workdps(ESCALATION_DPS) and round to float once.
     """
+    import mpmath as mp
     with mp.workdps(ESCALATION_DPS):
         return mp.mpf(numer) / n - mp_e_gamma() * mp.log(mp.log(n))
 
@@ -181,39 +180,14 @@ def _chunks(fn, lo: int, hi: int, kind: CriterionKind,
     sieved once, and memory stays O(chunk) whatever the range.  The chunk
     length is chunk_size, or DEFAULT_CHUNK read at call time.
 
-    With WORKERS > 1 and more than one chunk, up to WORKERS calls of fn run
-    ahead on a thread pool (the kernel's numpy loops release the GIL) while
-    the caller consumes the chunk before them.  Only fn runs in a worker:
-    everything the caller does between yields, mpmath and factorize
-    included, stays in the calling thread.  Each chunk's values depend only
+    Only fn runs ahead on prime_engine._ordered's workers; mpmath and
+    factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
     size = DEFAULT_CHUNK if chunk_size is None else chunk_size
-    workers = WORKERS
     base_primes = _simple_sieve(math.isqrt(hi - 1) + 1).tolist()
-    starts = range(lo, hi, size)
-    if workers == 1 or len(starts) == 1:
-        for c_lo in starts:
-            yield c_lo, fn(c_lo, min(c_lo + size, hi), kind, base_primes)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        try:
-            for c_lo in starts:
-                if len(pending) == workers:
-                    c, future = pending.popleft()
-                    yield c, future.result()
-                pending.append((c_lo, pool.submit(
-                    fn, c_lo, min(c_lo + size, hi), kind, base_primes)))
-            while pending:
-                c, future = pending.popleft()
-                yield c, future.result()
-        finally:
-            # a closed or failed walk drops the chunks not yet started; the
-            # pool's exit waits for those running
-            for _, future in pending:
-                future.cancel()
+    return _ordered(fn, [(c_lo, min(c_lo + size, hi), kind, base_primes)
+                         for c_lo in range(lo, hi, size)])
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
@@ -265,6 +239,7 @@ def check_sigma_upper_bound(lo: int, hi: int,
         if margin[i] < worst:
             worst = float(margin[i])
             witness = c_lo + i
+    import mpmath as mp
     with mp.workdps(ESCALATION_DPS):
         exact = float(mp.mpf(c) / mp.log(mp.log(witness))
                       - _exact_value(witness, sigma(witness)))

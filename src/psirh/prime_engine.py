@@ -1,13 +1,13 @@
 """Segmented prime sieve and compensated Chebyshev theta accumulation.
 
-Primes are produced by a segmented sieve of Eratosthenes over an odd-number
-bitmap (2**20 entries per segment, cache-resident inner loop).  The running
-sum of log p is kept as an unevaluated (hi, lo) pair of binary64 values so
-the accumulated theta carries roughly twice the precision of a single double.
-Each chunk is summed exactly with vectorized integer-valued buckets per
-binary exponent (chunk_sum_dd), giving its correctly rounded sum and
-residual; the pairs are combined with error-free double-double addition in
-fixed index order, so results are bit-reproducible.
+Primes come from a segmented sieve of Eratosthenes over an odd-number bitmap
+(2**20 entries per segment, start offsets in numpy), later segments sieved
+ahead on a thread pool (_ordered).  Theta, the running sum of log p, is an
+unevaluated (hi, lo) pair of binary64 values, about twice the precision of a
+double.  Each chunk is summed exactly by repeated extraction (chunk_sum_dd),
+giving its correctly rounded sum and residual, and the pairs are combined by
+error-free double-double addition in fixed order: bits do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +31,41 @@ PRIME_VALUE_CEILING = 220_000_000
 
 _SEG_ODDS = 1 << 20
 _SEG_SPAN = _SEG_ODDS * 2
+
+# The CPUs this process may run on; _ordered reads it at call time.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def _ordered(fn, jobs):
+    """Yield (job[0], fn(*job)) for each argument tuple in jobs, in order.
+
+    With WORKERS > 1 and more than one job, up to WORKERS calls of fn run
+    ahead on a thread pool (fn's numpy loops release the GIL) while the
+    caller, in its own thread, consumes the result before them.  Otherwise
+    the loop is serial and starts no thread.
+    """
+    workers = WORKERS
+    if workers == 1 or len(jobs) <= 1:
+        for job in jobs:
+            yield job[0], fn(*job)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        try:
+            for job in jobs:
+                if len(pending) == workers:
+                    key, future = pending.popleft()
+                    yield key, future.result()
+                pending.append((job[0], pool.submit(fn, *job)))
+            while pending:
+                key, future = pending.popleft()
+                yield key, future.result()
+        finally:
+            # a closed or failed stream drops the jobs not started yet
+            for _, future in pending:
+                future.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -48,46 +84,51 @@ def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float
     return hi, e - (hi - s)
 
 
-# A chunk sum buckets integer-valued doubles below 2**27 by exponent; with at
-# most 2**26 of them every partial sum of a bucket is an integer below 2**53,
-# so no addition rounds.
+# Extraction needs 2**M >= n + 2 and M < 52; CHUNK_SUM_MAX_VALUES keeps M at
+# most 27, so each round takes at least 25 more bits off every value.
 CHUNK_SUM_MAX_VALUES = 1 << 26
-_EXP_BIAS = 1073              # frexp(2**-1074) = (0.5, -1073)
-_UNIT = 1 << (_EXP_BIAS + 53)  # the exact total is an integer count of 1/_UNIT
+_UNIT = 1 << 1074  # every double is an integer count of 2**-1074
 
 
 def chunk_sum_dd(values) -> tuple[float, float]:
     """Sum a chunk of finite floats to a (hi, lo) pair, exactly.
 
-    Each value m * 2**e (frexp) is split into two integer-valued doubles,
-    the top 27 and the low 26 bits of its mantissa, which are summed per
-    exponent with np.bincount; no partial sum rounds (see
-    CHUNK_SUM_MAX_VALUES).  The buckets combine into one Python int, the
-    exact sum in units of 1/_UNIT.  hi is that sum correctly rounded (the
-    value of math.fsum) and lo the correctly rounded residual, so hi + lo
-    carries ~32 significant decimal digits of the true sum.
+    Repeated extraction (ExtractVector of Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), 2008): with sigma = 2**k >= 2**M * max|q| and
+    2**M >= n + 2, p = (q + sigma) - sigma and q - p are exact and
+    np.sum(p) does not round.  Each round's sum goes into one Python int,
+    the exact total in units of 2**-1074, and q - p goes to the next round
+    until q is all zero.  hi is the total correctly rounded (math.fsum's
+    value) and lo the correctly rounded residual.  Only ufuncs touch the
+    array, so the sum releases the GIL.
     """
     n = len(values)
     if n > CHUNK_SUM_MAX_VALUES:
         raise ResourceLimitError(
             f"chunk of {n} values exceeds {CHUNK_SUM_MAX_VALUES}")
-    if not np.isfinite(values).all():
-        raise DomainError("chunk contains inf or nan")
-    mant = np.empty(n)
-    expo = np.empty(n, dtype=np.intp)
-    np.frexp(values, out=(mant, expo))
-    expo += _EXP_BIAS
-    mant *= 2.0 ** 27
-    top = np.trunc(mant)
-    mant -= top
-    mant *= 2.0 ** 26
-    top_sums = np.bincount(expo, weights=top)
-    low_sums = np.bincount(expo, weights=mant)
+    q = np.array(values, dtype=np.float64)
+    p = np.empty_like(q)
+    m = (n + 1).bit_length()  # 2**m >= n + 2
     total = 0
-    for k in np.flatnonzero(top_sums).tolist():
-        total += int(top_sums[k]) << (k + 26)
-    for k in np.flatnonzero(low_sums).tolist():
-        total += int(low_sums[k]) << k
+    while True:
+        top = max(q.max(initial=0.0), -q.min(initial=0.0))
+        if not math.isfinite(top):
+            raise DomainError("chunk contains inf or nan")
+        if top == 0.0:
+            break
+        k = math.frexp(top)[1] + m  # top < 2**(k - m)
+        if k > 1023:  # sigma would overflow: add the integers >= 2**(1023-m)
+            big = np.abs(q) >= math.ldexp(1.0, 1023 - m)
+            total += sum(map(int, q[big].tolist())) << 1074
+            q[big] = 0.0
+            continue
+        sigma = math.ldexp(1.0, k)
+        np.add(q, sigma, out=p)
+        p -= sigma
+        num, den = float(p.sum()).as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+        q -= p
     hi = total / _UNIT
     num, den = hi.as_integer_ratio()
     return hi, (total - num * (_UNIT // den)) / _UNIT
@@ -108,48 +149,49 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _base_primes(hi: int) -> list[int]:
-    return _simple_sieve(max(math.isqrt(max(hi - 1, 0)) + 1, 16)).tolist()
+def _base_primes(hi: int) -> np.ndarray:
+    return _simple_sieve(max(math.isqrt(max(hi - 1, 0)) + 1, 16))
 
 
-def _segment_primes(lo: int, hi: int, base: Sequence[int]) -> np.ndarray:
-    """Primes in [lo, hi) for lo >= 3, via an odd-number bitmap."""
+def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi), via an odd-number bitmap; base is an increasing
+    int64 array holding every prime p with p * p < hi."""
     lo_odd = lo | 1
     if lo_odd >= hi:
-        return np.empty(0, dtype=np.int64)
-    n_odd = (hi - lo_odd + 1) // 2
-    mask = np.ones(n_odd, dtype=bool)
+        return np.array([2] if lo <= 2 < hi else [], dtype=np.int64)
+    mask = np.ones((hi - lo_odd + 1) // 2, dtype=bool)
     if lo_odd == 1:
         mask[0] = False
-    for p in base:
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo_odd + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        mask[(start - lo_odd) // 2:: p] = False
-    return lo_odd + 2 * np.nonzero(mask)[0].astype(np.int64)
+    odd = base[base.searchsorted(3):
+               base.searchsorted(math.isqrt(hi - 1), "right")]
+    # first odd multiple of p that is >= max(p * p, lo_odd), as an offset
+    # into the bitmap; one past the end makes an empty slice
+    start = np.maximum(-(-lo_odd // odd) | 1, odd)
+    start *= odd
+    start = (start - lo_odd) >> 1
+    for off, p in zip(start.tolist(), odd.tolist()):
+        mask[off::p] = False
+    primes = np.flatnonzero(mask)
+    primes *= 2
+    primes += lo_odd
+    if lo <= 2 < hi:
+        primes = np.concatenate(([2], primes))
+    return primes
 
 
 def iter_prime_chunks(value_limit: int) -> Iterator[np.ndarray]:
-    """Yield consecutive chunks of primes < value_limit, starting at 2."""
+    """Yield consecutive chunks of primes < value_limit, starting at 2: one
+    chunk per 2**21-value segment, the next ones sieved ahead (_ordered)."""
     if value_limit > PRIME_VALUE_CEILING:
         raise ResourceLimitError(
             f"value_limit={value_limit} exceeds ceiling {PRIME_VALUE_CEILING}")
+    if value_limit <= 2:
+        return
     base = _base_primes(value_limit)
-    first_hi = min(_SEG_SPAN, value_limit)
-    if first_hi > 2:
-        head = _segment_primes(3, first_hi, base)
-        yield np.concatenate([np.array([2], dtype=np.int64), head])
-    elif value_limit > 2:
-        yield np.array([2], dtype=np.int64)
-    for seg_lo in range(_SEG_SPAN, value_limit, _SEG_SPAN):
-        seg_hi = min(seg_lo + _SEG_SPAN, value_limit)
-        yield _segment_primes(seg_lo, seg_hi, base)
+    for _, primes in _ordered(_segment_primes, [
+            (lo, min(lo + _SEG_SPAN, value_limit), base)
+            for lo in range(0, value_limit, _SEG_SPAN)]):
+        yield primes
 
 
 def _nth_prime_value_bound(n: int) -> int:

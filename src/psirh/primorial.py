@@ -99,14 +99,23 @@ class FullScanResult:
     f_bound: Optional[BoundCheckResult]
 
 
+def _lower(worst: tuple[float, int], margins: np.ndarray,
+           first: int) -> tuple[float, int]:
+    """worst, or (margin, index) of the first least margin if lower;
+    margins[i] belongs to index first + i."""
+    i = int(np.argmin(margins))
+    return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
+
+
 def full_scan(n_max: int, report_indices: Iterable[int] = (),
               bounds_first: Optional[int] = None) -> FullScanResult:
     """Single ordered pass over the first n_max primes.
 
     Emits PrimorialStats at each requested index, verifies theta monotonicity
-    and theta(p_n) < p_n per element, and, unless bounds_first is None,
-    tracks the worst margins of the two explicit bounds over the indices
-    [bounds_first, n_max] (check_primorial_bounds validates that range).
+    (across chunk joins too) and theta(p_n) < p_n per element, and, unless
+    bounds_first is None, tracks the worst margins of the two explicit
+    bounds over the indices [bounds_first, n_max] (check_primorial_bounds
+    validates that range).
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -123,12 +132,10 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
     monotonic = True
     below_prime = True
     first_violation: Optional[int] = None
-    worst_m1 = math.inf
-    worst_m1_witness = 0
-    worst_m2 = math.inf
-    worst_m2_witness = 0
+    worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
 
     bound = min(_nth_prime_value_bound(n_max), prime_engine.PRIME_VALUE_CEILING)
+    last_theta = -math.inf  # the previous chunk's last float theta
     for chunk in iter_prime_chunks(bound):
         if count >= n_max:
             break
@@ -136,33 +143,43 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
             chunk = chunk[: n_max - count]
         pf = chunk.astype(np.float64)
         logs = np.log(pf)
-        rl = np.log1p(1.0 / pf)
+        rl = np.divide(1.0, pf)
+        np.log1p(rl, out=rl)
 
-        theta_cum = (theta_hi + theta_lo) + np.cumsum(logs)
+        base = theta_hi + theta_lo
+        theta_cum = np.cumsum(logs)
+        theta_cum += base
         if below_prime:
             bad = np.nonzero(theta_cum >= pf)[0]
             if bad.size:
                 below_prime = False
                 first_violation = count + int(bad[0]) + 1
-        if monotonic and np.any(np.diff(theta_cum) <= 0):
-            monotonic = False
+        if monotonic and len(theta_cum):
+            # the first step must rise above both the float theta the chunk
+            # starts from and the previous chunk's last float value
+            monotonic = bool(theta_cum[0] > max(base, last_theta)
+                             and (theta_cum[1:] > theta_cum[:-1]).all())
+            last_theta = theta_cum[-1]
 
         if bounds_first is not None and count + len(chunk) >= bounds_first:
+            # the two margins in place, each op rounded as in the formulas
             start = max(bounds_first - count - 1, 0)
-            r_cum = (r_hi + r_lo) + np.cumsum(rl)
             logp = logs[start:]
-            llgN = np.log(theta_cum[start:])
-            m1 = llgN - (logp - LOGLOG_BOUND_OFFSET / logp)
-            f = np.exp(r_cum[start:]) - CONSTANTS.e_gamma * llgN
-            m2 = (F_BOUND_SLOPE * logp + F_BOUND_OFFSET / logp) - f
-            i1 = int(np.argmin(m1))
-            if m1[i1] < worst_m1:
-                worst_m1 = float(m1[i1])
-                worst_m1_witness = count + start + i1 + 1
-            i2 = int(np.argmin(m2))
-            if m2[i2] < worst_m2:
-                worst_m2 = float(m2[i2])
-                worst_m2_witness = count + start + i2 + 1
+            llgn = np.log(theta_cum[start:])
+            m = np.divide(LOGLOG_BOUND_OFFSET, logp)
+            np.subtract(logp, m, out=m)
+            np.subtract(llgn, m, out=m)  # loglog N - (log p - c / log p)
+            worst_m1 = _lower(worst_m1, m, count + start + 1)
+            f = np.cumsum(rl)[start:]
+            f += r_hi + r_lo
+            np.exp(f, out=f)
+            llgn *= CONSTANTS.e_gamma
+            f -= llgn  # f(N_n) = exp(R_n) - e^gamma loglog N
+            np.multiply(logp, F_BOUND_SLOPE, out=m)
+            np.divide(F_BOUND_OFFSET, logp, out=llgn)
+            m += llgn
+            m -= f
+            worst_m2 = _lower(worst_m2, m, count + start + 1)
 
         pos = 0
         while ci < len(checkpoints) and checkpoints[ci] <= count + len(chunk):
@@ -190,12 +207,12 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
     if bounds_first is not None and count >= bounds_first:
         loglog_bound = BoundCheckResult(
             bound="loglogN_lower", first=bounds_first, last=count,
-            passed=worst_m1 > 0, worst_margin=worst_m1,
-            witness=worst_m1_witness)
+            passed=worst_m1[0] > 0, worst_margin=worst_m1[0],
+            witness=worst_m1[1])
         f_bound = BoundCheckResult(
             bound="f_primorial_upper", first=bounds_first, last=count,
-            passed=worst_m2 > 0, worst_margin=worst_m2,
-            witness=worst_m2_witness)
+            passed=worst_m2[0] > 0, worst_margin=worst_m2[0],
+            witness=worst_m2[1])
     return FullScanResult(n_max=count, stats=stats, theta_monotonic=monotonic,
                           theta_below_prime=below_prime,
                           first_theta_violation=first_violation,

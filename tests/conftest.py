@@ -3,6 +3,7 @@ import time
 import pytest
 
 import psirh
+from psirh import prime_engine
 
 TABLE1_INDICES = (10, 10**3, 10**5, 10**7)
 DECADES = tuple(10**k for k in range(1, 8))
@@ -22,3 +23,12 @@ def full_scan_result():
 @pytest.fixture(scope="session")
 def stats_by_index(full_scan_result):
     return {s.index: s for s in full_scan_result.stats}
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Set prime_engine.WORKERS, the thread count of the ordered pipeline
+    behind the prime stream and the range driver, for one test."""
+    def set_(workers):
+        monkeypatch.setattr(prime_engine, "WORKERS", workers)
+    return set_

@@ -12,7 +12,7 @@ from psirh import arith
 from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_range,
                          psi_table, sigma_table)
 from psirh.champions import first_primes
-from psirh.errors import DomainError
+from psirh.errors import DomainError, ResourceLimitError
 from psirh.prime_engine import _simple_sieve, iter_prime_chunks
 
 
@@ -63,6 +63,19 @@ class TestFactorize:
     ])
     def test_awkward_points(self, n, factors):
         assert psirh.factorize(n).factors == factors
+
+    def test_cofactor_above_psi13_stops_at_trial_ceiling(self):
+        # two primes near 2*10^12: the product is above psi_13, so no
+        # primality proof applies, and no prime below its square root
+        # divides it; trial division stops at the ceiling, not at 2*10^12
+        n = 2_000_000_000_003 * 2_000_000_000_123
+        assert n >= arith._MR_LIMIT
+        with pytest.raises(ResourceLimitError, match="primality proof"):
+            psirh.factorize(n)
+        assert arith._prime_list[1] <= arith.FACTORIZE_TRIAL_CEILING
+        # a cofactor that drops below psi_13 early is still factored
+        assert psirh.factorize(3 * 1009**5 * (10**12 + 39)).factors == (
+            (3, 1), (1009, 5), (10**12 + 39, 1))
 
     def test_primorial(self):
         primes = first_primes(62)  # 2 .. 293, across the first block edge

@@ -356,14 +356,15 @@ class TestChunkDriver:
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("size", [1, 7, 64])
-    def test_every_caller_matches_reference(self, monkeypatch, workers,
-                                            size):
-        monkeypatch.setattr(criteria, "WORKERS", workers)
+    def test_every_caller_matches_reference(self, monkeypatch, set_workers,
+                                            workers, size):
+        set_workers(workers)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
         check_every_caller(DRIVER_LIMIT)
 
-    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        monkeypatch.setattr(criteria, "WORKERS", 4)
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch,
+                                                         set_workers):
+        set_workers(4)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

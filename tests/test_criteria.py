@@ -140,8 +140,8 @@ def walk(fn=criteria._chunk_values, lo=2, hi=1000, size=7):
 
 
 class TestChunkPipeline:
-    def test_close_mid_walk_stops_every_worker(self, monkeypatch):
-        monkeypatch.setattr(criteria, "WORKERS", 2)
+    def test_close_mid_walk_stops_every_worker(self, set_workers):
+        set_workers(2)
         before = threading.active_count()
         chunks = walk()
         assert [next(chunks)[0], next(chunks)[0]] == [2, 9]
@@ -149,8 +149,8 @@ class TestChunkPipeline:
         chunks.close()
         assert threading.active_count() == before
 
-    def test_worker_error_keeps_its_type(self, monkeypatch):
-        monkeypatch.setattr(criteria, "WORKERS", 2)
+    def test_worker_error_keeps_its_type(self, set_workers):
+        set_workers(2)
 
         class Boom(Exception):
             pass
@@ -173,9 +173,10 @@ class TestChunkPipeline:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9)])
-    def test_serial_walk_starts_no_thread(self, monkeypatch, workers, hi):
+    def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
+                                          workers, hi):
         # one worker, or a range of one chunk, stays on the serial loop
-        monkeypatch.setattr(criteria, "WORKERS", workers)
+        set_workers(workers)
 
         def refuse(self):
             raise AssertionError("thread started")

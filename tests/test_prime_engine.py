@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -65,6 +67,123 @@ class TestSieveRange:
         for lo in (2**21 - 50, 2**21, 3 * 2**21 - 17):
             got = stream_primes(lo, lo + 100)
             assert got == trial_division_primes(lo, lo + 100)
+
+
+class TestSegmentPrimes:
+    """_segment_primes, with every start offset computed in numpy, against
+    trial division."""
+
+    @staticmethod
+    def segment(lo, hi):
+        base = prime_engine._base_primes(hi)
+        return prime_engine._segment_primes(lo, hi, base).tolist()
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 2), (0, 3), (2, 3), (3, 4), (0, 200), (1, 50), (5, 60),
+        (10, 200), (24, 170), (48, 122), (120, 1000), (168, 4000)])
+    def test_windows_below_p_squared(self, lo, hi):
+        # lo < p*p for base primes p with p*p < hi: those start at p*p
+        assert self.segment(lo, hi) == trial_division_primes(lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.integers(0, 5000), span=st.integers(1, 5000))
+    def test_small_windows(self, lo, span):
+        assert self.segment(lo, lo + span) == trial_division_primes(lo, lo + span)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 81])
+    def test_windows_straddling_segment_boundaries(self, k):
+        lo = k * 2**21 - 60
+        assert self.segment(lo, lo + 120) == trial_division_primes(lo, lo + 120)
+
+    def test_whole_segments_match_one_sieve(self):
+        primes = prime_engine._simple_sieve(2**23)
+        for lo in (0, 2**21, 3 * 2**21):
+            hi = lo + 2**21
+            want = primes[(primes >= lo) & (primes < hi)]
+            got = prime_engine._segment_primes(lo, hi, prime_engine._base_primes(hi))
+            assert np.array_equal(got, want) and got.dtype == np.int64
+
+
+class TestPrimeStreamPipeline:
+    """iter_prime_chunks sieves segments ahead on prime_engine.WORKERS
+    threads and yields them in order."""
+
+    def test_worker_counts_yield_identical_chunks(self, set_workers):
+        runs = []
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            runs.append(list(iter_prime_chunks(2 * 10**7)))
+        assert len(runs[0]) == 10
+        for run in runs[1:]:
+            assert len(run) == len(runs[0])
+            assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+
+    def test_more_workers_than_cores_with_fast_switching(self, set_workers):
+        want = list(iter_prime_chunks(2 * 10**7))
+        set_workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(iter_prime_chunks(2 * 10**7))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_close_mid_stream_stops_every_worker(self, set_workers):
+        set_workers(2)
+        before = threading.active_count()
+        stream = iter_prime_chunks(2 * 10**7)
+        next(stream)
+        next(stream)
+        assert threading.active_count() > before
+        stream.close()
+        assert threading.active_count() == before
+
+    def test_nth_prime_leaves_no_worker(self, set_workers):
+        # nth_prime leaves the stream after 8 of its 9 segments
+        set_workers(2)
+        before = threading.active_count()
+        assert psirh.nth_prime(10**6) == 15485863
+        assert threading.active_count() == before
+
+    def test_worker_error_keeps_its_type(self, set_workers, monkeypatch):
+        set_workers(2)
+
+        class Boom(Exception):
+            pass
+
+        segment = prime_engine._segment_primes
+        callers = set()
+
+        def fn(lo, hi, base):
+            callers.add(threading.get_ident())
+            if lo >= 3 * 2**21:
+                raise Boom(lo)
+            return segment(lo, hi, base)
+
+        monkeypatch.setattr(prime_engine, "_segment_primes", fn)
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(Boom):
+            for chunk in iter_prime_chunks(2 * 10**7):
+                seen.append(int(chunk[0]))
+        assert seen == [2, 2097169, 4194319]  # the first three segments
+        assert threading.get_ident() not in callers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, limit", [(1, 2 * 10**7), (2, 2**21)])
+    def test_serial_stream_starts_no_thread(self, set_workers, monkeypatch,
+                                           workers, limit):
+        # one worker, or a stream of one segment, stays on the serial loop
+        set_workers(workers)
+
+        def refuse(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert len(list(iter_prime_chunks(limit))) == -(-limit // 2**21)
+        assert psirh.full_scan(10**5, [10**5]).stats[0].prime == 1299709
 
 
 class TestNthPrime:
@@ -195,6 +314,31 @@ class TestChunkSum:
         values = tiny + big
         assert same_bits(chunk_sum_dd(np.array(values, dtype=np.float64)),
                          fsum_pair(values))
+
+    @pytest.mark.parametrize("values", [
+        [2.0**1023, 2.0**-1074],
+        [2.0**-1074, -2.0**1023, 2.0**-1073, 2.0**1022, 3.0],
+        [1.7976931348623157e308, -5e-324, -1e308, 2.0**-1060, 1.0],
+        [2.0**1023, -2.0**1023, 2.0**-1074, 2.0**-1022],
+        [2.0**1000] * 8 + [-2.0**-1074, 2.0**-600],
+        [1.5 * 2.0**1019] * 7 + [2.0**-1074],  # the first sigma past 2**1023
+    ])
+    def test_top_exponents_keep_subnormal_bits(self, values):
+        assert same_bits(chunk_sum_dd(np.array(values)), fsum_pair(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                              st.integers(-1074, 1020)), max_size=8))
+    def test_whole_exponent_range(self, values):
+        # at most 8 values below 2**1020: no partial sum overflows
+        assert same_bits(chunk_sum_dd(np.array(values, dtype=np.float64)),
+                         fsum_pair(values))
+
+    def test_input_left_unchanged(self, real_chunks):
+        arr = real_chunks[1]
+        copy = arr.copy()
+        chunk_sum_dd(arr)
+        assert np.array_equal(arr, copy)
 
     def test_empty_and_single(self):
         assert same_bits(chunk_sum_dd(np.array([])), (0.0, 0.0))

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import psirh
+from psirh import primorial
 from psirh.champions import first_primes
 from psirh.criteria import CONSTANTS, BoundCheckResult
 from psirh.errors import CacheParseError, DomainError, ResourceLimitError
@@ -82,6 +84,44 @@ class TestFullScanGoldenBits:
         assert full_scan_result.f_bound == BoundCheckResult(
             bound="f_primorial_upper", first=2263, last=10000001, passed=True,
             worst_margin=0.0015466132614552208, witness=2347)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bits_at_worker_count(self, set_workers, full_scan_result,
+                                       workers):
+        set_workers(workers)
+        res = psirh.full_scan(10**7 + 1, sorted(GOLDEN_BITS), bounds_first=2263)
+        for s in res.stats:
+            got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
+            assert tuple(v.hex() for v in got) == GOLDEN_BITS[s.index]
+        assert (res.loglog_bound, res.f_bound) == (
+            full_scan_result.loglog_bound, full_scan_result.f_bound)
+
+
+class TestThetaChecks:
+    @staticmethod
+    def scan_chunks(monkeypatch, *chunks):
+        monkeypatch.setattr(primorial, "iter_prime_chunks", lambda limit: (
+            np.array(c, dtype=np.int64) for c in chunks))
+        return psirh.full_scan(sum(map(len, chunks)))
+
+    def test_monotone_across_a_join(self, monkeypatch):
+        res = self.scan_chunks(monkeypatch, [2, 3, 5], [7, 11])
+        assert res.theta_monotonic and res.theta_below_prime
+
+    @pytest.mark.parametrize("first, second", [([2, 3], [1, 5]),
+                                               ([2, 3, 5], [1, 7])])
+    def test_violation_at_a_join(self, monkeypatch, first, second):
+        # log 1 = 0: theta stalls only from one chunk's last value to the
+        # next chunk's first, and grows inside each chunk.  The float
+        # cumsum of log 2, log 3, log 5 ends one ulp below the exact sum
+        # the next chunk starts from, so the join is also checked against
+        # that start
+        res = self.scan_chunks(monkeypatch, first, second)
+        assert not res.theta_monotonic
+
+    def test_violation_inside_a_chunk(self, monkeypatch):
+        res = self.scan_chunks(monkeypatch, [2, 3], [5, 1, 7])
+        assert not res.theta_monotonic
 
 
 class TestMertensRatio:

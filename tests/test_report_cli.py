@@ -266,12 +266,26 @@ class TestOeisCheck:
         assert code == 2
 
 
-def test_cli_import_loads_no_thread_pool():
-    # range walks import concurrent.futures on first use, so a command
-    # that walks no range never pays for it at start-up
+def run_python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(psirh.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, psirh.cli; "
-         "print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_thread_pool():
+    # range walks and the prime stream import concurrent.futures on first
+    # use, and 30-digit decisions import mpmath, so a command that needs
+    # neither never pays for them at start-up
+    out = run_python("import sys, psirh.cli; "
+                     "print('concurrent.futures' in sys.modules, "
+                     "'mpmath' in sys.modules)")
+    assert out == "False False\n"
+
+
+def test_table2_loads_no_mpmath():
+    out = run_python("import contextlib, io, sys\n"
+                     "from psirh.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    code = main(['table2'])\n"
+                     "print(code, 'mpmath' in sys.modules)")
+    assert out == "0 False\n"
