@@ -77,6 +77,36 @@ class TestFactorize:
         assert psirh.factorize(3 * 1009**5 * (10**12 + 39)).factors == (
             (3, 1), (1009, 5), (10**12 + 39, 1))
 
+    def test_two_primes_near_1e12_split_by_rho(self):
+        # about 1 s on a 2-core Xeon: the primes below 2^24 are tried, then
+        # Brent's rho takes about 1.9M steps to find 10^12 + 61
+        n = (10**12 + 39) * (10**12 + 61)
+        assert n < arith._MR_LIMIT
+        assert psirh.factorize(n).factors == ((10**12 + 39, 1),
+                                              (10**12 + 61, 1))
+
+    @pytest.mark.parametrize("n, factors", [
+        ((10**12 + 39)**2, ((10**12 + 39, 2),)),
+        (16777259**3, ((16777259, 3),)),          # the least prime above 2^24
+        (16777259 * 16777289 * 16777291,
+         ((16777259, 1), (16777289, 1), (16777291, 1))),
+        (16777259**2 * 16777289, ((16777259, 2), (16777289, 1))),
+        (399165290221 * 798330580441,             # psi_12
+         ((399165290221, 1), (798330580441, 1))),
+        (7 * 2**30 * 16777259 * (10**12 + 39),    # small factors first
+         ((2, 30), (7, 1), (16777259, 1), (10**12 + 39, 1))),
+    ])
+    def test_composite_cofactor_past_the_trial_ceiling(self, n, factors):
+        assert psirh.factorize(n).factors == factors
+
+    def test_rho_stops_at_its_step_cap(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_STEP_CAP", 1000)
+        with pytest.raises(ResourceLimitError, match="rho steps"):
+            psirh.factorize((10**12 + 39) * (10**12 + 61))
+        # a square cofactor needs no rho step
+        monkeypatch.setattr(arith, "RHO_STEP_CAP", -1)
+        assert psirh.factorize((10**12 + 39)**2).factors == ((10**12 + 39, 2),)
+
     def test_primorial(self):
         primes = first_primes(62)  # 2 .. 293, across the first block edge
         assert primes[-1] == 293
@@ -271,3 +301,95 @@ class TestKernel:
             assert np.array_equal(np.concatenate(parts), whole)
             for n in sample:
                 assert whole[n - lo] == fn(n)
+
+
+def reference_range(lo, hi, want_sigma):
+    """psi or sigma on [lo, hi) with no pattern: every prime power below hi
+    divides a remainder that starts at n, and what is left is 1 or prime."""
+    rem = np.arange(lo, hi, dtype=np.int64)
+    val = np.ones(hi - lo, dtype=np.int64)
+    for p in _simple_sieve(math.isqrt(hi - 1)).tolist():
+        pk, s_prev = p, 1
+        while pk < hi:
+            start = max(-(-lo // pk), 1) * pk - lo
+            s_cur = s_prev * p + 1
+            if want_sigma or pk == p:
+                val[start::pk] //= s_prev
+                val[start::pk] *= s_cur
+            else:
+                val[start::pk] *= p
+            rem[start::pk] //= p
+            pk, s_prev = pk * p, s_cur
+    val[rem > 1] *= rem[rem > 1] + 1
+    val[rem == 0] = 0
+    return val
+
+
+PERIOD = arith._PERIOD
+
+
+class TestKernelPattern:
+    """The kernel against the reference and pointwise values where its
+    periodic pattern could go wrong."""
+
+    def check(self, lo, hi, points=()):
+        for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
+            got = multiplicative_range(lo, hi, want_sigma,
+                                       _simple_sieve(math.isqrt(hi - 1)))
+            assert np.array_equal(got, reference_range(lo, hi, want_sigma))
+            for n in points:
+                assert got[n - lo] == (fn(n) if n else 0)
+
+    def test_period_is_the_capped_pattern(self):
+        assert PERIOD == math.prod(p**cap for p, cap in arith._PATTERN)
+        for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
+            values, part = arith._pattern(want_sigma)
+            assert part[0] == PERIOD and values[0] == fn(PERIOD)
+            assert values[2**4 * 7] == fn(2**4 * 7)
+
+    @pytest.mark.parametrize("k", [1, 2, 37, 1803])  # 1803 * PERIOD < 10^8
+    def test_windows_straddling_the_period(self, k):
+        mid = k * PERIOD
+        self.check(mid - 700, mid + 700, (mid - 1, mid, mid + 1))
+
+    @pytest.mark.parametrize("n", [
+        2**5, 3 * 2**5, 2**26, 3**3, 7 * 3**3, 3**16, 5**2, 13 * 5**2, 5**11,
+        7**2, 11 * 7**2, 7**9, 11**2, 13 * 11**2, 11**7,
+        2**5 * 3**3 * 5**2 * 7**2 * 11**2, 2**9 * 3**5 * 5**3 * 7**2 * 11**2,
+        13**2 * 17**3 * 23**2,
+    ])
+    def test_powers_beyond_the_caps(self, n):
+        self.check(max(n - 3, 0), n + 4, (n,))
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    @pytest.mark.parametrize("span", [1, 2, 3, 31, 32, 33, 1000, PERIOD - 1])
+    def test_short_windows_from_0_and_1(self, lo, span):
+        self.check(lo, lo + span, range(lo, min(lo + span, 40)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(lo=st.integers(10**8 - 10**6, 10**8 + 10**6),
+           span=st.integers(1, 3000), data=st.data())
+    def test_windows_near_1e8(self, lo, span, data):
+        sample = data.draw(st.lists(st.integers(lo, lo + span - 1),
+                                    min_size=1, max_size=5), label="sample")
+        self.check(lo, lo + span, sample)
+
+    def test_list_and_array_base_agree(self):
+        base = _simple_sieve(math.isqrt(10**6))
+        for want_sigma in (False, True):
+            assert np.array_equal(
+                multiplicative_range(10**6 - 500, 10**6, want_sigma, base),
+                multiplicative_range(10**6 - 500, 10**6, want_sigma,
+                                     base.tolist()))
+
+    def test_edge_of_the_exactness_domain(self):
+        top = arith.KERNEL_CEILING
+        assert top == 2**53
+        with pytest.raises(DomainError, match="2\\^53"):
+            multiplicative_range(top - 10, top + 1, False, [2, 3])
+        # every prime below sqrt(2^53), about 5.4M of them (43 MB)
+        base = np.concatenate(list(iter_prime_chunks(math.isqrt(top - 1) + 1)))
+        lo = top - 48
+        for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
+            got = multiplicative_range(lo, top, want_sigma, base)
+            assert got.tolist() == [fn(n) for n in range(lo, top)]

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import mpmath as mp
@@ -6,9 +7,11 @@ import pytest
 
 import psirh
 from psirh import criteria
+from psirh.arith import multiplicative_range
 from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
                             mp_e_gamma, mp_zeta2, scan_exceptions)
 from psirh.errors import DomainError, ResourceLimitError
+from psirh.prime_engine import _simple_sieve
 
 SET_A = (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 20, 24, 30, 36, 48, 60, 72, 84,
          120, 180, 240, 360, 720, 840, 2520, 5040)
@@ -183,3 +186,29 @@ class TestChunkPipeline:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert [c for c, _ in walk(hi=hi)] == list(range(2, hi, 7))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64),
+                                                  b.view(np.int64))
+
+
+class TestChunkArithmetic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_place_matches_written_out(self, seed):
+        # the buffered chunk arithmetic against the plain expressions
+        rng = np.random.default_rng(seed)
+        lo = int(rng.integers(3, 10**8 - 5000))
+        hi = lo + int(rng.integers(1, 5000))
+        base = _simple_sieve(math.isqrt(hi - 1) + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        llg = np.log(np.log(n))
+        for kind in CriterionKind:
+            ratios = multiplicative_range(
+                lo, hi, kind is CriterionKind.ROBIN_G, base) / n
+            assert same_bits(criteria._chunk_ratios(lo, hi, kind, base), ratios)
+            assert same_bits(criteria._chunk_values(lo, hi, kind, base),
+                             ratios - CONSTANTS.e_gamma * llg)
+        c = float(rng.uniform(0.1, 1.0))
+        assert same_bits(criteria._sigma_margin(lo, ratios, c),
+                         CONSTANTS.e_gamma * llg + c / llg - ratios)
