@@ -12,12 +12,14 @@ import argparse
 import sys
 import time
 
-from . import champions, criteria, primorial
-from .champions import read_bfile
-from .criteria import CriterionKind
+from . import primorial
+from .constants import CONSTANTS, DEFAULT_SIGMA_BOUND_C
 from .errors import (BFileParseError, CacheParseError, CacheVersionError,
                      DomainError, ResourceLimitError)
 from .report import RenderedReport
+
+# criteria and champions (and with them numpy and arith) are imported by the
+# handlers that use them: a table1 served from the theta cache loads neither.
 
 OEIS_SUPERABUNDANT_LIMIT = 10**6
 
@@ -33,6 +35,8 @@ def _parse_indices(text: str) -> list[int]:
 
 
 def _cmd_scan(args) -> tuple[RenderedReport, bool]:
+    from . import criteria
+    from .criteria import CriterionKind
     kind = CriterionKind.DEDEKIND_F if args.criterion == "f" else CriterionKind.ROBIN_G
     rep = criteria.scan_exceptions(kind, args.lo, args.hi)
     rows = []
@@ -52,6 +56,7 @@ def _cmd_scan(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_champions(args) -> tuple[RenderedReport, bool]:
+    from . import champions
     seq = champions.generate_s_sequence(args.limit)
     rows = [{"value": c.value, "primorial_index": c.primorial_index,
              "multiplier": c.multiplier, "psi_ratio_log": c.psi_ratio_log}
@@ -64,6 +69,7 @@ def _cmd_champions(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_superabundant(args) -> tuple[RenderedReport, bool]:
+    from . import champions
     res = champions.generate_superabundant(args.limit)
     rows = [{"n": n, "sigma": num, "ratio": num / den}
             for n, num, den in res.records]
@@ -75,6 +81,7 @@ def _cmd_superabundant(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_props(args) -> tuple[RenderedReport, bool]:
+    from . import champions
     p1 = champions.verify_prop1(args.limit)
     p2 = champions.verify_prop2(args.prop2_limit)
     ident = champions.psi_multiple_identity_check(args.identity_kmax)
@@ -116,6 +123,7 @@ def _cmd_table2(args) -> tuple[RenderedReport, bool]:
 
 
 def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
+    from . import criteria
     loglog, f_bound = primorial.check_primorial_bounds(args.hi, args.lo)
     sig = criteria.check_sigma_upper_bound(3, args.sigma_hi, c=args.c)
     rows = []
@@ -137,7 +145,7 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     indices = _parse_indices(args.indices)
     stats = {s.index: s
              for s in primorial.full_scan(max(indices), indices).stats}
-    limit = criteria.CONSTANTS.e_gamma_over_zeta2
+    limit = CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:
         ratio = primorial.mertens_ratio(n, stats.get(n))
@@ -153,7 +161,8 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
 def _cmd_oeis_check(args) -> tuple[RenderedReport, bool]:
     """Compare the first --count b-file entries with the generated terms,
     entry index i against term i (both sequences are 1-based)."""
-    entries = read_bfile(args.bfile)
+    from . import champions
+    entries = champions.read_bfile(args.bfile)
     count = args.count
     if count < 1:
         raise DomainError(f"--count must be >= 1, got {count}")
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=10**5,
                    help="last primorial index")
     p.add_argument("--sigma-hi", type=int, default=10**6)
-    p.add_argument("--c", type=float, default=criteria.DEFAULT_SIGMA_BOUND_C)
+    p.add_argument("--c", type=float, default=DEFAULT_SIGMA_BOUND_C)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("mertens", help="Mertens-limit convergence")

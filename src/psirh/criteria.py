@@ -22,6 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import dedekind_psi, multiplicative_range, sigma
+from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C,  # noqa: F401
+                        BoundCheckResult, Constants)
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _ordered, _simple_sieve
 
@@ -37,19 +39,6 @@ SCAN_CEILING = 10**8
 # stay below the single 2^20 chunk of a serial walk.  2^19 chunks ran the
 # range scans up to a quarter faster but raised their peak RSS by 11-21 MB.
 DEFAULT_CHUNK = 1 << 18
-
-DEFAULT_SIGMA_BOUND_C = 0.6483  # 0.6482 as printed fails at n = 12
-
-
-@dataclass(frozen=True)
-class Constants:
-    gamma: float = 0.57721566490153286061
-    e_gamma: float = 1.78107241799019798524
-    zeta2: float = 1.64493406684822643647
-    e_gamma_over_zeta2: float = 1.08276219326092458012
-
-
-CONSTANTS = Constants()
 
 
 # mpmath is imported where a 30-digit value is needed: a command that makes
@@ -93,16 +82,6 @@ class ExceptionReport:
     exceptions: tuple[int, ...]
     largest: Optional[int]
     escalations: int
-
-
-@dataclass(frozen=True)
-class BoundCheckResult:
-    bound: str
-    first: int
-    last: int
-    passed: bool
-    worst_margin: float
-    witness: int
 
 
 def threshold(n: int) -> float:

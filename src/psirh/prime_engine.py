@@ -18,11 +18,14 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
+
+# numpy is imported inside the functions that make arrays: the theta cache
+# and the double-double helpers serve a warm table1 without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Ceilings: index ceiling leaves headroom above 10**7 so the n = 10**7 table
 # column plus one successor prime is always reachable.
@@ -103,6 +106,7 @@ def chunk_sum_dd(values) -> tuple[float, float]:
     value) and lo the correctly rounded residual.  Only ufuncs touch the
     array, so the sum releases the GIL.
     """
+    import numpy as np
     n = len(values)
     if n > CHUNK_SUM_MAX_VALUES:
         raise ResourceLimitError(
@@ -139,6 +143,7 @@ def chunk_sum_dd(values) -> tuple[float, float]:
 
 @lru_cache(maxsize=8)
 def _simple_sieve(limit: int) -> np.ndarray:
+    import numpy as np
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -156,6 +161,7 @@ def _base_primes(hi: int) -> np.ndarray:
 def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi), via an odd-number bitmap; base is an increasing
     int64 array holding every prime p with p * p < hi."""
+    import numpy as np
     lo_odd = lo | 1
     if lo_odd >= hi:
         return np.array([2] if lo <= 2 < hi else [], dtype=np.int64)

@@ -12,17 +12,19 @@ import math
 import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .criteria import CONSTANTS, BoundCheckResult
+from .constants import CONSTANTS, BoundCheckResult
 from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
 from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
                            cache_load, cache_save, chunk_sum_dd, dd_add,
                            iter_prime_chunks, nth_prime,
                            _nth_prime_value_bound)
+
+# numpy is imported by full_scan, the one function here that makes arrays.
+if TYPE_CHECKING:
+    import numpy as np
 
 BOUND_PRIME_THRESHOLD = 20000
 F_BOUND_SLOPE = -0.698
@@ -103,7 +105,7 @@ def _lower(worst: tuple[float, int], margins: np.ndarray,
            first: int) -> tuple[float, int]:
     """worst, or (margin, index) of the first least margin if lower;
     margins[i] belongs to index first + i."""
-    i = int(np.argmin(margins))
+    i = int(margins.argmin())
     return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
 
 
@@ -117,6 +119,7 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
     bounds over the indices [bounds_first, n_max] (check_primorial_bounds
     validates that range).
     """
+    import numpy as np
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > PRIME_INDEX_CEILING:

@@ -9,11 +9,10 @@ the body; the runtime lives only in the footer.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .criteria import CONSTANTS
+from .constants import CONSTANTS
 
 TOOL_VERSION = "0.1.0"
 
@@ -56,6 +55,7 @@ class RenderedReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
         doc = {"meta": self.meta, "columns": self.columns,
                "rows": self.rows, "footer": self.footer}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"

@@ -275,11 +275,12 @@ def run_python(code):
 def test_cli_import_loads_no_thread_pool():
     # range walks and the prime stream import concurrent.futures on first
     # use, and 30-digit decisions import mpmath, so a command that needs
-    # neither never pays for them at start-up
+    # neither never pays for them at start-up; numpy is imported by the
+    # modules that make arrays, on first use
     out = run_python("import sys, psirh.cli; "
                      "print('concurrent.futures' in sys.modules, "
-                     "'mpmath' in sys.modules)")
-    assert out == "False False\n"
+                     "'mpmath' in sys.modules, 'numpy' in sys.modules)")
+    assert out == "False False False\n"
 
 
 def test_table2_loads_no_mpmath():
@@ -289,3 +290,135 @@ def test_table2_loads_no_mpmath():
                      "    code = main(['table2'])\n"
                      "print(code, 'mpmath' in sys.modules)")
     assert out == "0 False\n"
+
+
+def run_fresh(*argv):
+    """psirh.cli.main(argv) in a fresh interpreter: (exit code, stdout,
+    stderr, the names of the modules it loaded)."""
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from psirh.cli import main\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    code = main({list(argv)!r})\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), modules]))")
+    code, stdout, stderr, modules = json.loads(out)
+    return code, stdout, stderr, set(modules)
+
+
+# the modules behind the range scans and record scans, none of which a
+# primorial-table command uses
+SCAN_MODULES = {"psirh.criteria", "psirh.arith", "psirh.champions"}
+
+
+class TestStartUp:
+    def test_warm_table1_loads_no_numpy(self, tmp_path):
+        cache = tmp_path / "theta.cache"
+        code, cold, _, cold_modules = run_fresh("table1", "--cache", str(cache))
+        written = cache.read_bytes()
+        warm_code, warm, _, warm_modules = run_fresh("table1", "--cache",
+                                                     str(cache))
+        assert code == warm_code == 0
+        assert "numpy" in cold_modules and "numpy" not in warm_modules
+        assert not cold_modules & SCAN_MODULES
+        assert strip_runtime(warm) == strip_runtime(cold)
+        assert cache.read_bytes() == written
+
+    @pytest.mark.parametrize("argv", [["table2"], ["mertens"]])
+    def test_primorial_commands_load_no_scan_modules(self, argv):
+        code, _, _, modules = run_fresh(*argv)
+        assert code == 0
+        assert not modules & SCAN_MODULES
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--help"], 0), (["table1", "--bogus"], 2), ([], 2)])
+    def test_help_and_usage_errors_load_no_numpy(self, argv, expected):
+        code, _, _, modules = run_fresh(*argv)
+        assert code == expected
+        assert "numpy" not in modules
+
+    def test_bad_cache_rejected_without_numpy(self, tmp_path):
+        # the cache hit is numpy-free, and so is every check on the file
+        cache = tmp_path / "theta.cache"
+        psirh.table1([10, 1000], cache_path=cache)
+        data = cache.read_bytes()
+        at = data.index(b"0x1.")
+        for bad in (data[:len(data) // 2], data[:-1],
+                    data[:at + 4] + b"7" + data[at + 5:]):
+            cache.write_bytes(bad)
+            code, out, err, modules = run_fresh(
+                "table1", "--indices", "10,1000", "--cache", str(cache))
+            assert (code, out) == (2, "")
+            assert err.startswith("psirh: input error: line ")
+            assert "numpy" not in modules
+            assert cache.read_bytes() == bad
+
+    def test_v2_cache_rebuilt(self, tmp_path):
+        cache = tmp_path / "theta.cache"
+        cache.write_text("psicache v2 stride=1\n"
+                         "10 29 0x1.69724188e9583p+4 0x0.0p+0\n")
+        code, out, _, _ = run_fresh("table1", "--indices", "10,1000",
+                                    "--cache", str(cache))
+        assert code == 0
+        assert parse_csv(out)[0]["theta_ratio_printed"] == "0.779"
+        assert cache.read_text().startswith("psicache v3\n")
+        assert {p.index for p in psirh.cache_load(cache).points} == \
+            {10, 11, 1000, 1001}
+
+
+# every name psirh re-exported when its __init__ imported each submodule
+OLD_EXPORTS = {
+    "arith": "dedekind_psi factorize is_squarefree num_divisors sigma",
+    "champions": "generate_s_sequence generate_superabundant "
+                 "psi_multiple_identity_check read_bfile verify_prop1 "
+                 "verify_prop2",
+    "criteria": "CONSTANTS BoundCheckResult CriterionKind "
+                "check_sigma_upper_bound dedekind_f robin_g scan_exceptions",
+    "errors": "BFileParseError CacheParseError CacheVersionError DomainError "
+              "ResourceLimitError",
+    "prime_engine": "ThetaCache ThetaPoint cache_load cache_save nth_prime",
+    "primorial": "check_primorial_bounds ftilde_ratio_deviation full_scan "
+                 "k_ratio mertens_ratio table1 table2",
+}
+
+
+class TestPackageExports:
+    def test_names_resolve_to_submodule_objects(self):
+        # in a fresh interpreter, so every name goes through the lazy lookup
+        out = run_python(
+            "import importlib, psirh\n"
+            f"exports = {OLD_EXPORTS!r}\n"
+            "for module, names in exports.items():\n"
+            "    for name in names.split():\n"
+            "        ns = {}\n"
+            "        exec(f'from psirh import {name}', ns)\n"
+            "        sub = importlib.import_module('psirh.' + module)\n"
+            "        assert ns[name] is getattr(sub, name) is getattr(psirh, name), name\n"
+            "print(sum(len(names.split()) for names in exports.values()))")
+        assert out == "35\n"
+
+    def test_bare_import(self):
+        out = run_python(
+            "import psirh\n"
+            "mods = [psirh.arith, psirh.champions, psirh.cli, psirh.constants,"
+            " psirh.criteria, psirh.errors, psirh.prime_engine,"
+            " psirh.primorial, psirh.report]\n"
+            "print(' '.join(m.__name__.split('.')[1] for m in mods))")
+        assert out == ("arith champions cli constants criteria errors "
+                       "prime_engine primorial report\n")
+
+    def test_star_import_and_dir(self):
+        names = {n for names in OLD_EXPORTS.values() for n in names.split()}
+        ns = {}
+        exec("from psirh import *", ns)
+        assert names <= set(ns)
+        assert names <= set(dir(psirh))
+        assert {"arith", "criteria", "primorial"} <= set(dir(psirh))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            psirh.no_such_name
+        with pytest.raises(ImportError):
+            exec("from psirh import no_such_name", {})
