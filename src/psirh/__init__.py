@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in (
                "ResourceLimitError"),
     ("prime_engine", "ThetaCache ThetaPoint cache_load cache_save nth_prime"),
     ("primorial", "check_primorial_bounds ftilde_ratio_deviation full_scan "
-                  "k_ratio mertens_ratio table1 table2"),
+                  "k_ratio table1 table2"),
 ) for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

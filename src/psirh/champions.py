@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import criteria
-from .arith import dedekind_psi, sigma
+from .arith import dedekind_psi
 from .arith import psi_table, sigma_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .criteria import (_CANDIDATE_BAND, CriterionKind, _f_at_least,
                        dedekind_f)
@@ -62,12 +63,24 @@ class PropositionCheck:
 
 
 def first_primes(k: int) -> list[int]:
-    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k.
+    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k."""
+    return _simple_sieve(max(_nth_prime_value_bound(k), 16))[:k].tolist()
 
-    N_k >= 2^k, so every N_k <= limit and its successor prime p_{k+1} lie
+
+def _primorials(limit: int):
+    """Yield (k, p_k, N_k, p_{k+1}) for every primorial N_k <= limit, in
+    order: the one primorial ladder behind S and the proposition checks.
+
+    N_k >= 2^k, so every such N_k and its successor prime p_{k+1} lie
     within first_primes(limit.bit_length() + 1).
     """
-    return _simple_sieve(max(_nth_prime_value_bound(k), 16))[:k].tolist()
+    primes = first_primes(int(limit).bit_length() + 1)
+    primorial = 1
+    for k, p in enumerate(primes, start=1):
+        primorial *= p
+        if primorial > limit:
+            return
+        yield k, p, primorial, primes[k]
 
 
 def generate_s_sequence(limit: int) -> list[ChampionNumber]:
@@ -76,18 +89,10 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     Generated structurally from the primorial ladder, never by scanning
     integers; limit may be an arbitrary-precision integer.
     """
-    if limit < 2:
-        return []
-    primes = first_primes(int(limit).bit_length() + 1)
     out: list[ChampionNumber] = []
-    primorial = 1
     ratio_log = 0.0
-    for k, p in enumerate(primes, start=1):
-        primorial *= p
-        if primorial > limit:
-            break
+    for k, p, primorial, p_next in _primorials(limit):
         ratio_log += math.log1p(1.0 / p)
-        p_next = primes[k]
         for l in range(1, p_next):
             value = l * primorial
             if value > limit:
@@ -98,9 +103,10 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
 
 
 def _record_scan(kind: CriterionKind, start: int, limit: int,
-                 keep_ties: bool) -> list[int]:
-    """Every n in [start, limit] whose ratio psi(n)/n (or sigma(n)/n) exceeds
-    the best ratio at start <= m < n (or equals it, when keep_ties).
+                 keep_ties: bool) -> list[tuple[int, int]]:
+    """(n, psi(n) or sigma(n)) for every n in [start, limit] whose ratio
+    psi(n)/n (or sigma(n)/n) exceeds the best ratio at start <= m < n (or
+    equals it, when keep_ties).
 
     The chunk ratios are the kernel's exact value divided by n, both below
     2^53 for n <= 10^9, so each is correctly rounded.  Rounding is monotone,
@@ -124,9 +130,9 @@ def _record_scan(kind: CriterionKind, start: int, limit: int,
             rhs = best_num * n
             if lhs > rhs:
                 best_num, best_den = num, n
-                out.append(n)
+                out.append((n, num))
             elif keep_ties and lhs == rhs:
-                out.append(n)
+                out.append((n, num))
     return out
 
 
@@ -143,7 +149,8 @@ def psi_champion_scan(limit: int) -> list[int]:
     if limit > PSI_CHAMPION_CEILING:
         raise ResourceLimitError(
             f"limit={limit} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    return _record_scan(CriterionKind.DEDEKIND_F, 2, limit, keep_ties=True)
+    return [n for n, _ in _record_scan(CriterionKind.DEDEKIND_F, 2, limit,
+                                        keep_ties=True)]
 
 
 def generate_superabundant(limit: int) -> RecordScanResult:
@@ -157,7 +164,7 @@ def generate_superabundant(limit: int) -> RecordScanResult:
             f"limit={limit} exceeds ceiling {SUPERABUNDANT_CEILING}")
     if limit < 1:
         return RecordScanResult(records=(), limit=limit)
-    records = tuple((n, sigma(n), n) for n in
+    records = tuple((n, num, n) for n, num in
                     _record_scan(CriterionKind.ROBIN_G, 1, limit,
                                  keep_ties=False))
     return RecordScanResult(records=records, limit=limit)
@@ -170,14 +177,11 @@ def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
     if k_max > IDENTITY_KMAX:
         raise ResourceLimitError(
             f"k_max={k_max} exceeds exact-arithmetic ceiling {IDENTITY_KMAX}")
-    primes = first_primes(k_max + 1)
     cases = 0
     failures = []
-    prim = 1
-    for k in range(1, k_max + 1):
-        prim *= primes[k - 1]
+    for k, _, prim, p_next in _primorials(math.prod(first_primes(k_max))):
         psi_prim = dedekind_psi(prim)
-        for l in range(1, primes[k]):
+        for l in range(1, p_next):
             cases += 1
             if dedekind_psi(l * prim) != l * psi_prim:
                 failures.append((k, l))
@@ -194,16 +198,10 @@ def verify_prop1(limit: int) -> PropositionCheck:
     trusted; every other case is decided by criteria._f_at_least."""
     if limit > PROP1_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP1_CEILING}")
-    primes = first_primes(int(limit).bit_length() + 1)
     cases = 0
     failures = []
-    prim = 1
-    for k, p in enumerate(primes, start=1):
-        prim *= p
-        if prim > limit:
-            break
+    for k, _, prim, p_next in _primorials(limit):
         band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
-        p_next = primes[k]
         next_prim = prim * p_next
         for l in range(2, p_next):
             value = l * prim
@@ -227,15 +225,10 @@ def verify_prop2(limit: int) -> PropositionCheck:
     decided by criteria._f_at_least."""
     if limit > PROP2_CEILING:
         raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP2_CEILING}")
-    primes = first_primes(int(limit).bit_length() + 1)
     cases = 0
     failures = []
-    prim = 1
-    for k, p in enumerate(primes, start=1):
-        prim *= p
-        if prim > limit:
-            break
-        big_l = (min(prim * primes[k], limit) - 1) // prim
+    for k, _, prim, p_next in _primorials(limit):
+        big_l = (min(prim * p_next, limit) - 1) // prim
         if big_l < 2:
             continue
         cases += (big_l - 1) * (prim - 1)
@@ -255,8 +248,12 @@ def verify_prop2(limit: int) -> PropositionCheck:
 # ---------------------------------------------------------------------------
 # OEIS b-file reader
 
+_BFILE_INT = re.compile(r"-?[0-9]+")
+
+
 def read_bfile(path) -> list[tuple[int, int]]:
     """Parse an OEIS b-file: lines of `<index> <value>`, `#` comments ignored.
+    Each field is an ASCII decimal integer with an optional leading `-`.
 
     Entries are compared by position, so each index must be the previous
     one + 1; a gap, duplicate or out-of-order index raises BFileParseError.
@@ -272,6 +269,9 @@ def read_bfile(path) -> list[tuple[int, int]]:
                 raise BFileParseError(
                     f"expected `<index> <value>`, got {line!r}", lineno)
             try:
+                # int() would also take "1_2", "+4" and non-ASCII digits
+                if not all(map(_BFILE_INT.fullmatch, parts)):
+                    raise ValueError
                 index, value = int(parts[0]), int(parts[1])
             except ValueError:
                 raise BFileParseError(

@@ -21,6 +21,7 @@ from .report import RenderedReport
 # criteria and champions (and with them numpy and arith) are imported by the
 # handlers that use them: a table1 served from the theta cache loads neither.
 
+OEIS_S_LIMIT = 10**41  # 1,240 terms
 OEIS_SUPERABUNDANT_LIMIT = 10**6
 
 
@@ -39,11 +40,9 @@ def _cmd_scan(args) -> tuple[RenderedReport, bool]:
     from .criteria import CriterionKind
     kind = CriterionKind.DEDEKIND_F if args.criterion == "f" else CriterionKind.ROBIN_G
     rep = criteria.scan_exceptions(kind, args.lo, args.hi)
-    rows = []
-    for n in rep.exceptions:
-        cv = criteria.robin_g(n) if kind is CriterionKind.ROBIN_G else criteria.dedekind_f(n)
-        rows.append({"n": n, "ratio": cv.ratio, "threshold": cv.threshold,
-                     "value": cv.value, "escalated": cv.precision_escalated})
+    rows = [{"n": cv.n, "ratio": cv.ratio, "threshold": cv.threshold,
+             "value": cv.value, "escalated": cv.precision_escalated}
+            for cv in rep.values]
     report = RenderedReport(
         command="scan",
         parameters={"criterion": args.criterion, "lo": args.lo, "hi": args.hi},
@@ -148,7 +147,9 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     limit = CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:
-        ratio = primorial.mertens_ratio(n, stats.get(n))
+        if n < 2:
+            raise DomainError("mertens ratio defined for n >= 2")
+        ratio = stats[n].mertens_ratio
         rows.append({"n": n, "p_n": stats[n].prime, "ratio": ratio,
                      "deviation": abs(ratio - limit)})
     report = RenderedReport(
@@ -173,11 +174,7 @@ def _cmd_oeis_check(args) -> tuple[RenderedReport, bool]:
     entries = entries[:count]
     need = (entries[0][0] if entries else 1) + count - 1
     if args.sequence == "A060735":
-        limit = 10**5
-        terms = [c.value for c in champions.generate_s_sequence(limit)]
-        while len(terms) < need and limit < 10**40:
-            limit *= 10**4
-            terms = [c.value for c in champions.generate_s_sequence(limit)]
+        terms = [c.value for c in champions.generate_s_sequence(OEIS_S_LIMIT)]
     else:
         terms = [n for n, _, _ in
                  champions.generate_superabundant(OEIS_SUPERABUNDANT_LIMIT).records]

@@ -80,6 +80,7 @@ class ExceptionReport:
     lo: int
     hi: int
     exceptions: tuple[int, ...]
+    values: tuple[CriterionValue, ...]  # the decided value of each exception
     largest: Optional[int]
     escalations: int
 
@@ -172,50 +173,47 @@ def _sigma_margin(lo: int, ratios: np.ndarray, c: float) -> np.ndarray:
     return margin
 
 
-def _chunks(fn, lo: int, hi: int, kind: CriterionKind,
-            chunk_size: Optional[int] = None):
+def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
     """Yield (c_lo, fn(c_lo, c_hi, kind, base_primes)) for the consecutive
     chunks [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
     _chunk_ratios.  The one walk of every range caller: the base primes are
     sieved once, and memory stays O(chunk) whatever the range.  The chunk
-    length is chunk_size, or DEFAULT_CHUNK read at call time.
+    length is DEFAULT_CHUNK, read at call time.
 
     Only fn runs ahead on prime_engine._ordered's workers; mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
-    size = DEFAULT_CHUNK if chunk_size is None else chunk_size
+    size = DEFAULT_CHUNK
     base_primes = _simple_sieve(math.isqrt(hi - 1) + 1)
     return _ordered(fn, [(c_lo, min(c_lo + size, hi), kind, base_primes)
                          for c_lo in range(lo, hi, size)])
 
 
-def scan_exceptions(kind: CriterionKind, lo: int, hi: int,
-                    chunk_size: Optional[int] = None) -> ExceptionReport:
+def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
     exact confirmation of every near-threshold candidate."""
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
-    exceptions = []
+    found = []
     escalations = 0
-    for c_lo, values in _chunks(_chunk_values, lo, hi, kind, chunk_size):
+    for c_lo, values in _chunks(_chunk_values, lo, hi, kind):
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
                 escalations += 1
             if cv.value >= 0:
-                exceptions.append(cv.n)
-    return ExceptionReport(kind=kind, lo=lo, hi=hi,
-                           exceptions=tuple(exceptions),
-                           largest=max(exceptions) if exceptions else None,
+                found.append(cv)
+    exceptions = tuple(cv.n for cv in found)
+    return ExceptionReport(kind=kind, lo=lo, hi=hi, exceptions=exceptions,
+                           values=tuple(found),
+                           largest=max(exceptions, default=None),
                            escalations=escalations)
 
 
-def check_sigma_upper_bound(lo: int, hi: int,
-                            c: float = DEFAULT_SIGMA_BOUND_C,
-                            chunk_size: Optional[int] = None
+def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
                             ) -> BoundCheckResult:
     """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
 
@@ -230,8 +228,7 @@ def check_sigma_upper_bound(lo: int, hi: int,
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
     worst = math.inf
     witness = lo
-    for c_lo, ratios in _chunks(_chunk_ratios, lo, hi, CriterionKind.ROBIN_G,
-                                chunk_size):
+    for c_lo, ratios in _chunks(_chunk_ratios, lo, hi, CriterionKind.ROBIN_G):
         margin = _sigma_margin(c_lo, ratios, c)
         i = int(np.argmin(margin))
         if margin[i] < worst:

@@ -50,18 +50,11 @@ def _dd_exp(hi: float, lo: float) -> float:
 
 
 @dataclass(frozen=True)
-class PrimorialStats:
-    index: int
-    prime: int
-    theta_hi: float
-    theta_lo: float
+class PrimorialStats(ThetaPoint):
+    """The checkpoint at N_n: theta(p_n) = log N_n, and R_n =
+    log(psi(N_n)/N_n), each as a (hi, lo) pair."""
     psi_ratio_log_hi: float
     psi_ratio_log_lo: float
-
-    @property
-    def theta(self) -> float:
-        """log N_n."""
-        return self.theta_hi + self.theta_lo
 
     @property
     def psi_ratio_log(self) -> float:
@@ -83,11 +76,8 @@ class PrimorialStats:
 
     @property
     def mertens_ratio(self) -> float:
+        """exp(R_n) / log p_n, tending to e^gamma / zeta(2)."""
         return self.psi_over_n / math.log(self.prime)
-
-    def theta_point(self) -> ThetaPoint:
-        return ThetaPoint(index=self.index, prime=self.prime,
-                          theta_hi=self.theta_hi, theta_lo=self.theta_lo)
 
 
 @dataclass
@@ -222,49 +212,27 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
                           loglog_bound=loglog_bound, f_bound=f_bound)
 
 
-def mertens_ratio(n: int, stats: Optional[PrimorialStats] = None) -> float:
-    """exp(R_n) / log p_n, tending to e^gamma / zeta(2)."""
-    if n < 2:
-        raise DomainError("mertens ratio defined for n >= 2")
-    if stats is None:
-        stats = full_scan(n, [n]).stats[0]
-    return stats.mertens_ratio
-
-
-def ftilde_ratio_deviation(n: int,
-                           theta_n: Optional[ThetaPoint] = None,
-                           p_next: Optional[int] = None) -> float:
-    """delta such that ftilde(N_{n+1})/ftilde(N_n) = 1 + delta.
+def ftilde_ratio_deviation(theta_n: ThetaPoint, p_next: int) -> float:
+    """delta such that ftilde(N_{n+1})/ftilde(N_n) = 1 + delta, from
+    theta(p_n) and p_{n+1} (n = theta_n.index).
 
     Computed in deviation form: with L = log theta(p_n), a = 1/p_{n+1} and
     D = log1p(log p_{n+1} / theta(p_n)),  delta = (a*L - D) / (L + D).
     Never formed as a quotient of two near-equal values, so the deviation
     keeps full relative precision down to 1e-14.
     """
-    if n < 2:
+    if theta_n.index < 2:
         raise DomainError("deviation defined for n >= 2 (needs log log N_n > 0)")
-    if n + 1 > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(f"n+1={n + 1} exceeds index ceiling")
-    if theta_n is None or p_next is None:
-        sts = full_scan(n + 1, [n, n + 1]).stats
-        theta_n = sts[0].theta_point()
-        p_next = sts[1].prime
-    theta = theta_n.theta_hi + theta_n.theta_lo
     big_l = _dd_log(theta_n.theta_hi, theta_n.theta_lo)
     a = 1.0 / p_next
-    d = math.log1p(math.log(p_next) / theta)
+    d = math.log1p(math.log(p_next) / theta_n.theta)
     return (a * big_l - d) / (big_l + d)
 
 
-def k_ratio(n: int, p_n: Optional[int] = None,
-            p_next: Optional[int] = None) -> float:
+def k_ratio(p_n: int, p_next: int) -> float:
     """k_n log k_n / (p_{n+1} log p_{n+1}) with k_n = p_n + sqrt(p_n)/2 * logloglog p_n."""
-    if n < 7:
+    if p_n <= math.exp(math.e):
         raise DomainError("k ratio needs p_n > e^e, i.e. n >= 7")
-    if p_n is None:
-        p_n = nth_prime(n)
-    if p_next is None:
-        p_next = nth_prime(n + 1)
     log3 = math.log(math.log(math.log(p_n)))
     k = p_n + 0.5 * math.sqrt(p_n) * log3
     return k * math.log(k) / (p_next * math.log(p_next))
@@ -331,8 +299,7 @@ def _theta_points_for(indices: Sequence[int],
             pass  # another format version: rebuild the file
         if all(i in cached for i in need):
             return {i: cached[i] for i in need}
-    points = {s.index: s.theta_point()
-              for s in full_scan(max(need), need).stats}
+    points = {s.index: s for s in full_scan(max(need), need).stats}
     if cache_path is not None:
         merged = dict(cached)
         merged.update(points)
@@ -354,9 +321,9 @@ def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
     rows = []
     for n in indices:
         pt, pt_next = pts[n], pts[n + 1]
-        theta_ratio = (pt.theta_hi + pt.theta_lo) / pt.prime
-        ftilde = 1.0 + ftilde_ratio_deviation(n, theta_n=pt, p_next=pt_next.prime)
-        kr = k_ratio(n, p_n=pt.prime, p_next=pt_next.prime)
+        theta_ratio = pt.theta / pt.prime
+        ftilde = 1.0 + ftilde_ratio_deviation(pt, pt_next.prime)
+        kr = k_ratio(pt.prime, pt_next.prime)
         d1, d2, d3 = _TABLE1_DECIMALS.get(n, (digits, digits, digits))
         rows.append({
             "n": n,
@@ -371,8 +338,7 @@ def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
     return rows
 
 
-def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES,
-           digits: int = _TABLE2_DECIMALS) -> list[dict]:
+def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES) -> list[dict]:
     """Rows of f(N_n) = g(N_n) versus the number of primes in the primorial."""
     need = sorted(set(indices))
     if max(need) > PRIME_INDEX_CEILING:
@@ -387,7 +353,7 @@ def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES,
             "n": n,
             "p_n": s.prime,
             "f_value": s.f_value,
-            "f_value_printed": round_half_even(s.f_value, digits),
+            "f_value_printed": round_half_even(s.f_value, _TABLE2_DECIMALS),
             "psi_over_n": s.psi_over_n,
             "loglogN": s.loglogN,
         })

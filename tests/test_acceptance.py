@@ -14,6 +14,7 @@ import mpmath as mp
 import pytest
 
 import psirh
+from psirh import criteria
 from psirh.champions import psi_champion_scan
 from psirh.criteria import CONSTANTS, CriterionKind, check_sigma_upper_bound
 from psirh.prime_engine import ThetaCache, cache_save
@@ -96,8 +97,8 @@ def test_04_f_primorial_table(announce):
 
 def test_05_ratio_table(announce, full_scan_result, tmp_path):
     cache = tmp_path / "theta.cache"
-    points = sorted((s.theta_point() for s in full_scan_result.stats),
-                    key=lambda p: p.index)
+    # each PrimorialStats is a ThetaPoint
+    points = sorted(full_scan_result.stats, key=lambda p: p.index)
     cache_save(ThetaCache(points=points), cache)
     t0 = time.perf_counter()
     rows = psirh.table1(sorted(TABLE1_TARGETS), cache_path=cache)
@@ -157,15 +158,16 @@ def test_08_propositions(announce):
         assert chk.cases_checked > 0
 
 
-def _scan_report_csv(chunk_size):
-    rep = psirh.scan_exceptions(CriterionKind.ROBIN_G, 2, 10**5,
-                                chunk_size=chunk_size)
-    rows = [{"n": n, "value": psirh.robin_g(n).value} for n in rep.exceptions]
+def _scan_report_csv(monkeypatch, chunk_size):
+    monkeypatch.setattr(criteria, "DEFAULT_CHUNK", chunk_size)
+    rep = psirh.scan_exceptions(CriterionKind.ROBIN_G, 2, 10**5)
+    rows = [{"n": cv.n, "value": cv.value} for cv in rep.values]
     return RenderedReport(command="scan", parameters={"chunk": "varied"},
                           columns=["n", "value"], rows=rows).to_csv()
 
 
-def test_09_property_suites(announce, full_scan_result, stats_by_index):
+def test_09_property_suites(announce, full_scan_result, stats_by_index,
+                            monkeypatch):
     rng = random.Random(20260823)
     mult_ok = True
     for _ in range(10**4):
@@ -205,7 +207,7 @@ def test_09_property_suites(announce, full_scan_result, stats_by_index):
         if abs(st.psi_over_n / float(exact) - 1) > 1e-14:
             psi_log_ok = False
 
-    csvs = {_scan_report_csv(cs) for cs in (999, 4096, 1 << 20)}
+    csvs = {_scan_report_csv(monkeypatch, cs) for cs in (999, 4096, 1 << 20)}
     determinism_ok = len(csvs) == 1
 
     ok = (mult_ok and dominance_ok and fg_ok and theta_ok

@@ -258,17 +258,18 @@ def check_record_scans(limit):
 
 @functools.cache
 def scan_reference(kind, hi):
-    """The per-n decisions of every 2 <= n < hi:
-    (exceptions, escalation count)."""
+    """The per-n decisions of every 2 <= n < hi: (the criterion values of
+    the exceptions, escalation count)."""
     values = [criteria._criterion(n, kind) for n in range(2, hi)]
-    return (tuple(v.n for v in values if v.value >= 0),
+    return (tuple(v for v in values if v.value >= 0),
             sum(v.precision_escalated for v in values))
 
 
 def check_scans(hi):
     for kind in CriterionKind:
         rep = criteria.scan_exceptions(kind, 2, hi)
-        assert (rep.exceptions, rep.escalations) == scan_reference(kind, hi)
+        assert (rep.values, rep.escalations) == scan_reference(kind, hi)
+        assert rep.exceptions == tuple(v.n for v in rep.values)
 
 
 def check_sigma_bound(hi):
@@ -419,3 +420,19 @@ class TestBFileReader:
         with pytest.raises(BFileParseError) as exc:
             read_bfile(path)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("field", [
+        "1_2",       # int() reads 12
+        "\u0664",    # ARABIC-INDIC DIGIT FOUR: int() reads 4
+        "+4", "--4", "4.0", "0x4"])
+    def test_only_ascii_decimal_integers(self, tmp_path, field):
+        path = tmp_path / "b.txt"
+        path.write_text(f"1 2\n2 4\n3 6\n4 {field}\n", encoding="utf-8")
+        with pytest.raises(BFileParseError) as exc:
+            read_bfile(path)
+        assert exc.value.line_number == 4
+
+    def test_negative_values_accepted(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("-1 -7\n0 0\n1 007\n")
+        assert read_bfile(path) == [(-1, -7), (0, 0), (1, 7)]

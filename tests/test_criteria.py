@@ -93,9 +93,11 @@ class TestScanExceptions:
         a = scan_exceptions(CriterionKind.ROBIN_G, 2, 10**4)
         assert set(b.exceptions) <= set(a.exceptions)
 
-    def test_chunk_size_invariance(self):
-        reps = [scan_exceptions(CriterionKind.ROBIN_G, 2, 10**4, chunk_size=cs)
-                for cs in (64, 999, 10**4, 1 << 20)]
+    def test_chunk_size_invariance(self, monkeypatch):
+        reps = []
+        for cs in (64, 999, 10**4, 1 << 20):
+            monkeypatch.setattr(criteria, "DEFAULT_CHUNK", cs)
+            reps.append(scan_exceptions(CriterionKind.ROBIN_G, 2, 10**4))
         assert all(r == reps[0] for r in reps[1:])
 
     def test_range_validation(self):
@@ -138,11 +140,15 @@ class TestSigmaUpperBound:
             check_sigma_upper_bound(2, 100)
 
 
-def walk(fn=criteria._chunk_values, lo=2, hi=1000, size=7):
-    return criteria._chunks(fn, lo, hi, CriterionKind.DEDEKIND_F, size)
+def walk(fn=criteria._chunk_values, lo=2, hi=1000):
+    return criteria._chunks(fn, lo, hi, CriterionKind.DEDEKIND_F)
 
 
 class TestChunkPipeline:
+    @pytest.fixture(autouse=True)
+    def chunks_of_7(self, monkeypatch):
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
+
     def test_close_mid_walk_stops_every_worker(self, set_workers):
         set_workers(2)
         before = threading.active_count()

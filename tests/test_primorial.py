@@ -124,42 +124,60 @@ class TestThetaChecks:
         assert not res.theta_monotonic
 
 
+def stream_values(n):
+    """theta(p_n) as a ThetaPoint and p_{n+1}, from one prime pass."""
+    point, succ = psirh.full_scan(n + 1, [n, n + 1]).stats
+    return point, succ.prime
+
+
+def ftilde_deviation(n):
+    return psirh.ftilde_ratio_deviation(*stream_values(n))
+
+
+def k_ratio(n):
+    point, p_next = stream_values(n)
+    return psirh.k_ratio(point.prime, p_next)
+
+
 class TestMertensRatio:
     def test_n10(self):
-        assert psirh.mertens_ratio(10) == pytest.approx(1.1513, abs=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            psirh.mertens_ratio(1)
+        s = psirh.full_scan(10, [10]).stats[0]
+        assert s.mertens_ratio == pytest.approx(1.1513, abs=1e-4)
 
 
 class TestFtildeDeviation:
     def test_n10(self):
-        assert 1 + psirh.ftilde_ratio_deviation(10) == pytest.approx(0.987, abs=5e-4)
+        assert 1 + ftilde_deviation(10) == pytest.approx(0.987, abs=5e-4)
 
     def test_deviation_form_matches_oracle(self):
         for n in (10, 100, 1000):
-            delta = psirh.ftilde_ratio_deviation(n)
+            delta = ftilde_deviation(n)
             oracle = float(mp_ftilde_deviation(n))
             assert delta == pytest.approx(oracle, rel=1e-3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            psirh.ftilde_ratio_deviation(1)
+            ftilde_deviation(1)
 
 
 class TestKRatio:
     def test_table_values(self):
-        assert psirh.k_ratio(10) == pytest.approx(0.938, abs=1e-3)
-        assert psirh.k_ratio(1000) == pytest.approx(1.00378, abs=1e-5)
+        assert k_ratio(10) == pytest.approx(0.938, abs=1e-3)
+        assert k_ratio(1000) == pytest.approx(1.00378, abs=1e-5)
 
     def test_crosses_one(self):
-        assert psirh.k_ratio(10) < 1 < psirh.k_ratio(1000)
+        assert k_ratio(10) < 1 < k_ratio(1000)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            psirh.k_ratio(6)
-        psirh.k_ratio(7)  # p_7 = 17 > e^e
+            k_ratio(6)
+        k_ratio(7)  # p_7 = 17 > e^e
+
+    def test_guard_is_on_the_prime(self):
+        # p_6 = 13 < e^e < p_7 = 17
+        with pytest.raises(DomainError, match="e\\^e"):
+            psirh.k_ratio(13, 17)
+        assert psirh.k_ratio(17, 19) == k_ratio(7)
 
 
 class TestBounds:

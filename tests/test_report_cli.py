@@ -142,6 +142,11 @@ class TestOtherCommands:
         rows = parse_csv(out)
         assert float(rows[0]["ratio"]) == pytest.approx(1.1513, abs=1e-4)
 
+    def test_mertens_domain(self, capsys):
+        code, out, err = run_cli(capsys, "mertens", "--indices", "10,1")
+        assert (code, out) == (2, "")
+        assert err == "psirh: domain error: mertens ratio defined for n >= 2\n"
+
     def test_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--hi", "3000",
                                "--sigma-hi", "1000")
@@ -217,6 +222,16 @@ class TestOeisCheck:
                                "--sequence", "A060735", "--count", "2")
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("value", ["1_2", "\u0661\u0662"])
+    def test_malformed_integer_exit_2(self, capsys, tmp_path, value):
+        # a(4) = 12, which int() would also read from either spelling
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text(f"1 2\n2 4\n3 6\n4 {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
+                                 "--sequence", "A060735", "--count", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("psirh: input error: line 4: ")
 
     def test_non_consecutive_index_exit_2(self, capsys, tmp_path):
         bfile = tmp_path / "b060735.txt"
@@ -368,7 +383,8 @@ class TestStartUp:
             {10, 11, 1000, 1001}
 
 
-# every name psirh re-exported when its __init__ imported each submodule
+# every name psirh re-exported when its __init__ imported each submodule,
+# less mertens_ratio, now only the PrimorialStats property
 OLD_EXPORTS = {
     "arith": "dedekind_psi factorize is_squarefree num_divisors sigma",
     "champions": "generate_s_sequence generate_superabundant "
@@ -380,7 +396,7 @@ OLD_EXPORTS = {
               "ResourceLimitError",
     "prime_engine": "ThetaCache ThetaPoint cache_load cache_save nth_prime",
     "primorial": "check_primorial_bounds ftilde_ratio_deviation full_scan "
-                 "k_ratio mertens_ratio table1 table2",
+                 "k_ratio table1 table2",
 }
 
 
@@ -397,7 +413,7 @@ class TestPackageExports:
             "        sub = importlib.import_module('psirh.' + module)\n"
             "        assert ns[name] is getattr(sub, name) is getattr(psirh, name), name\n"
             "print(sum(len(names.split()) for names in exports.values()))")
-        assert out == "35\n"
+        assert out == "34\n"
 
     def test_bare_import(self):
         out = run_python(
