@@ -17,19 +17,19 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .constants import Record
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _segment_primes, _simple_sieve
 
 
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes increasing
+class Factorization(Record, frozen=True):
+    __slots__ = {"n": "int",
+                 "factors": "tuple[tuple[int, int], ...]: (prime, exponent), "
+                            "primes increasing"}
 
 
 # Deterministic Miller-Rabin: the first k prime bases prove primality below

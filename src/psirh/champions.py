@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .arith import dedekind_psi
 from .arith import psi_table, sigma_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .criteria import (_CANDIDATE_BAND, CriterionKind, _f_at_least,
                        dedekind_f)
+from .constants import Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
@@ -34,18 +34,18 @@ PROP2_CEILING = 10**8          # 4.1 s, 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
-@dataclass(frozen=True)
-class ChampionNumber:
-    primorial_index: int  # k >= 1
-    multiplier: int       # 1 <= l < p_{k+1}
-    value: int            # l * N_k, exact
-    psi_ratio_log: float  # sum_{i<=k} log(1 + 1/p_i), independent of l
+class ChampionNumber(Record, frozen=True):
+    __slots__ = {"primorial_index": "int: k >= 1",
+                 "multiplier": "int: 1 <= l < p_{k+1}",
+                 "value": "int: l * N_k, exact",
+                 "psi_ratio_log": "float: sum_{i<=k} log(1 + 1/p_i), "
+                                  "independent of l"}
 
 
-@dataclass(frozen=True)
-class RecordScanResult:
-    records: tuple[tuple[int, int, int], ...]  # (n, ratio_num, ratio_den)
-    limit: int
+class RecordScanResult(Record, frozen=True):
+    __slots__ = {"records": "tuple[tuple[int, int, int], ...]: "
+                            "(n, ratio_num, ratio_den)",
+                 "limit": "int"}
 
 
 class Proposition(enum.Enum):
@@ -54,12 +54,10 @@ class Proposition(enum.Enum):
     PSI_MULTIPLE_IDENTITY = "psi_multiple_identity"
 
 
-@dataclass(frozen=True)
-class PropositionCheck:
-    proposition: Proposition
-    limit: int
-    cases_checked: int
-    failures: tuple[tuple[int, ...], ...]
+class PropositionCheck(Record, frozen=True):
+    __slots__ = {"proposition": "Proposition", "limit": "int",
+                 "cases_checked": "int",
+                 "failures": "tuple[tuple[int, ...], ...]"}
 
 
 def first_primes(k: int) -> list[int]:

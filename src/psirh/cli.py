@@ -101,7 +101,7 @@ def _cmd_props(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_table1(args) -> tuple[RenderedReport, bool]:
     indices = _parse_indices(args.indices)
-    rows = primorial.table1(indices, cache_path=args.cache, digits=args.digits)
+    rows = primorial.table1(indices, cache_path=args.cache)
     report = RenderedReport(
         command="table1", parameters={"indices": args.indices},
         columns=["n", "p_n", "theta_ratio_printed", "ftilde_ratio_printed",
@@ -142,13 +142,15 @@ def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     indices = _parse_indices(args.indices)
+    # every index is checked before the pass, the pass's own checks first
+    primorial.check_n_max(max(indices))
+    if min(indices) < 2:
+        raise DomainError("mertens ratio defined for n >= 2")
     stats = {s.index: s
              for s in primorial.full_scan(max(indices), indices).stats}
     limit = CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:
-        if n < 2:
-            raise DomainError("mertens ratio defined for n >= 2")
         ratio = stats[n].mertens_ratio
         rows.append({"n": n, "p_n": stats[n].prime, "ratio": ratio,
                      "deviation": abs(ratio - limit)})

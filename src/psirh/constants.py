@@ -1,31 +1,98 @@
-"""Values shared by the criteria, the primorial tables and the reports.
+"""Values shared by the criteria, the primorial tables and the reports, and
+the record base behind every value record in the package.
 
-This module imports nothing beyond the standard library's dataclasses, so
-a command served from the theta cache (a warm ``table1``) can format its
-report without loading numpy.  ``criteria`` re-exports every name here.
+This module imports nothing, so a command served from the theta cache (a
+warm ``table1``) can format its report without loading numpy, and no
+command pays for ``dataclasses`` (which loads ``inspect``) at start-up.
+``criteria`` re-exports every name here.
 """
 
-from dataclasses import dataclass
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _hash(self):
+    return hash(self._values())
+
+
+_FRESH = object()  # stands for a default made fresh per record
+
+
+class Record:
+    """A value record whose fields are its ``__slots__``, after those of its
+    bases, in order: a dict from each field's name to its type, which
+    ``help()`` shows as the field's docstring.
+
+    ``__init__`` takes the fields by position or keyword, and ``__eq__``
+    (same class, equal fields), ``__hash__`` and ``__repr__`` behave as the
+    ``dataclasses`` ones do.  ``_defaults`` maps a field to its default; a
+    class there (``dict``, ``list``) is called for a fresh value per record,
+    so no container is shared between records.  A subclass declared with
+    ``frozen=True``, or of a frozen record, rejects assignment and hashes by
+    value; any other is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _frozen = False
+
+    def __init_subclass__(cls, frozen=False):
+        super().__init_subclass__()
+        fields = cls._fields = cls._fields + tuple(cls.__dict__["__slots__"])
+        cls._frozen = frozen = cls._frozen or frozen
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _read_only
+        cls.__hash__ = _hash if frozen else None
+        # __init__ is compiled once per record, as dataclasses does, so a
+        # record costs no more to build than a dataclass
+        params, body = [], []
+        for name in fields:
+            if name not in cls._defaults:
+                params.append(name)
+            elif isinstance(cls._defaults[name], type):
+                params.append(f"{name}=_FRESH")
+                body.append(f"    if {name} is _FRESH: {name} = _defaults[{name!r}]()")
+            else:
+                params.append(f"{name}=_defaults[{name!r}]")
+            body.append(f"    _set(self, {name!r}, {name})")
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body),
+             {"_defaults": cls._defaults, "_FRESH": _FRESH,
+              "_set": object.__setattr__}, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
 
 DEFAULT_SIGMA_BOUND_C = 0.6483  # 0.6482 as printed fails at n = 12
 
 
-@dataclass(frozen=True)
-class Constants:
-    gamma: float = 0.57721566490153286061
-    e_gamma: float = 1.78107241799019798524
-    zeta2: float = 1.64493406684822643647
-    e_gamma_over_zeta2: float = 1.08276219326092458012
+class Constants(Record, frozen=True):
+    __slots__ = {"gamma": "float", "e_gamma": "float", "zeta2": "float",
+                 "e_gamma_over_zeta2": "float"}
+    _defaults = {"gamma": 0.57721566490153286061,
+                 "e_gamma": 1.78107241799019798524,
+                 "zeta2": 1.64493406684822643647,
+                 "e_gamma_over_zeta2": 1.08276219326092458012}
 
 
 CONSTANTS = Constants()
 
 
-@dataclass(frozen=True)
-class BoundCheckResult:
-    bound: str
-    first: int
-    last: int
-    passed: bool
-    worst_margin: float
-    witness: int
+class BoundCheckResult(Record, frozen=True):
+    __slots__ = {"bound": "str", "first": "int", "last": "int",
+                 "passed": "bool", "worst_margin": "float", "witness": "int"}

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .arith import dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C,  # noqa: F401
-                        BoundCheckResult, Constants)
+                        BoundCheckResult, Constants, Record)
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _ordered, _simple_sieve
 
@@ -64,25 +63,18 @@ _RATIO_FN: dict[CriterionKind, Callable[[int], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionValue:
-    n: int
-    kind: CriterionKind
-    ratio: float
-    threshold: float
-    value: float
-    precision_escalated: bool
+class CriterionValue(Record, frozen=True):
+    __slots__ = {"n": "int", "kind": "CriterionKind", "ratio": "float",
+                 "threshold": "float", "value": "float",
+                 "precision_escalated": "bool"}
 
 
-@dataclass(frozen=True)
-class ExceptionReport:
-    kind: CriterionKind
-    lo: int
-    hi: int
-    exceptions: tuple[int, ...]
-    values: tuple[CriterionValue, ...]  # the decided value of each exception
-    largest: Optional[int]
-    escalations: int
+class ExceptionReport(Record, frozen=True):
+    __slots__ = {"kind": "CriterionKind", "lo": "int", "hi": "int",
+                 "exceptions": "tuple[int, ...]",
+                 "values": "tuple[CriterionValue, ...]: the decided value "
+                           "of each exception",
+                 "largest": "Optional[int]", "escalations": "int"}
 
 
 def threshold(n: int) -> float:

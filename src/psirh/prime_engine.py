@@ -12,14 +12,13 @@ worker count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
+from .constants import Record
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 
 # numpy is imported inside the functions that make arrays: the theta cache
@@ -227,12 +226,9 @@ def nth_prime(n: int) -> int:
 # ---------------------------------------------------------------------------
 # theta accumulation
 
-@dataclass(frozen=True)
-class ThetaPoint:
-    index: int
-    prime: int
-    theta_hi: float
-    theta_lo: float
+class ThetaPoint(Record, frozen=True):
+    __slots__ = {"index": "int", "prime": "int", "theta_hi": "float",
+                 "theta_lo": "float"}
 
     @property
     def theta(self) -> float:
@@ -250,15 +246,16 @@ class ThetaPoint:
 CACHE_FORMAT_VERSION = 3
 
 
-@dataclass
-class ThetaCache:
-    points: list[ThetaPoint] = field(default_factory=list)
+class ThetaCache(Record):
+    __slots__ = {"points": "list[ThetaPoint]"}
+    _defaults = {"points": list}
 
     def by_index(self) -> dict[int, ThetaPoint]:
         return {p.index: p for p in self.points}
 
 
 def _cache_trailer(body: bytes, count: int) -> bytes:
+    import hashlib  # only a command that reads or writes a cache loads OpenSSL
     return f"end points={count} sha256={hashlib.sha256(body).hexdigest()}\n".encode()
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .constants import CONSTANTS, BoundCheckResult
+from .constants import CONSTANTS, BoundCheckResult, Record
 from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
 from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
@@ -38,6 +37,7 @@ TABLE2_DEFAULT_INDICES = (3, 10, 10**2, 10**3, 10**4, 10**5)
 # (theta ratio, f-tilde successor ratio, k ratio).
 _TABLE1_DECIMALS = {10: (3, 3, 3), 10**3: (3, 7, 5),
                     10**5: (5, 11, 6), 10**7: (6, 14, 7)}
+_TABLE1_OTHER_DECIMALS = (6, 6, 6)  # at any other index
 _TABLE2_DECIMALS = 2
 
 
@@ -49,12 +49,10 @@ def _dd_exp(hi: float, lo: float) -> float:
     return math.exp(hi) * (1.0 + lo)
 
 
-@dataclass(frozen=True)
 class PrimorialStats(ThetaPoint):
     """The checkpoint at N_n: theta(p_n) = log N_n, and R_n =
     log(psi(N_n)/N_n), each as a (hi, lo) pair."""
-    psi_ratio_log_hi: float
-    psi_ratio_log_lo: float
+    __slots__ = {"psi_ratio_log_hi": "float", "psi_ratio_log_lo": "float"}
 
     @property
     def psi_ratio_log(self) -> float:
@@ -80,15 +78,12 @@ class PrimorialStats(ThetaPoint):
         return self.psi_over_n / math.log(self.prime)
 
 
-@dataclass
-class FullScanResult:
-    n_max: int
-    stats: list[PrimorialStats]
-    theta_monotonic: bool
-    theta_below_prime: bool
-    first_theta_violation: Optional[int]
-    loglog_bound: Optional[BoundCheckResult]
-    f_bound: Optional[BoundCheckResult]
+class FullScanResult(Record):
+    __slots__ = {"n_max": "int", "stats": "list[PrimorialStats]",
+                 "theta_monotonic": "bool", "theta_below_prime": "bool",
+                 "first_theta_violation": "Optional[int]",
+                 "loglog_bound": "Optional[BoundCheckResult]",
+                 "f_bound": "Optional[BoundCheckResult]"}
 
 
 def _lower(worst: tuple[float, int], margins: np.ndarray,
@@ -97,6 +92,15 @@ def _lower(worst: tuple[float, int], margins: np.ndarray,
     margins[i] belongs to index first + i."""
     i = int(margins.argmin())
     return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
+
+
+def check_n_max(n_max: int) -> None:
+    """Reject an n_max that full_scan would reject, before any pass runs."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    if n_max > PRIME_INDEX_CEILING:
+        raise ResourceLimitError(
+            f"n_max={n_max} exceeds configured index ceiling {PRIME_INDEX_CEILING}")
 
 
 def full_scan(n_max: int, report_indices: Iterable[int] = (),
@@ -110,11 +114,7 @@ def full_scan(n_max: int, report_indices: Iterable[int] = (),
     validates that range).
     """
     import numpy as np
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(
-            f"n_max={n_max} exceeds configured index ceiling {PRIME_INDEX_CEILING}")
+    check_n_max(n_max)
     checkpoints = sorted({i for i in report_indices if 1 <= i <= n_max})
 
     theta_hi, theta_lo = 0.0, 0.0
@@ -310,7 +310,7 @@ def _theta_points_for(indices: Sequence[int],
 
 
 def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
-           cache_path=None, digits: int = 6) -> list[dict]:
+           cache_path=None) -> list[dict]:
     """Rows of the theta-ratio / successor-ratio / k-ratio table."""
     need = sorted({i for i in indices} | {i + 1 for i in indices})
     if max(need) > PRIME_INDEX_CEILING:
@@ -324,7 +324,7 @@ def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
         theta_ratio = pt.theta / pt.prime
         ftilde = 1.0 + ftilde_ratio_deviation(pt, pt_next.prime)
         kr = k_ratio(pt.prime, pt_next.prime)
-        d1, d2, d3 = _TABLE1_DECIMALS.get(n, (digits, digits, digits))
+        d1, d2, d3 = _TABLE1_DECIMALS.get(n, _TABLE1_OTHER_DECIMALS)
         rows.append({
             "n": n,
             "p_n": pt.prime,

@@ -8,18 +8,17 @@ the body; the runtime lives only in the footer.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from typing import Any
 
-from .constants import CONSTANTS
+from .constants import Record
 
 TOOL_VERSION = "0.1.0"
 
 
 def constants_digest() -> str:
-    blob = repr(CONSTANTS).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    """The first 12 hex digits of sha256(repr(CONSTANTS)), pinned: CONSTANTS
+    is fixed, so no report needs hashlib (the tests check the value)."""
+    return "e93c3dc12841"
 
 
 def fmt_number(x: Any) -> str:
@@ -30,13 +29,11 @@ def fmt_number(x: Any) -> str:
     return str(x)
 
 
-@dataclass
-class RenderedReport:
-    command: str
-    parameters: dict[str, Any]
-    columns: list[str]
-    rows: list[dict[str, Any]]
-    footer: dict[str, Any] = field(default_factory=dict)
+class RenderedReport(Record):
+    __slots__ = {"command": "str", "parameters": "dict[str, Any]",
+                 "columns": "list[str]", "rows": "list[dict[str, Any]]",
+                 "footer": "dict[str, Any]"}
+    _defaults = {"footer": dict}
 
     @property
     def meta(self) -> dict[str, Any]:

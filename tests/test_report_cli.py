@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import psirh
+from psirh import primorial, report
 from psirh.cli import main
+from psirh.constants import CONSTANTS
 
 SET_B = [2, 3, 4, 5, 6, 8, 10, 12, 18, 30]
 
@@ -118,6 +121,19 @@ class TestTableCommands:
                              "--cache", cache)
         assert strip_runtime(out2) == strip_runtime(out)
 
+    def test_digits_sets_only_the_markdown_display(self, capsys):
+        # index 7 is none of the paper's four, so its *_printed cells take
+        # the default 6 decimals whatever --digits says
+        _, default, _ = run_cli(capsys, "table1", "--indices", "7")
+        _, nine, _ = run_cli(capsys, "--digits", "9", "table1", "--indices", "7")
+        assert strip_runtime(nine) == strip_runtime(default)
+        row = parse_csv(default)[0]
+        assert row["theta_ratio_printed"] == "0.773127"
+        _, md, _ = run_cli(capsys, "--format", "md", "--digits", "9",
+                           "table1", "--indices", "7")
+        assert f"| 0.773127 | 0.976036 | 0.866674 | " \
+               f"{float(row['theta_ratio']):.9g} |" in md
+
 
 class TestOtherCommands:
     def test_champions(self, capsys):
@@ -146,6 +162,24 @@ class TestOtherCommands:
         code, out, err = run_cli(capsys, "mertens", "--indices", "10,1")
         assert (code, out) == (2, "")
         assert err == "psirh: domain error: mertens ratio defined for n >= 2\n"
+
+    @pytest.mark.parametrize("indices, code, err", [
+        ("1,10", 2, "domain error: mertens ratio defined for n >= 2"),
+        ("10,-3", 2, "domain error: mertens ratio defined for n >= 2"),
+        ("0", 2, "domain error: n_max must be >= 1"),
+        ("11000000", 3, "resource limit: n_max=11000000 exceeds configured "
+                        "index ceiling 10500000"),
+        ("11000000,1", 3, "resource limit: n_max=11000000 exceeds configured "
+                          "index ceiling 10500000"),
+        ("10000000,1", 2, "domain error: mertens ratio defined for n >= 2"),
+    ])
+    def test_mertens_indices_checked_before_the_pass(
+            self, capsys, monkeypatch, indices, code, err):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the prime pass ran")
+        monkeypatch.setattr(primorial, "full_scan", no_pass)
+        assert run_cli(capsys, "mertens", "--indices", indices) == \
+            (code, "", f"psirh: {err}\n")
 
     def test_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--hi", "3000",
@@ -326,6 +360,9 @@ def run_fresh(*argv):
 # the modules behind the range scans and record scans, none of which a
 # primorial-table command uses
 SCAN_MODULES = {"psirh.criteria", "psirh.arith", "psirh.champions"}
+# the value records need no dataclasses, and only the theta-cache trailer
+# (table1 --cache) needs hashlib
+STDLIB_NOT_NEEDED = {"dataclasses", "hashlib"}
 
 
 class TestStartUp:
@@ -337,15 +374,37 @@ class TestStartUp:
                                                      str(cache))
         assert code == warm_code == 0
         assert "numpy" in cold_modules and "numpy" not in warm_modules
+        assert "hashlib" in cold_modules and "hashlib" in warm_modules
+        assert "dataclasses" not in cold_modules | warm_modules
         assert not cold_modules & SCAN_MODULES
         assert strip_runtime(warm) == strip_runtime(cold)
         assert cache.read_bytes() == written
+
+    def test_cli_import_loads_no_dataclasses_or_hashlib(self):
+        out = run_python("import sys, psirh.cli; "
+                         f"print(set(sys.modules) & {STDLIB_NOT_NEEDED!r})")
+        assert out == "set()\n"
+
+    # table2, mertens and --help are checked with the tests below
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--indices", "10,1000"], ["bounds", "--hi", "3000"],
+        ["scan", "--criterion", "g", "--hi", "1000"], ["superabundant"]],
+        ids=" ".join)
+    def test_commands_load_no_dataclasses_or_hashlib(self, argv):
+        code, _, _, modules = run_fresh(*argv)
+        assert code == 0
+        assert not modules & STDLIB_NOT_NEEDED
+
+    def test_constants_digest_is_sha256_of_constants(self):
+        digest = hashlib.sha256(repr(CONSTANTS).encode()).hexdigest()[:12]
+        assert report.constants_digest() == digest == "e93c3dc12841"
 
     @pytest.mark.parametrize("argv", [["table2"], ["mertens"]])
     def test_primorial_commands_load_no_scan_modules(self, argv):
         code, _, _, modules = run_fresh(*argv)
         assert code == 0
         assert not modules & SCAN_MODULES
+        assert not modules & STDLIB_NOT_NEEDED
 
     @pytest.mark.parametrize("argv, expected", [
         (["--help"], 0), (["table1", "--bogus"], 2), ([], 2)])
@@ -353,6 +412,7 @@ class TestStartUp:
         code, _, _, modules = run_fresh(*argv)
         assert code == expected
         assert "numpy" not in modules
+        assert not modules & STDLIB_NOT_NEEDED
 
     def test_bad_cache_rejected_without_numpy(self, tmp_path):
         # the cache hit is numpy-free, and so is every check on the file
