@@ -1,10 +1,13 @@
 """Candidate-exception sequences and the structural proposition checks.
 
-The sequence S (OEIS A060735) consists of the primorials N_k and their
-multiples l*N_k with 1 <= l < p_{k+1}; these are exactly the psi-ratio
-record holders.  Superabundant numbers (A004394) are the sigma-ratio record
-holders.  Every record decision is an exact integer cross-multiplication;
-the float ratios only rule out n strictly below the running maximum.
+Both record sequences are built by structure, never by a scan over n.  S
+(A060735), the psi-ratio records, is the N_k and l*N_k, 1 <= l < p_{k+1}.
+The superabundant numbers (A004394), the sigma-ratio records, where
+Robin's inequality fails first if at all (Akbary & Friggstad 2009), are
+the strict records among the Hardy-Ramanujan integers (A025487): their
+exponents do not increase (Alaoglu & Erdos 1944), and moving any m's
+exponents onto the smallest primes gives a Hardy-Ramanujan m' <= m with
+at least its ratio.  Exact, to 10^30 in about 2.5 s and 165 MB.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,11 +28,9 @@ from .constants import Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
-# The record scans and prop2 walk their range in chunks, so memory stays
-# O(chunk): at most 65 MB peak RSS at each ceiling.  The ceilings are time
-# budgets, measured at the ceiling on a 2-core Xeon with 7 GB:
-PSI_CHAMPION_CEILING = 10**8   # 5.7 s, 78 records
-SUPERABUNDANT_CEILING = 10**8  # 5.7 s, 42 records
+# The ceilings are budgets, measured at the ceiling (the whole command, on a
+# 2-core Xeon with 7 GB); prop2 walks its range in chunks, in under 65 MB:
+SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n
 PROP1_CEILING = 10**8
 PROP2_CEILING = 10**8          # 4.1 s, 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
@@ -43,8 +45,7 @@ class ChampionNumber(Record, frozen=True):
 
 
 class RecordScanResult(Record, frozen=True):
-    __slots__ = {"records": "tuple[tuple[int, int, int], ...]: "
-                            "(n, ratio_num, ratio_den)",
+    __slots__ = {"records": "tuple[tuple[int, int], ...]: (n, sigma(n))",
                  "limit": "int"}
 
 
@@ -100,72 +101,51 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     return out
 
 
-def _record_scan(kind: CriterionKind, start: int, limit: int,
-                 keep_ties: bool) -> list[tuple[int, int]]:
-    """(n, psi(n) or sigma(n)) for every n in [start, limit] whose ratio
-    psi(n)/n (or sigma(n)/n) exceeds the best ratio at start <= m < n (or
-    equals it, when keep_ties).
-
-    The chunk ratios are the kernel's exact value divided by n, both below
-    2^53 for n <= 10^9, so each is correctly rounded.  Rounding is monotone,
-    so a float strictly below the running float maximum belongs to an n
-    that is neither a record nor a tie.  Every other n is decided by exact
-    integer cross-multiplication.
-    """
-    ratio_fn = criteria._RATIO_FN[kind]
-    best_num, best_den = 0, 1
-    best_float = -math.inf
-    out = []
-    for c_lo, ratios in criteria._chunks(criteria._chunk_ratios,
-                                         start, limit + 1, kind):
-        # running[i]: the largest float ratio of every m before c_lo + i
-        running = np.maximum.accumulate(np.concatenate(([best_float], ratios)))
-        best_float = running[-1]
-        for off in np.nonzero(ratios >= running[:-1])[0]:
-            n = c_lo + int(off)
-            num = ratio_fn(n)
-            lhs = num * best_den
-            rhs = best_num * n
-            if lhs > rhs:
-                best_num, best_den = num, n
-                out.append((n, num))
-            elif keep_ties and lhs == rhs:
-                out.append((n, num))
+def _hardy_ramanujan(limit: int, primes: list[int]) -> list[tuple[int, int]]:
+    """(n, sigma(n)) for every n = p_1^a_1 ... p_j^a_j <= limit with
+    a_1 >= ... >= a_j (A025487, 1 included), unordered.  sigma is multiplied
+    up from the exponents, so nothing is factored."""
+    out = [(1, 1)]
+    stack = [(1, 1, 0, limit.bit_length())]  # n, sigma(n), j, a_j
+    while stack:
+        n, sig, j, cap = stack.pop()
+        p, total = primes[j], 1
+        for a in range(1, cap + 1):
+            n *= p
+            if n > limit:
+                break
+            total = total * p + 1  # 1 + p + ... + p^a
+            out.append((n, sig * total))
+            stack.append((n, sig * total, j + 1, a))
     return out
 
 
-def psi_champion_scan(limit: int) -> list[int]:
-    """All 2 <= n <= limit with no 2 <= m < n of strictly larger psi(m)/m,
-    in one pass (the brute-force oracle for generate_s_sequence).
-
-    Ties with the running maximum keep membership: 4 and 24 tie the ratio of
-    2 and 6 respectively yet belong to S, while 36 is excluded by the
-    strictly larger ratio of 30.
-    """
-    if limit < 2:
-        raise DomainError("psi-champion scan needs limit >= 2")
-    if limit > PSI_CHAMPION_CEILING:
-        raise ResourceLimitError(
-            f"limit={limit} exceeds ceiling {PSI_CHAMPION_CEILING}")
-    return [n for n, _ in _record_scan(CriterionKind.DEDEKIND_F, 2, limit,
-                                        keep_ties=True)]
-
-
 def generate_superabundant(limit: int) -> RecordScanResult:
-    """All n <= limit with sigma(m)/m < sigma(n)/n for every m < n.
+    """All n <= limit with sigma(m)/m < sigma(n)/n for every m < n
+    (A004394, n = 1 included), as (n, sigma(n)) records.
 
-    n = 1 is included (the condition is vacuous there, matching the OEIS
-    convention for A004394).
+    Superabundant numbers have non-increasing exponents (Alaoglu & Erdos,
+    "On highly composite and similar numbers", Trans. AMS 56, 1944), so
+    they are Hardy-Ramanujan integers.  Moving any m's exponents onto the
+    smallest primes, largest on 2, gives a Hardy-Ramanujan m' <= m with
+    sigma(m')/m' >= sigma(m)/m: each move lowers m and raises the product
+    of 1 + 1/p + ... + 1/p^a over the p^a of m.  So a strict record among
+    the Hardy-Ramanujan integers is a record among all integers.  If
+    Robin's inequality fails, it fails first at a superabundant number
+    (Akbary & Friggstad, "Superabundant numbers and the Riemann
+    hypothesis", Amer. Math. Monthly 116, 2009).
     """
     if limit > SUPERABUNDANT_CEILING:
         raise ResourceLimitError(
             f"limit={limit} exceeds ceiling {SUPERABUNDANT_CEILING}")
     if limit < 1:
         return RecordScanResult(records=(), limit=limit)
-    records = tuple((n, num, n) for n, num in
-                    _record_scan(CriterionKind.ROBIN_G, 1, limit,
-                                 keep_ties=False))
-    return RecordScanResult(records=records, limit=limit)
+    records = []
+    for n, sig in sorted(_hardy_ramanujan(
+            limit, first_primes(limit.bit_length() + 1)), key=itemgetter(0)):
+        if not records or sig * records[-1][0] > records[-1][1] * n:
+            records.append((n, sig))
+    return RecordScanResult(records=tuple(records), limit=limit)
 
 
 def psi_multiple_identity_check(k_max: int) -> PropositionCheck:

@@ -70,8 +70,8 @@ def _cmd_champions(args) -> tuple[RenderedReport, bool]:
 def _cmd_superabundant(args) -> tuple[RenderedReport, bool]:
     from . import champions
     res = champions.generate_superabundant(args.limit)
-    rows = [{"n": n, "sigma": num, "ratio": num / den}
-            for n, num, den in res.records]
+    rows = [{"n": n, "sigma": sig, "ratio": sig / n}
+            for n, sig in res.records]
     report = RenderedReport(
         command="superabundant", parameters={"limit": args.limit},
         columns=["n", "sigma", "ratio"], rows=rows,
@@ -178,7 +178,7 @@ def _cmd_oeis_check(args) -> tuple[RenderedReport, bool]:
     if args.sequence == "A060735":
         terms = [c.value for c in champions.generate_s_sequence(OEIS_S_LIMIT)]
     else:
-        terms = [n for n, _, _ in
+        terms = [n for n, _ in
                  champions.generate_superabundant(OEIS_SUPERABUNDANT_LIMIT).records]
     truncated = len(terms) < need
     pairs = [(i, v, terms[i - 1]) for i, v in entries if i <= len(terms)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -55,12 +54,6 @@ def mp_zeta2():
 class CriterionKind(enum.Enum):
     ROBIN_G = "g"
     DEDEKIND_F = "f"
-
-
-_RATIO_FN: dict[CriterionKind, Callable[[int], int]] = {
-    CriterionKind.ROBIN_G: sigma,
-    CriterionKind.DEDEKIND_F: dedekind_psi,
-}
 
 
 class CriterionValue(Record, frozen=True):
@@ -106,7 +99,7 @@ def _f_at_least(m: int, ref: int) -> bool:
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     if n <= 1:
         raise DomainError(f"log log n undefined for n={n}")
-    numer = _RATIO_FN[kind](n)
+    numer = (sigma if kind is CriterionKind.ROBIN_G else dedekind_psi)(n)
     ratio = numer / n
     thr = threshold(n)
     value = ratio - thr

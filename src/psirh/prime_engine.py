@@ -16,15 +16,12 @@ import math
 import os
 from collections import deque
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
 
 from .constants import Record
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 
 # numpy is imported inside the functions that make arrays: the theta cache
 # and the double-double helpers serve a warm table1 without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 # Ceilings: index ceiling leaves headroom above 10**7 so the n = 10**7 table
 # column plus one successor prime is always reachable.

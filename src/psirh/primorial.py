@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from decimal import ROUND_HALF_EVEN, Decimal
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .constants import CONSTANTS, BoundCheckResult, Record
 from .errors import CacheVersionError, DomainError, ResourceLimitError
@@ -22,8 +20,6 @@ from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
                            _nth_prime_value_bound)
 
 # numpy is imported by full_scan, the one function here that makes arrays.
-if TYPE_CHECKING:
-    import numpy as np
 
 BOUND_PRIME_THRESHOLD = 20000
 F_BOUND_SLOPE = -0.698
@@ -280,8 +276,17 @@ def f_bound_slope_from_constants() -> float:
 # tables
 
 def round_half_even(x: float, decimals: int) -> str:
-    q = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_EVEN))
+    """str(Decimal(repr(x)).quantize(10^-decimals, ROUND_HALF_EVEN)) for
+    finite x and decimals >= 1, wherever that needs no exponent: -1.675
+    gives -1.68.  Integer arithmetic, so the tables load no decimal."""
+    mantissa, _, exp = repr(float(x)).partition("e")
+    whole, _, frac = mantissa.lstrip("-").partition(".")
+    shift = decimals - len(frac) + int(exp or 0)  # x 10^decimals = q 10^shift
+    # int rounding to a negative digit count is exact and half to even
+    q = round(int(whole + frac) * 10 ** max(shift, 0), min(shift, 0))
+    digits = str(q // 10 ** max(-shift, 0)).rjust(decimals + 1, "0")
+    sign = "-" if mantissa[0] == "-" else ""
+    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
 def _theta_points_for(indices: Sequence[int],

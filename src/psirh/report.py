@@ -8,8 +8,6 @@ the body; the runtime lives only in the footer.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .constants import Record
 
 TOOL_VERSION = "0.1.0"

@@ -7,12 +7,30 @@ import numpy as np
 import pytest
 
 import psirh
-from psirh import criteria
+from psirh import champions, criteria
 from psirh.arith import psi_table, sigma_table
-from psirh.champions import (Proposition, first_primes, psi_champion_scan,
-                             read_bfile)
+from psirh.champions import Proposition, first_primes, read_bfile
 from psirh.criteria import CriterionKind
-from psirh.errors import BFileParseError, DomainError, ResourceLimitError
+from psirh.errors import BFileParseError, ResourceLimitError
+
+from oracles import record_reference
+
+# OEIS A004394, every term up to 10^6
+A004394_TO_1E6 = [1, 2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720,
+                  840, 1260, 1680, 2520, 5040, 10080, 15120, 25200, 27720,
+                  55440, 110880, 166320, 277200, 332640, 554400, 665280,
+                  720720]
+
+
+def psi_champions(limit):
+    """Every 2 <= n <= limit with no m < n of larger psi(m)/m, by the
+    whole-table loop: the brute-force oracle for generate_s_sequence."""
+    return record_reference(psi_table(limit), 2, keep_ties=True)
+
+
+def s_values(limit):
+    return [c.value for c in psirh.generate_s_sequence(limit)]
+
 
 PAPER_S_LISTING = [2, 4, 6, 12, 18, 24, 30, 60, 90, 120, 150, 180, 210, 420,
                    630, 840, 1050, 1260, 1470, 1680, 1890, 2100, 2310, 4620,
@@ -53,23 +71,20 @@ class TestSSequence:
 
     def test_matches_brute_force_scan(self):
         limit = 10**4
-        vals = [c.value for c in psirh.generate_s_sequence(limit)]
-        assert psi_champion_scan(limit) == vals
+        assert psi_champions(limit) == s_values(limit)
 
 
 class TestPsiChampion:
+    # ties with the running maximum keep membership: 4 and 24 tie the
+    # ratio of 2 and 6, while the larger ratio of 30 excludes 36
     def test_members(self):
-        assert 24 in psi_champion_scan(24)
-        assert 2310 in psi_champion_scan(2310)
+        for limit in (24, 2310):
+            assert s_values(limit) == psi_champions(limit)
+            assert limit in s_values(limit)
 
     def test_non_member(self):
-        assert 36 not in psi_champion_scan(36)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            psi_champion_scan(1)
-        with pytest.raises(ResourceLimitError):
-            psi_champion_scan(10**8 + 1)
+        assert s_values(36) == psi_champions(36)
+        assert 36 not in s_values(36)
 
 
 class TestSuperabundant:
@@ -84,13 +99,80 @@ class TestSuperabundant:
     def test_record_ratios_strictly_increase(self):
         res = psirh.generate_superabundant(10**4)
         recs = res.records
-        for (_, n1, d1), (_, n2, d2) in zip(recs, recs[1:]):
-            assert n1 * d2 < n2 * d1
+        for (n1, s1), (n2, s2) in zip(recs, recs[1:]):
+            assert s1 * n2 < s2 * n1
+
+    def test_a004394_to_1e6(self):
+        res = psirh.generate_superabundant(10**6)
+        assert [n for n, _ in res.records] == A004394_TO_1E6
+
+    def test_tie_is_not_a_record(self):
+        # 360360 ties the ratio of the record 332640 and is not in A004394
+        assert 360360 * psirh.sigma(332640) == 332640 * psirh.sigma(360360)
+        assert 360360 not in [n for n, _ in
+                              psirh.generate_superabundant(10**6).records]
+
+    def test_tiny_limits(self):
+        for limit in (-1, 0):
+            assert psirh.generate_superabundant(limit).records == ()
+        assert psirh.generate_superabundant(1).records == ((1, 1),)
+        assert psirh.generate_superabundant(3).records == ((1, 1), (2, 3))
 
     def test_ceiling(self):
-        for limit in (10**8 + 1, 10**9):
+        for limit in (10**30 + 1, 10**40):
             with pytest.raises(ResourceLimitError):
                 psirh.generate_superabundant(limit)
+
+
+def exponents(n):
+    """The exponents of n, smallest prime first, or None when its primes
+    are not 2, 3, 5, ... in a row."""
+    factors = psirh.factorize(n).factors
+    if [p for p, _ in factors] != first_primes(len(factors)):
+        return None
+    return [a for _, a in factors]
+
+
+def is_hardy_ramanujan(n):
+    exps = exponents(n)
+    return exps is not None and exps == sorted(exps, reverse=True)
+
+
+class TestHardyRamanujan:
+    def test_matches_brute_force_to_1e5(self):
+        limit = 10**5
+        got = champions._hardy_ramanujan(limit, first_primes(18))
+        assert sorted(n for n, _ in got) == \
+            [n for n in range(1, limit + 1) if is_hardy_ramanujan(n)]
+        assert all(s == psirh.sigma(n) for n, s in got)
+
+    def test_counts(self):
+        # A025487: 803 terms up to 10^8
+        assert len(champions._hardy_ramanujan(10**8, first_primes(28))) == 803
+
+
+@pytest.fixture(scope="module")
+def sa_1e20():
+    return psirh.generate_superabundant(10**20).records
+
+
+class TestSuperabundantTo1e20:
+    def test_sigma_from_factorization(self, sa_1e20):
+        assert len(sa_1e20) == 123
+        assert all(s == psirh.sigma(n) for n, s in sa_1e20)
+        for (n1, s1), (n2, s2) in zip(sa_1e20, sa_1e20[1:]):
+            assert n1 < n2 and s1 * n2 < s2 * n1
+
+    def test_largest_prime_exponent_is_one(self, sa_1e20):
+        # Alaoglu & Erdos: only 4 and 36 end on a square
+        ends = {n for n, _ in sa_1e20 if n > 1 and exponents(n)[-1] != 1}
+        assert ends == {4, 36}
+
+    def test_robin_holds_above_5040(self, sa_1e20):
+        above = [n for n, _ in sa_1e20 if n > 5040]
+        assert above[-1] > 2**53
+        for n in above:
+            assert psirh.robin_g(n).value < 0, n
 
 
 class TestPsiMultipleIdentity:
@@ -211,24 +293,6 @@ class TestDecisionPath:
         assert criteria._f_at_least(30, 60)
 
 
-def record_reference(table, start, keep_ties):
-    """The whole-table record loop the record scans used before they walked
-    chunks: every n >= start whose table[n]/n beats (or, when keep_ties,
-    equals) the best earlier ratio, by exact cross-multiplication."""
-    values = table.tolist()
-    best_num, best_den = 0, 1
-    out = []
-    for n in range(start, len(values)):
-        lhs = values[n] * best_den
-        rhs = best_num * n
-        if lhs > rhs:
-            best_num, best_den = values[n], n
-            out.append(n)
-        elif keep_ties and lhs == rhs:
-            out.append(n)
-    return out
-
-
 DRIVER_LIMIT = 3000
 
 
@@ -248,12 +312,10 @@ def every_n_a_record_candidate(monkeypatch):
 
 
 def check_record_scans(limit):
-    assert psi_champion_scan(limit) == \
-        record_reference(psi_table(limit), 2, keep_ties=True)
+    assert s_values(limit) == psi_champions(limit)
     sig = sigma_table(limit)
     assert psirh.generate_superabundant(limit).records == tuple(
-        (n, int(sig[n]), n)
-        for n in record_reference(sig, 1, keep_ties=False))
+        (n, int(sig[n])) for n in record_reference(sig, 1, keep_ties=False))
 
 
 @functools.cache
@@ -324,8 +386,6 @@ class TestChunkDriver:
                 criteria, name, lambda lo, hi, *rest, fn=fn:
                 sizes.append(hi - lo) or fn(lo, hi, *rest))
         callers = (
-            lambda: psi_champion_scan(DRIVER_LIMIT),
-            lambda: psirh.generate_superabundant(DRIVER_LIMIT),
             lambda: psirh.verify_prop2(DRIVER_LIMIT),
             lambda: criteria.scan_exceptions(CriterionKind.ROBIN_G, 2,
                                              DRIVER_LIMIT),
@@ -334,24 +394,30 @@ class TestChunkDriver:
             sizes.clear()
             caller()
             assert max(sizes) == chunk_size
+        # the record sequences are built by structure and walk no range
+        for caller in (psirh.generate_s_sequence,
+                       psirh.generate_superabundant):
+            sizes.clear()
+            caller(DRIVER_LIMIT)
+            assert sizes == []
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)
 
     def test_float_maximum_carries_across_chunks(self, chunk_size,
                                                  monkeypatch):
-        # below 3000 no float ratio ties the running maximum unless the
-        # exact ratio does, so only the record holders reach the exact path
-        for kind, scan in ((CriterionKind.DEDEKIND_F, psi_champion_scan),
-                           (CriterionKind.ROBIN_G, lambda limit: [
-                               r[0] for r in
-                               psirh.generate_superabundant(limit).records])):
-            exact = []
-            fn = criteria._RATIO_FN[kind]
-            monkeypatch.setitem(criteria._RATIO_FN, kind,
-                                lambda n, fn=fn: exact.append(n) or fn(n))
-            records = scan(DRIVER_LIMIT)
-            assert exact == records
+        # no running float maximum is left to carry: neither record
+        # sequence computes a chunk or an exact ratio, at any chunk size
+        calls = []
+        for name in ("_chunk_values", "_chunk_ratios", "sigma",
+                     "dedekind_psi"):
+            fn = getattr(criteria, name)
+            monkeypatch.setattr(criteria, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        s_values(DRIVER_LIMIT)
+        records = psirh.generate_superabundant(DRIVER_LIMIT).records
+        assert calls == []
+        assert records[-1] == (2520, psirh.sigma(2520))
 
 
 class TestWorkerCount:

@@ -1,4 +1,7 @@
 import math
+import random
+import struct
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -256,3 +259,28 @@ class TestTables:
         assert round_half_even(0.98652, 3) == "0.987"
         assert round_half_even(-1.675, 2) == "-1.68"
         assert round_half_even(0.125, 2) == "0.12"  # ties to even
+
+    def test_round_half_even_matches_decimal(self):
+        """The integer rounding equals the Decimal quantize it replaced
+        wherever that prints without an exponent: on ties, on signed
+        zeros, on reprs with an exponent and on random doubles, at every
+        decimal count the tables print."""
+        rng = random.Random(16)
+        xs = [-0.0, 0.0, 2.675, -2.5, 0.5, 1.5, 9.9995, 1e-05, -1e-05, 1.25e11,
+              0.99999999999975, 123456789.125, 5e-324]
+        for _ in range(3000):
+            xs.append(rng.uniform(-20.0, 20.0))
+            xs.append(round(rng.uniform(-10, 10), rng.randrange(1, 8))
+                      + 5 * 10.0 ** -rng.randrange(2, 16))
+            bits = struct.unpack("d", struct.pack("Q", rng.getrandbits(64)))[0]
+            if math.isfinite(bits) and abs(bits) < 1e12:
+                xs.append(bits)
+        compared = 0
+        for x in xs:
+            for decimals in (2, 3, 5, 6, 7, 11, 14):
+                want = str(Decimal(repr(x)).quantize(
+                    Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN))
+                if "E" not in want:
+                    compared += 1
+                    assert round_half_even(x, decimals) == want, (x, decimals)
+        assert compared > 40000

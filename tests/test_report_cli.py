@@ -315,9 +315,9 @@ class TestOeisCheck:
         assert code == 2
 
 
-def run_python(code):
+def run_python(code, *flags):
     env = dict(os.environ, PYTHONPATH=str(Path(psirh.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -360,9 +360,10 @@ def run_fresh(*argv):
 # the modules behind the range scans and record scans, none of which a
 # primorial-table command uses
 SCAN_MODULES = {"psirh.criteria", "psirh.arith", "psirh.champions"}
-# the value records need no dataclasses, and only the theta-cache trailer
-# (table1 --cache) needs hashlib
-STDLIB_NOT_NEEDED = {"dataclasses", "hashlib"}
+# the value records need no dataclasses, only the theta-cache trailer
+# (table1 --cache) needs hashlib, and the printed table cells are rounded
+# without decimal
+STDLIB_NOT_NEEDED = {"dataclasses", "hashlib", "decimal"}
 
 
 class TestStartUp:
@@ -375,10 +376,28 @@ class TestStartUp:
         assert code == warm_code == 0
         assert "numpy" in cold_modules and "numpy" not in warm_modules
         assert "hashlib" in cold_modules and "hashlib" in warm_modules
-        assert "dataclasses" not in cold_modules | warm_modules
+        assert not (cold_modules | warm_modules) & {"dataclasses", "decimal"}
         assert not cold_modules & SCAN_MODULES
         assert strip_runtime(warm) == strip_runtime(cold)
         assert cache.read_bytes() == written
+
+    def test_clean_interpreter_loads_no_typing_or_decimal(self, tmp_path):
+        # under -S no site hook imports typing first; annotations are
+        # strings, so no psirh module needs it.  numpy is not importable
+        # there either, so the cache is written by this process.
+        cache = tmp_path / "theta.cache"
+        psirh.table1([10, 1000], cache_path=cache)
+        out = run_python(
+            "import contextlib, io, sys\n"
+            "import psirh.cli\n"
+            "seen = [{'typing', 'decimal'} & set(sys.modules)]\n"
+            "for argv in (['--help'], ['table1', '--indices', '10,1000',\n"
+            f"             '--cache', {str(cache)!r}]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = psirh.cli.main(argv)\n"
+            "    seen.append((code, {'typing', 'decimal'} & set(sys.modules)))\n"
+            "print(seen, 'numpy' in sys.modules)", "-S")
+        assert out == "[set(), (0, set()), (0, set())] False\n"
 
     def test_cli_import_loads_no_dataclasses_or_hashlib(self):
         out = run_python("import sys, psirh.cli; "
