@@ -22,7 +22,7 @@ from .report import RenderedReport
 # handlers that use them: a table1 served from the theta cache loads neither.
 
 OEIS_S_LIMIT = 10**41  # 1,240 terms
-OEIS_SUPERABUNDANT_LIMIT = 10**6
+OEIS_SUPERABUNDANT_LIMIT = 10**20  # 123 terms, about 0.14 s
 
 
 def _parse_indices(text: str) -> list[int]:

@@ -67,7 +67,7 @@ class ExceptionReport(Record, frozen=True):
                  "exceptions": "tuple[int, ...]",
                  "values": "tuple[CriterionValue, ...]: the decided value "
                            "of each exception",
-                 "largest": "Optional[int]", "escalations": "int"}
+                 "largest": "int | None", "escalations": "int"}
 
 
 def threshold(n: int) -> float:

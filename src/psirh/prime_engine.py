@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .constants import Record
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 
-# numpy is imported inside the functions that make arrays: the theta cache
-# and the double-double helpers serve a warm table1 without it.
+# numpy is imported inside the functions that make (unannotated) arrays:
+# the theta cache and the double-double helpers serve a warm table1 without it.
 
 # Ceilings: index ceiling leaves headroom above 10**7 so the n = 10**7 table
 # column plus one successor prime is always reachable.
@@ -138,7 +139,7 @@ def chunk_sum_dd(values) -> tuple[float, float]:
 # sieving
 
 @lru_cache(maxsize=8)
-def _simple_sieve(limit: int) -> np.ndarray:
+def _simple_sieve(limit: int):
     import numpy as np
     if limit < 2:
         return np.empty(0, dtype=np.int64)
@@ -150,11 +151,11 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _base_primes(hi: int) -> np.ndarray:
+def _base_primes(hi: int):
     return _simple_sieve(max(math.isqrt(max(hi - 1, 0)) + 1, 16))
 
 
-def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+def _segment_primes(lo: int, hi: int, base):
     """Primes in [lo, hi), via an odd-number bitmap; base is an increasing
     int64 array holding every prime p with p * p < hi."""
     import numpy as np
@@ -181,8 +182,8 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return primes
 
 
-def iter_prime_chunks(value_limit: int) -> Iterator[np.ndarray]:
-    """Yield consecutive chunks of primes < value_limit, starting at 2: one
+def iter_prime_chunks(value_limit: int) -> Iterator:
+    """Yield consecutive int64 arrays of the primes < value_limit from 2: one
     chunk per 2**21-value segment, the next ones sieved ahead (_ordered)."""
     if value_limit > PRIME_VALUE_CEILING:
         raise ResourceLimitError(

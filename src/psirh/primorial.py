@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator, Sequence
 
 from .constants import CONSTANTS, BoundCheckResult, Record
 from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
 from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
                            cache_load, cache_save, chunk_sum_dd, dd_add,
-                           iter_prime_chunks, nth_prime,
-                           _nth_prime_value_bound)
+                           iter_prime_chunks, _nth_prime_value_bound)
+from .prime_engine import nth_prime  # noqa: F401 (wrapped by perfbench/spans.py)
 
-# numpy is imported by full_scan, the one function here that makes arrays.
+# numpy is imported by _pass and check_primorial_bounds, which make arrays.
 
 BOUND_PRIME_THRESHOLD = 20000
 F_BOUND_SLOPE = -0.698
@@ -77,13 +78,10 @@ class PrimorialStats(ThetaPoint):
 class FullScanResult(Record):
     __slots__ = {"n_max": "int", "stats": "list[PrimorialStats]",
                  "theta_monotonic": "bool", "theta_below_prime": "bool",
-                 "first_theta_violation": "Optional[int]",
-                 "loglog_bound": "Optional[BoundCheckResult]",
-                 "f_bound": "Optional[BoundCheckResult]"}
+                 "first_theta_violation": "int | None"}
 
 
-def _lower(worst: tuple[float, int], margins: np.ndarray,
-           first: int) -> tuple[float, int]:
+def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
     """worst, or (margin, index) of the first least margin if lower;
     margins[i] belongs to index first + i."""
     i = int(margins.argmin())
@@ -99,113 +97,81 @@ def check_n_max(n_max: int) -> None:
             f"n_max={n_max} exceeds configured index ceiling {PRIME_INDEX_CEILING}")
 
 
-def full_scan(n_max: int, report_indices: Iterable[int] = (),
-              bounds_first: Optional[int] = None) -> FullScanResult:
-    """Single ordered pass over the first n_max primes.
-
-    Emits PrimorialStats at each requested index, verifies theta monotonicity
-    (across chunk joins too) and theta(p_n) < p_n per element, and, unless
-    bounds_first is None, tracks the worst margins of the two explicit
-    bounds over the indices [bounds_first, n_max] (check_primorial_bounds
-    validates that range).
+def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
+    """The one ordered pass over the first n_max primes, a chunk at a time:
+    yields (first, primes, logs, rl, theta_start, theta_cum, r_start, stats),
+    the chunk's first index, its primes, log p and log1p(1/p) as floats,
+    theta before the chunk and its prefix sums on it, R before the chunk,
+    and the PrimorialStats at the sorted cuts in it.  The (hi, lo) theta and
+    R lanes add each chunk exactly, split at the cuts; nothing else sums
+    them.  The arrays are rows of one buffer that the next chunk overwrites:
+    fresh ones, still held by the caller, cost bounds 2.5x the page faults.
     """
     import numpy as np
-    check_n_max(n_max)
-    checkpoints = sorted({i for i in report_indices if 1 <= i <= n_max})
-
-    theta_hi, theta_lo = 0.0, 0.0
-    r_hi, r_lo = 0.0, 0.0
-    count = 0
-    ci = 0
-    stats: list[PrimorialStats] = []
-    monotonic = True
-    below_prime = True
-    first_violation: Optional[int] = None
-    worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
-
+    theta_hi = theta_lo = r_hi = r_lo = 0.0
+    count = ci = 0
     bound = min(_nth_prime_value_bound(n_max), prime_engine.PRIME_VALUE_CEILING)
-    last_theta = -math.inf  # the previous chunk's last float theta
+    buf = np.empty((4, 0))
     for chunk in iter_prime_chunks(bound):
         if count >= n_max:
             break
-        if count + len(chunk) > n_max:
-            chunk = chunk[: n_max - count]
-        pf = chunk.astype(np.float64)
-        logs = np.log(pf)
-        rl = np.divide(1.0, pf)
+        chunk = chunk[: n_max - count]
+        if buf.shape[1] < len(chunk):
+            buf = np.empty((4, len(chunk)))
+        pf, logs, rl, theta_cum = buf[:, :len(chunk)]
+        pf[:] = chunk
+        np.log(pf, out=logs)
+        np.divide(1.0, pf, out=rl)
         np.log1p(rl, out=rl)
+        theta_start, r_start = theta_hi + theta_lo, r_hi + r_lo
+        np.cumsum(logs, out=theta_cum)
+        theta_cum += theta_start
+        stats = []
+        pos = 0
+        while pos < len(chunk):  # up to the next cut or the chunk's end
+            at_cut = ci < len(cuts) and cuts[ci] <= count + len(chunk)
+            end = cuts[ci] - count if at_cut else len(chunk)
+            h, l = chunk_sum_dd(logs[pos:end])
+            theta_hi, theta_lo = dd_add(theta_hi, theta_lo, h, l)
+            h, l = chunk_sum_dd(rl[pos:end])
+            r_hi, r_lo = dd_add(r_hi, r_lo, h, l)
+            if at_cut:
+                stats.append(PrimorialStats(cuts[ci], int(chunk[end - 1]),
+                                            theta_hi, theta_lo, r_hi, r_lo))
+                ci += 1
+            pos = end
+        yield count + 1, pf, logs, rl, theta_start, theta_cum, r_start, stats
+        count += len(chunk)
 
-        base = theta_hi + theta_lo
-        theta_cum = np.cumsum(logs)
-        theta_cum += base
+
+def full_scan(n_max: int, report_indices: Iterable[int] = ()) -> FullScanResult:
+    """PrimorialStats at each requested index, from one pass (_pass) over
+    the first n_max primes that also checks theta rises at every prime
+    (across chunk joins too) and stays below it."""
+    check_n_max(n_max)
+    cuts = sorted({i for i in report_indices if 1 <= i <= n_max})
+    stats: list[PrimorialStats] = []
+    count = 0
+    monotonic = below_prime = True
+    first_violation: int | None = None
+    last_theta = -math.inf  # the previous chunk's last float theta
+    for first, pf, _, _, theta_start, theta_cum, _, at_cuts in _pass(n_max, cuts):
+        stats += at_cuts
+        count = first + len(pf) - 1
         if below_prime:
-            bad = np.nonzero(theta_cum >= pf)[0]
+            bad = (theta_cum >= pf).nonzero()[0]
             if bad.size:
                 below_prime = False
-                first_violation = count + int(bad[0]) + 1
+                first_violation = first + int(bad[0])
         if monotonic and len(theta_cum):
             # the first step must rise above both the float theta the chunk
             # starts from and the previous chunk's last float value
-            monotonic = bool(theta_cum[0] > max(base, last_theta)
+            monotonic = bool(theta_cum[0] > max(theta_start, last_theta)
                              and (theta_cum[1:] > theta_cum[:-1]).all())
             last_theta = theta_cum[-1]
-
-        if bounds_first is not None and count + len(chunk) >= bounds_first:
-            # the two margins in place, each op rounded as in the formulas
-            start = max(bounds_first - count - 1, 0)
-            logp = logs[start:]
-            llgn = np.log(theta_cum[start:])
-            m = np.divide(LOGLOG_BOUND_OFFSET, logp)
-            np.subtract(logp, m, out=m)
-            np.subtract(llgn, m, out=m)  # loglog N - (log p - c / log p)
-            worst_m1 = _lower(worst_m1, m, count + start + 1)
-            f = np.cumsum(rl)[start:]
-            f += r_hi + r_lo
-            np.exp(f, out=f)
-            llgn *= CONSTANTS.e_gamma
-            f -= llgn  # f(N_n) = exp(R_n) - e^gamma loglog N
-            np.multiply(logp, F_BOUND_SLOPE, out=m)
-            np.divide(F_BOUND_OFFSET, logp, out=llgn)
-            m += llgn
-            m -= f
-            worst_m2 = _lower(worst_m2, m, count + start + 1)
-
-        pos = 0
-        while ci < len(checkpoints) and checkpoints[ci] <= count + len(chunk):
-            cut = checkpoints[ci] - count
-            h, l = chunk_sum_dd(logs[pos:cut])
-            theta_hi, theta_lo = dd_add(theta_hi, theta_lo, h, l)
-            h, l = chunk_sum_dd(rl[pos:cut])
-            r_hi, r_lo = dd_add(r_hi, r_lo, h, l)
-            stats.append(PrimorialStats(index=checkpoints[ci],
-                                        prime=int(chunk[cut - 1]),
-                                        theta_hi=theta_hi, theta_lo=theta_lo,
-                                        psi_ratio_log_hi=r_hi,
-                                        psi_ratio_log_lo=r_lo))
-            pos = cut
-            ci += 1
-        if pos < len(logs):
-            h, l = chunk_sum_dd(logs[pos:])
-            theta_hi, theta_lo = dd_add(theta_hi, theta_lo, h, l)
-            h, l = chunk_sum_dd(rl[pos:])
-            r_hi, r_lo = dd_add(r_hi, r_lo, h, l)
-        count += len(chunk)
-
-    loglog_bound = None
-    f_bound = None
-    if bounds_first is not None and count >= bounds_first:
-        loglog_bound = BoundCheckResult(
-            bound="loglogN_lower", first=bounds_first, last=count,
-            passed=worst_m1[0] > 0, worst_margin=worst_m1[0],
-            witness=worst_m1[1])
-        f_bound = BoundCheckResult(
-            bound="f_primorial_upper", first=bounds_first, last=count,
-            passed=worst_m2[0] > 0, worst_margin=worst_m2[0],
-            witness=worst_m2[1])
     return FullScanResult(n_max=count, stats=stats, theta_monotonic=monotonic,
                           theta_below_prime=below_prime,
-                          first_theta_violation=first_violation,
-                          loglog_bound=loglog_bound, f_bound=f_bound)
+                          first_theta_violation=first_violation)
 
 
 def ftilde_ratio_deviation(theta_n: ThetaPoint, p_next: int) -> float:
@@ -234,31 +200,57 @@ def k_ratio(p_n: int, p_next: int) -> float:
     return k * math.log(k) / (p_next * math.log(p_next))
 
 
-def check_primorial_bounds(
-        last: int, first: Optional[int] = None
-) -> tuple[BoundCheckResult, BoundCheckResult]:
-    """Both explicit bounds over the indices [first, last], from one pass:
+def check_primorial_bounds(last: int, first: int | None = None
+                           ) -> tuple[BoundCheckResult, BoundCheckResult]:
+    """Both explicit bounds over the indices [first, last], in one pass:
     log log N_n > log p_n - 0.123/log p_n and
     f(N_n) < -0.698 log p_n + 0.220/log p_n.
 
     They are claimed only for p_n >= 20000; first defaults to the first such
     index, and a range that starts below it or is empty is rejected.
     """
+    import numpy as np
     if first is None:
         # one more than the number of primes below the threshold
-        first = 1 + sum(len(chunk) for chunk in
-                        iter_prime_chunks(BOUND_PRIME_THRESHOLD))
+        first = 1 + len(prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1))
     if last < first:
         raise DomainError(f"empty index range [{first}, {last}]")
     if last > PRIME_INDEX_CEILING:
         raise ResourceLimitError(f"last={last} exceeds index ceiling")
-    p_first = nth_prime(first)
-    if p_first < BOUND_PRIME_THRESHOLD:
-        raise DomainError(
-            f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
-            f"p_{first} = {p_first}")
-    res = full_scan(last, bounds_first=first)
-    return res.loglog_bound, res.f_bound
+    if first < 1:
+        raise DomainError("prime index must be >= 1")
+    count = 0
+    worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
+    for c_first, pf, logs, rl, _, theta_cum, r_start, _ in _pass(last):
+        count = c_first + len(pf) - 1
+        if count < first:
+            continue
+        start = max(first - c_first, 0)
+        # p_first < 20000 means first <= 2262: always in the first chunk
+        if pf[start] < BOUND_PRIME_THRESHOLD:
+            raise DomainError(
+                f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
+                f"p_{first} = {int(pf[start])}")
+        # the two margins in place, each op rounded as in the formulas
+        logp = logs[start:]
+        llgn = np.log(theta_cum[start:])
+        m = np.divide(LOGLOG_BOUND_OFFSET, logp)
+        np.subtract(logp, m, out=m)
+        np.subtract(llgn, m, out=m)  # loglog N - (log p - c / log p)
+        worst_m1 = _lower(worst_m1, m, c_first + start)
+        f = np.cumsum(rl)[start:]
+        f += r_start
+        np.exp(f, out=f)
+        llgn *= CONSTANTS.e_gamma
+        f -= llgn  # f(N_n) = exp(R_n) - e^gamma loglog N
+        np.multiply(logp, F_BOUND_SLOPE, out=m)
+        np.divide(F_BOUND_OFFSET, logp, out=llgn)
+        m += llgn
+        m -= f
+        worst_m2 = _lower(worst_m2, m, c_first + start)
+    return tuple(BoundCheckResult(name, first, count, margin > 0, margin, witness)
+                 for name, (margin, witness) in (("loglogN_lower", worst_m1),
+                                                 ("f_primorial_upper", worst_m2)))
 
 
 def f_bound_rhs(p: float) -> float:

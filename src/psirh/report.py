@@ -1,9 +1,9 @@
 """Report rendering: CSV, Markdown and JSON with reproducible formatting.
 
-Numeric serialization uses 17 significant digits (round-trip exact for
-binary64) in CSV; JSON relies on Python's shortest round-trip float repr,
-which parses back to the identical value.  Output carries no timestamps in
-the body; the runtime lives only in the footer.
+CSV writes header and row floats with 17 significant digits (round-trip
+exact for binary64); its footer, like all of JSON, uses Python's shortest
+round-trip float repr, which parses back to the identical value.  Output
+carries no timestamps in the body; the runtime lives only in the footer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def constants_digest() -> str:
     return "e93c3dc12841"
 
 
-def fmt_number(x: Any) -> str:
+def fmt_number(x: object) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -28,13 +28,13 @@ def fmt_number(x: Any) -> str:
 
 
 class RenderedReport(Record):
-    __slots__ = {"command": "str", "parameters": "dict[str, Any]",
-                 "columns": "list[str]", "rows": "list[dict[str, Any]]",
-                 "footer": "dict[str, Any]"}
+    __slots__ = {"command": "str", "parameters": "dict[str, object]",
+                 "columns": "list[str]", "rows": "list[dict[str, object]]",
+                 "footer": "dict[str, object]"}
     _defaults = {"footer": dict}
 
     @property
-    def meta(self) -> dict[str, Any]:
+    def meta(self) -> dict[str, object]:
         meta = {"command": self.command, "tool_version": TOOL_VERSION,
                 "constants_digest": constants_digest()}
         meta.update({k: v for k, v in sorted(self.parameters.items())})
@@ -45,8 +45,9 @@ class RenderedReport(Record):
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(fmt_number(row.get(c, "")) for c in self.columns))
-        for k, v in self.footer.items():
-            lines.append(f"# {k}={fmt_number(v)}")
+        for k, v in self.footer.items():  # runtime_s=0.279, as in JSON
+            lines.append(f"# {k}={v!r}" if isinstance(v, float)
+                         else f"# {k}={fmt_number(v)}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

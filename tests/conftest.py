@@ -15,9 +15,15 @@ def timed_full_scan():
     and its wall time in seconds."""
     indices = set(DECADES) | {n + 1 for n in TABLE1_INDICES} | {3, 10**4 + 1}
     t0 = time.perf_counter()
-    # p_2263 = 20011 is the first prime above 20000, where the bounds start
-    res = psirh.full_scan(10**7 + 1, sorted(indices), bounds_first=2263)
+    res = psirh.full_scan(10**7 + 1, sorted(indices))
     return res, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def bounds_result():
+    """Both explicit bounds over the indices [2263, 10^7 + 1], from their
+    own pass; p_2263 = 20011 is the first prime above 20000."""
+    return psirh.check_primorial_bounds(10**7 + 1, 2263)
 
 
 @pytest.fixture(scope="session")

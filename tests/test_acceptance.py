@@ -125,8 +125,8 @@ def test_05_ratio_table(announce, full_scan_result, full_scan_elapsed,
     assert warm_elapsed <= 10, f"warm table took {warm_elapsed:.1f}s"
 
 
-def test_06_primorial_bounds(announce, full_scan_result):
-    lb, fb = full_scan_result.loglog_bound, full_scan_result.f_bound
+def test_06_primorial_bounds(announce, bounds_result):
+    lb, fb = bounds_result
     rhs = f_bound_rhs(20000)
     slope = f_bound_slope_from_constants()
     ok = (lb.passed and fb.passed

@@ -58,6 +58,25 @@ GOLDEN = {
     "bounds": (["bounds", "--hi", "3000", "--sigma-hi", "10000"],
         0, "95e17f0cb6e61c3561dbc9c35f118e5aa858769ea5c0e0050691cf6bcbb49122",
         ""),
+    "bounds below 20000": (["bounds", "--lo", "100"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: bound is only claimed for p_n >= 20000; "
+        "p_100 = 541\n"),
+    "bounds lo 0": (["bounds", "--lo", "0"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: prime index must be >= 1\n"),
+    "bounds lo -5": (["bounds", "--lo", "-5"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: prime index must be >= 1\n"),
+    "bounds default lo above hi": (["bounds", "--hi", "100"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: empty index range [2263, 100]\n"),
+    "bounds empty": (["bounds", "--lo", "3000", "--hi", "2999"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: empty index range [3000, 2999]\n"),
+    "bounds ceiling": (["bounds", "--hi", "10500001"],
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: resource limit: last=10500001 exceeds index ceiling\n"),
     "oeis S late": (["oeis-check", "--bfile", "late.txt", "--sequence", "A060735", "--count", "1"],
         0, "da25159fdd9efb9a43916bde6824b961e755a914153db19792e3570e137ee02f",
         ""),

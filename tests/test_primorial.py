@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import threading
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
@@ -80,24 +81,24 @@ class TestFullScanGoldenBits:
             got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
             assert tuple(v.hex() for v in got) == want, index
 
-    def test_bound_results(self, full_scan_result):
-        assert full_scan_result.loglog_bound == BoundCheckResult(
-            bound="loglogN_lower", first=2263, last=10000001, passed=True,
-            worst_margin=0.0015700270492207125, witness=2347)
-        assert full_scan_result.f_bound == BoundCheckResult(
-            bound="f_primorial_upper", first=2263, last=10000001, passed=True,
-            worst_margin=0.0015466132614552208, witness=2347)
+    def test_bound_results(self, bounds_result):
+        assert bounds_result == (
+            BoundCheckResult(
+                bound="loglogN_lower", first=2263, last=10000001, passed=True,
+                worst_margin=0.0015700270492207125, witness=2347),
+            BoundCheckResult(
+                bound="f_primorial_upper", first=2263, last=10000001,
+                passed=True, worst_margin=0.0015466132614552208, witness=2347))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_same_bits_at_worker_count(self, set_workers, full_scan_result,
+    def test_same_bits_at_worker_count(self, set_workers, bounds_result,
                                        workers):
         set_workers(workers)
-        res = psirh.full_scan(10**7 + 1, sorted(GOLDEN_BITS), bounds_first=2263)
+        res = psirh.full_scan(10**7 + 1, sorted(GOLDEN_BITS))
         for s in res.stats:
             got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
             assert tuple(v.hex() for v in got) == GOLDEN_BITS[s.index]
-        assert (res.loglog_bound, res.f_bound) == (
-            full_scan_result.loglog_bound, full_scan_result.f_bound)
+        assert psirh.check_primorial_bounds(10**7 + 1, 2263) == bounds_result
 
 
 class TestThetaChecks:
@@ -196,6 +197,29 @@ class TestBounds:
     def test_threshold_guard(self):
         with pytest.raises(DomainError, match="p_100 = 541"):
             psirh.check_primorial_bounds(5000, first=100)
+
+    def test_margins_past_the_first_chunk(self):
+        # the worst margins to 10^7 fall in the first chunk, where theta
+        # and R start at 0; this range lies in the second, which starts
+        # from the first chunk's sums
+        first, last = 200000, 200500
+        loglog, f_bound = psirh.check_primorial_bounds(last, first)
+        stats = psirh.full_scan(last, range(first, last + 1)).stats
+        m1 = min((s.loglogN - math.log(s.prime) + 0.123 / math.log(s.prime),
+                  s.index) for s in stats)
+        m2 = min((f_bound_rhs(s.prime) - s.f_value, s.index) for s in stats)
+        for res, (margin, witness) in ((loglog, m1), (f_bound, m2)):
+            assert (res.first, res.last, res.witness) == (first, last, witness)
+            assert res.worst_margin == pytest.approx(margin, abs=1e-12)
+
+    def test_threshold_guard_leaves_no_worker(self, set_workers):
+        # the guard fires on the pass's first chunk, while the next
+        # segments are being sieved ahead
+        set_workers(2)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="p_5 = 11"):
+            psirh.check_primorial_bounds(10**6, first=5)
+        assert threading.active_count() == before
 
     def test_default_first_is_first_prime_above_20000(self):
         assert psirh.nth_prime(2262) < 20000 <= psirh.nth_prime(2263)

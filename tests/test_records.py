@@ -15,7 +15,7 @@ RECORDS = [
     (primorial.PrimorialStats, "index prime theta_hi theta_lo "
                                "psi_ratio_log_hi psi_ratio_log_lo", True),
     (primorial.FullScanResult, "n_max stats theta_monotonic theta_below_prime "
-                               "first_theta_violation loglog_bound f_bound",
+                               "first_theta_violation",
      False),
     (report.RenderedReport, "command parameters columns rows footer", False),
     (criteria.CriterionValue, "n kind ratio threshold value "

@@ -1,8 +1,11 @@
 import csv
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import psirh
-from psirh import primorial, report
+from psirh import prime_engine, primorial, report
 from psirh.cli import main
 from psirh.constants import CONSTANTS
 
@@ -93,6 +96,19 @@ class TestFormats:
         assert doc["meta"]["command"] == "table2"
         reparsed = json.loads(json.dumps(doc))
         assert reparsed == doc
+
+    def test_csv_footer_floats_in_shortest_form(self):
+        limit = CONSTANTS.e_gamma_over_zeta2
+        rep = report.RenderedReport(
+            command="mertens", parameters={"indices": "10"},
+            columns=["n", "ratio"], rows=[{"n": 10, "ratio": 0.279}],
+            footer={"limit": limit, "runtime_s": 0.279})
+        lines = rep.to_csv().splitlines()
+        # rows keep 17 significant digits; the footer prints as JSON does
+        assert lines[-3:] == ["10,0.27900000000000003",
+                              "# limit=1.0827621932609246",
+                              "# runtime_s=0.279"]
+        assert json.loads(rep.to_json())["footer"]["runtime_s"] == 0.279
 
     def test_markdown_table(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "md", "table2", "--indices", "3,10")
@@ -189,6 +205,42 @@ class TestOtherCommands:
         assert all(r["passed"] == "true" for r in rows)
 
 
+class TestPrimeWalks:
+    """Each primorial command walks the prime stream once, and none looks
+    a prime up by index: the bounds read p_first off their own pass."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        limits = []
+        for mod in (prime_engine, primorial):
+            def counted(limit, walk=mod.iter_prime_chunks):
+                limits.append(limit)
+                return walk(limit)
+
+            def no_lookup(n):
+                raise AssertionError(f"nth_prime({n}) called")
+            monkeypatch.setattr(mod, "iter_prime_chunks", counted)
+            monkeypatch.setattr(mod, "nth_prime", no_lookup)
+        return limits
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--hi", "3000", "--sigma-hi", "1000"),
+        ("bounds", "--lo", "5000", "--hi", "6000", "--sigma-hi", "1000"),
+        ("table2",), ("mertens",)], ids=" ".join)
+    def test_one_walk(self, capsys, walks, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(walks) == 1
+
+    def test_table1_cold_walks_once_and_warm_never(self, capsys, walks,
+                                                   tmp_path):
+        argv = ("table1", "--indices", "10,1000", "--cache",
+                str(tmp_path / "theta.cache"))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(walks) == 1
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(walks) == 1
+
+
 class TestRangeErrors:
     @pytest.mark.parametrize("argv", [
         ("bounds", "--hi", "100"),                # ends below the first index
@@ -240,6 +292,21 @@ class TestOeisCheck:
         assert code == 0
         rows = parse_csv(out)
         assert all(r["match"] == "true" for r in rows)
+
+    def test_superabundant_terms_to_1e8(self, capsys, tmp_path):
+        # OEIS A004394, every term up to 10^8: 11 more than the 31 below 10^6
+        terms = [1, 2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840,
+                 1260, 1680, 2520, 5040, 10080, 15120, 25200, 27720, 55440,
+                 110880, 166320, 277200, 332640, 554400, 665280, 720720,
+                 1441440, 2162160, 3603600, 4324320, 7207200, 8648640,
+                 10810800, 21621600, 36756720, 61261200, 73513440]
+        bfile = tmp_path / "b004394.txt"
+        bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(terms, 1)))
+        code, out, _ = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
+                               "--sequence", "A004394", "--count", "42")
+        assert code == 0
+        assert [int(r["expected"]) for r in parse_csv(out)] == terms
+        assert "# compared=42\n# truncated=false\n# first_mismatch=\n" in out
 
     def test_truncation_reported(self, capsys, tmp_path):
         bfile = tmp_path / "b004394.txt"
@@ -517,3 +584,45 @@ class TestPackageExports:
             psirh.no_such_name
         with pytest.raises(ImportError):
             exec("from psirh import no_such_name", {})
+
+
+def defined_functions(module):
+    """Every function and method the module defines, unwrapped (lru_cache),
+    with the getters of its properties."""
+    found = []
+    for obj in vars(module).values():
+        if isinstance(obj, type) and obj.__module__ != module.__name__:
+            continue
+        members = vars(obj).values() if isinstance(obj, type) else [obj]
+        for member in members:
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            elif isinstance(member, property):
+                member = member.fget
+            member = inspect.unwrap(member) if callable(member) else member
+            if (inspect.isfunction(member)
+                    and member.__module__ == module.__name__):
+                found.append(member)
+    return found
+
+
+def test_every_annotation_resolves():
+    """Annotations are strings (no module imports typing); each names only
+    builtins, collections.abc and the package's own types, so
+    typing.get_type_hints evaluates all of them."""
+    import typing
+    functions = [fn for info in pkgutil.iter_modules(psirh.__path__)
+                 for fn in defined_functions(
+                     importlib.import_module(f"psirh.{info.name}"))]
+    unresolved = []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append((fn.__module__, fn.__qualname__, str(exc)))
+    assert unresolved == []
+    names = {fn.__qualname__ for fn in functions}
+    assert {"full_scan", "_pass", "check_primorial_bounds", "table1",
+            "_simple_sieve", "_segment_primes", "iter_prime_chunks",
+            "fmt_number", "RenderedReport.meta"} <= names
+    assert len(functions) > 100
