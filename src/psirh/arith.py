@@ -7,9 +7,9 @@ returns exact int64 psi or sigma below 2^53: each n starts from a cached
 periodic pattern of the prime powers 2^4, 3^2, 5, 7 and 11, the other prime
 powers multiply into it by strided slices, and the one prime left over is
 found by dividing n by the smooth part.  Single queries use vectorized
-trial division over one grown prime list, with deterministic Miller-Rabin
-for the cofactor and Brent's rho for a composite cofactor whose prime
-factors are all above the trial bound.
+trial division, with deterministic Miller-Rabin for the cofactor and
+Brent's rho for a composite cofactor whose prime factors are all above the
+trial bound.  Both read their primes from prime_engine's one grown list.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from .constants import Record
 from .errors import DomainError, ResourceLimitError
-from .prime_engine import _segment_primes, _simple_sieve
+from . import prime_engine
+from .prime_engine import _simple_sieve
 
 
 class Factorization(Record, frozen=True):
@@ -51,26 +52,6 @@ _MR_LIMIT = _MR_PSI[-1]
 FACTORIZE_TRIAL_CEILING = 1 << 24
 RHO_STEP_CAP = 1 << 24
 _RHO_BATCH = 128  # steps per gcd
-
-# (primes, hi): every prime below hi, increasing.  Replaced, never mutated.
-_prime_list = (_simple_sieve(255), 256)
-
-
-def _primes_below(limit: int) -> np.ndarray:
-    """An increasing int64 array that starts with every prime below limit.
-
-    The shared list grows by doubling its bound with the segmented sieve, so
-    nothing is sieved twice and it never holds primes beyond 2 * limit.
-    """
-    global _prime_list
-    primes, hi = _prime_list
-    while hi < limit:
-        base = primes[:primes.searchsorted(math.isqrt(2 * hi) + 1)]
-        primes = np.concatenate(
-            [primes, _segment_primes(hi, 2 * hi, base)])
-        hi *= 2
-        _prime_list = (primes, hi)
-    return primes
 
 
 def _is_prime(m: int) -> bool:
@@ -150,6 +131,8 @@ def factorize(n: int) -> Factorization:
     block passes sqrt(m) or m is 1 or proven prime.  Once the primes below
     FACTORIZE_TRIAL_CEILING are tried, a composite m < _MR_LIMIT is split by
     Brent's rho (_split), and an m >= _MR_LIMIT raises ResourceLimitError.
+    The blocks come from prime_engine._primes_below, not from the 8-slot
+    _simple_sieve lru, which the cycle of about 13 bounds of a query misses.
     """
     if n < 1:
         raise DomainError("cannot factorize n < 1")
@@ -159,7 +142,7 @@ def factorize(n: int) -> Factorization:
     i = 0  # index of the first prime not yet tried
     while True:
         hi = min(hi, math.isqrt(m) + 1)
-        primes = _primes_below(hi)
+        primes = prime_engine._primes_below(hi)
         j = int(primes.searchsorted(hi))
         block = primes[i:j]
         if m < 1 << 63:
@@ -250,22 +233,21 @@ def _pattern(want_sigma: bool) -> tuple[np.ndarray, np.ndarray]:
     return values, part
 
 
-def multiplicative_range(lo: int, hi: int, want_sigma: bool,
-                         base_primes: np.ndarray) -> np.ndarray:
+def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
     """Exact psi(n), or sigma(n) when want_sigma, for lo <= n < hi as int64
     (the entry for n = 0 is 0), for hi <= KERNEL_CEILING = 2^53.
 
-    base_primes, increasing (an int64 array or a list), must hold every
-    prime p with p * p < hi.  Each n starts from its pattern part (see
-    _PATTERN) and that part's psi or sigma.  Every other base prime p, and
-    every power p^k < hi above a pattern cap, then reaches its multiples
-    through one strided slice; the first multiples of all primes at one
-    exponent come from one numpy pass.  The smooth part is multiplied by p.
-    p^1 multiplies the value by p + 1; a higher power multiplies psi by p,
-    or replaces sigma(p^(k-1)) by sigma(p^k), dividing first so that no
-    intermediate exceeds the final value and int64 stays exact.  What is
-    left, q = n / part, is 1 or a prime and contributes q + (q > 1).  Every
-    value is exact, so it does not depend on how a range is split.
+    Its base primes are every p with p * p < hi: _simple_sieve(isqrt(hi - 1)).
+    Each n starts from its pattern part (see _PATTERN) and that part's psi or
+    sigma.  Every other base prime p, and every power p^k < hi above a
+    pattern cap, then reaches its multiples through one strided slice; the
+    first multiples of all primes at one exponent come from one numpy pass.
+    The smooth part is multiplied by p.  p^1 multiplies the value by p + 1;
+    a higher power multiplies psi by p, or replaces sigma(p^(k-1)) by
+    sigma(p^k), dividing first so that no intermediate exceeds the final
+    value and int64 stays exact.  What is left, q = n / part, is 1 or a
+    prime and contributes q + (q > 1).  Every value is exact, so it does not
+    depend on how a range is split.
     """
     if lo < 0 or hi <= lo:
         raise DomainError(f"need 0 <= lo < hi, got lo={lo} hi={hi}")
@@ -277,8 +259,7 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool,
     for a in range(-(lo % _PERIOD), size, _PERIOD):  # one period at a time
         for out, pat in zip((val, part), _pattern(want_sigma)):
             out[max(a, 0):a + _PERIOD] = pat[max(-a, 0):size - a]
-    p = np.asarray(base_primes, dtype=np.int64)
-    p = p[:p.searchsorted(math.isqrt(hi - 1), "right")]
+    p = _simple_sieve(math.isqrt(hi - 1))
     pk = p.copy()  # the power of p visited next
     for i, (_, cap) in enumerate(_PATTERN[:p.searchsorted(11, "right")]):
         pk[i] **= cap + 1
@@ -311,13 +292,11 @@ def psi_table(limit: int) -> np.ndarray:
     """Exact psi(n) for 0 <= n <= limit as an int64 array (psi(0) set to 0)."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
-    return multiplicative_range(0, limit + 1, False,
-                                _simple_sieve(math.isqrt(limit)))
+    return multiplicative_range(0, limit + 1, False)
 
 
 def sigma_table(limit: int) -> np.ndarray:
     """Exact sigma(n) for 0 <= n <= limit as an int64 array (sigma(0) set to 0)."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
-    return multiplicative_range(0, limit + 1, True,
-                                _simple_sieve(math.isqrt(limit)))
+    return multiplicative_range(0, limit + 1, True)

@@ -63,7 +63,7 @@ class PropositionCheck(Record, frozen=True):
 
 def first_primes(k: int) -> list[int]:
     """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k."""
-    return _simple_sieve(max(_nth_prime_value_bound(k), 16))[:k].tolist()
+    return _simple_sieve(_nth_prime_value_bound(k))[:k].tolist()
 
 
 def _primorials(limit: int):

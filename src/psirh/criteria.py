@@ -23,7 +23,8 @@ from .arith import dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C,  # noqa: F401
                         BoundCheckResult, Constants, Record)
 from .errors import DomainError, ResourceLimitError
-from .prime_engine import _ordered, _simple_sieve
+from .prime_engine import _ordered
+from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
 ESCALATION_BAND = 1e-9
 ESCALATION_DPS = 30
@@ -121,13 +122,11 @@ def dedekind_f(n: int) -> CriterionValue:
 # ---------------------------------------------------------------------------
 # chunked float ratio scan
 
-def _chunk_ratios(lo: int, hi: int, kind: CriterionKind,
-                  base_primes: np.ndarray) -> np.ndarray:
+def _chunk_ratios(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
     """Float psi(n)/n or sigma(n)/n for n in [lo, hi): the exact kernel
     value divided by n, so each ratio is correctly rounded and does not
     depend on chunk boundaries."""
-    exact = multiplicative_range(lo, hi, kind is CriterionKind.ROBIN_G,
-                                 base_primes)
+    exact = multiplicative_range(lo, hi, kind is CriterionKind.ROBIN_G)
     n = np.arange(lo, hi, dtype=np.float64)
     return np.divide(exact, n, out=n)
 
@@ -139,10 +138,9 @@ def _loglog(lo: int, hi: int) -> np.ndarray:
     return np.log(llg, out=llg)
 
 
-def _chunk_values(lo: int, hi: int, kind: CriterionKind,
-                  base_primes: np.ndarray) -> np.ndarray:
+def _chunk_values(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
     """The ratios minus e^gamma log log n, rounded as written."""
-    values = _chunk_ratios(lo, hi, kind, base_primes)
+    values = _chunk_ratios(lo, hi, kind)
     thr = _loglog(lo, hi)
     thr *= CONSTANTS.e_gamma
     values -= thr
@@ -159,20 +157,18 @@ def _sigma_margin(lo: int, ratios: np.ndarray, c: float) -> np.ndarray:
 
 
 def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
-    """Yield (c_lo, fn(c_lo, c_hi, kind, base_primes)) for the consecutive
-    chunks [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
-    _chunk_ratios.  The one walk of every range caller: the base primes are
-    sieved once, and memory stays O(chunk) whatever the range.  The chunk
-    length is DEFAULT_CHUNK, read at call time.
+    """Yield (c_lo, fn(c_lo, c_hi, kind)) for the consecutive chunks
+    [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
+    _chunk_ratios.  The one walk of every range caller: memory stays
+    O(chunk) whatever the range, and each chunk's kernel fetches its own
+    base primes.  The chunk length is DEFAULT_CHUNK, read at call time.
 
     Only fn runs ahead on prime_engine._ordered's workers; mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
-    size = DEFAULT_CHUNK
-    base_primes = _simple_sieve(math.isqrt(hi - 1) + 1)
-    return _ordered(fn, [(c_lo, min(c_lo + size, hi), kind, base_primes)
-                         for c_lo in range(lo, hi, size)])
+    return _ordered(fn, [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
+                         for c_lo in range(lo, hi, DEFAULT_CHUNK)])
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:

@@ -2,12 +2,12 @@
 
 Primes come from a segmented sieve of Eratosthenes over an odd-number bitmap
 (2**20 entries per segment, start offsets in numpy), later segments sieved
-ahead on a thread pool (_ordered).  Theta, the running sum of log p, is an
-unevaluated (hi, lo) pair of binary64 values, about twice the precision of a
-double.  Each chunk is summed exactly by repeated extraction (chunk_sum_dd),
-giving its correctly rounded sum and residual, and the pairs are combined by
-error-free double-double addition in fixed order: bits do not depend on the
-worker count.
+ahead on a thread pool (_ordered); it also grows the one small-prime list.
+Theta, the running sum of log p, is an unevaluated (hi, lo) pair of binary64
+values, about twice the precision of a double.  Each chunk is summed exactly
+by repeated extraction (chunk_sum_dd), giving its correctly rounded sum and
+residual, and the pairs are combined by error-free double-double addition in
+fixed order: bits do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -138,21 +138,31 @@ def chunk_sum_dd(values) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # sieving
 
-@lru_cache(maxsize=8)
+_prime_list = (None, 0)  # (primes, hi): every prime below hi, in an int64 array
+
+
+def _primes_below(limit: int):
+    """The shared list, grown if short to hold every prime below limit >= 1.
+    It starts empty and is replaced, never mutated: threads see whole lists."""
+    global _prime_list
+    primes, hi = _prime_list
+    if hi < limit:  # the base first, then [hi, max(2 hi, limit)) in one go
+        import numpy as np
+        top = max(2 * hi, limit)
+        root = math.isqrt(top - 1) + 1  # above every p with p * p < top
+        base = _primes_below(root) if root < top else np.empty(0, np.int64)
+        more = _segment_primes(hi, top, base)
+        primes = np.concatenate([primes, more]) if hi else more
+        primes.flags.writeable = False  # and so is every prefix of it
+        _prime_list = (primes, top)
+    return primes
+
+
+@lru_cache(maxsize=8)  # kept for the counters perfbench/spans.py reads
 def _simple_sieve(limit: int):
-    import numpy as np
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-def _base_primes(hi: int):
-    return _simple_sieve(max(math.isqrt(max(hi - 1, 0)) + 1, 16))
+    """The primes <= limit: a read-only prefix of the shared list."""
+    primes = _primes_below(limit + 1)
+    return primes[:primes.searchsorted(limit, "right")]
 
 
 def _segment_primes(lo: int, hi: int, base):
@@ -190,7 +200,7 @@ def iter_prime_chunks(value_limit: int) -> Iterator:
             f"value_limit={value_limit} exceeds ceiling {PRIME_VALUE_CEILING}")
     if value_limit <= 2:
         return
-    base = _base_primes(value_limit)
+    base = _simple_sieve(math.isqrt(value_limit - 1))
     for _, primes in _ordered(_segment_primes, [
             (lo, min(lo + _SEG_SPAN, value_limit), base)
             for lo in range(0, value_limit, _SEG_SPAN)]):

@@ -1,7 +1,7 @@
 """Report rendering: CSV, Markdown and JSON with reproducible formatting.
 
-CSV writes header and row floats with 17 significant digits (round-trip
-exact for binary64); its footer, like all of JSON, uses Python's shortest
+CSV writes row floats with 17 significant digits (round-trip exact for
+binary64); its "# key=value" lines, like all of JSON, use Python's shortest
 round-trip float repr, which parses back to the identical value.  Output
 carries no timestamps in the body; the runtime lives only in the footer.
 """
@@ -41,13 +41,13 @@ class RenderedReport(Record):
         return meta
 
     def to_csv(self) -> str:
-        lines = [f"# {k}={fmt_number(v)}" for k, v in self.meta.items()]
+        def comment(k, v):  # floats as in JSON: c=0.6483, runtime_s=0.279
+            return f"# {k}={v!r}" if isinstance(v, float) else f"# {k}={fmt_number(v)}"
+        lines = [comment(k, v) for k, v in self.meta.items()]
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(fmt_number(row.get(c, "")) for c in self.columns))
-        for k, v in self.footer.items():  # runtime_s=0.279, as in JSON
-            lines.append(f"# {k}={v!r}" if isinstance(v, float)
-                         else f"# {k}={fmt_number(v)}")
+        lines += [comment(k, v) for k, v in self.footer.items()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

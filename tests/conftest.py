@@ -48,3 +48,13 @@ def set_workers(monkeypatch):
     def set_(workers):
         monkeypatch.setattr(prime_engine, "WORKERS", workers)
     return set_
+
+
+@pytest.fixture
+def cold_primes(monkeypatch):
+    """Start prime_engine's shared prime list empty, as a fresh process does,
+    for one test; the list it grows and the lru prefixes of it go after."""
+    monkeypatch.setattr(prime_engine, "_prime_list", (None, 0))
+    prime_engine._simple_sieve.cache_clear()
+    yield
+    prime_engine._simple_sieve.cache_clear()

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from psirh import arith
+from oracles import sieve_reference
+from psirh import arith, prime_engine
 from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_range,
                          psi_table, sigma_table)
 from psirh.champions import first_primes
@@ -64,7 +65,7 @@ class TestFactorize:
     def test_awkward_points(self, n, factors):
         assert psirh.factorize(n).factors == factors
 
-    def test_cofactor_above_psi13_stops_at_trial_ceiling(self):
+    def test_cofactor_above_psi13_stops_at_trial_ceiling(self, cold_primes):
         # two primes near 2*10^12: the product is above psi_13, so no
         # primality proof applies, and no prime below its square root
         # divides it; trial division stops at the ceiling, not at 2*10^12
@@ -72,7 +73,7 @@ class TestFactorize:
         assert n >= arith._MR_LIMIT
         with pytest.raises(ResourceLimitError, match="primality proof"):
             psirh.factorize(n)
-        assert arith._prime_list[1] <= arith.FACTORIZE_TRIAL_CEILING
+        assert prime_engine._prime_list[1] == arith.FACTORIZE_TRIAL_CEILING
         # a cofactor that drops below psi_13 early is still factored
         assert psirh.factorize(3 * 1009**5 * (10**12 + 39)).factors == (
             (3, 1), (1009, 5), (10**12 + 39, 1))
@@ -117,22 +118,23 @@ class TestFactorize:
     @given(lo=st.integers(10**11, 10**12 - 2000))
     def test_window_matches_kernel(self, lo):
         hi = lo + 2000
-        base = _simple_sieve(math.isqrt(hi - 1)).tolist()
-        psi = multiplicative_range(lo, hi, False, base)
-        sig = multiplicative_range(lo, hi, True, base)
+        psi = multiplicative_range(lo, hi, False)
+        sig = multiplicative_range(lo, hi, True)
         for n in range(lo, hi):
             factors = psirh.factorize(n).factors
             assert math.prod(p**(e - 1) * (p + 1) for p, e in factors) == psi[n - lo]
             assert (math.prod((p**(e + 1) - 1) // (p - 1) for p, e in factors)
                     == sig[n - lo])
 
-    def test_no_sieve_per_query(self):
+    def test_no_sieve_per_query(self, cold_primes):
         rng = random.Random(11)
-        psirh.factorize(10**12 - 11)  # warm-up: the prime list reaches 10^6
-        before = _simple_sieve.cache_info().misses
+        # warm-up: two primes near 10^6, so the prime list passes 10^6
+        psirh.factorize(999_983 * 1_000_003)
+        grown = prime_engine._prime_list[1]
+        assert grown > 10**6
         for n in rng.sample(range(10**11, 10**12), 200):
             psirh.factorize(n)
-        assert _simple_sieve.cache_info().misses - before <= 2
+        assert prime_engine._prime_list[1] == grown
 
 
 class TestMillerRabin:
@@ -293,10 +295,9 @@ class TestKernel:
         cut = data.draw(st.integers(lo, hi), label="cut")
         sample = data.draw(st.lists(st.integers(lo, hi - 1), min_size=1,
                                     max_size=10), label="sample")
-        base = _simple_sieve(math.isqrt(hi - 1)).tolist()
         for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
-            whole = multiplicative_range(lo, hi, want_sigma, base)
-            parts = [multiplicative_range(a, b, want_sigma, base)
+            whole = multiplicative_range(lo, hi, want_sigma)
+            parts = [multiplicative_range(a, b, want_sigma)
                      for a, b in ((lo, cut), (cut, hi)) if a < b]
             assert np.array_equal(np.concatenate(parts), whole)
             for n in sample:
@@ -308,7 +309,7 @@ def reference_range(lo, hi, want_sigma):
     divides a remainder that starts at n, and what is left is 1 or prime."""
     rem = np.arange(lo, hi, dtype=np.int64)
     val = np.ones(hi - lo, dtype=np.int64)
-    for p in _simple_sieve(math.isqrt(hi - 1)).tolist():
+    for p in sieve_reference(math.isqrt(hi - 1)).tolist():
         pk, s_prev = p, 1
         while pk < hi:
             start = max(-(-lo // pk), 1) * pk - lo
@@ -334,8 +335,7 @@ class TestKernelPattern:
 
     def check(self, lo, hi, points=()):
         for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
-            got = multiplicative_range(lo, hi, want_sigma,
-                                       _simple_sieve(math.isqrt(hi - 1)))
+            got = multiplicative_range(lo, hi, want_sigma)
             assert np.array_equal(got, reference_range(lo, hi, want_sigma))
             for n in points:
                 assert got[n - lo] == (fn(n) if n else 0)
@@ -374,22 +374,14 @@ class TestKernelPattern:
                                     min_size=1, max_size=5), label="sample")
         self.check(lo, lo + span, sample)
 
-    def test_list_and_array_base_agree(self):
-        base = _simple_sieve(math.isqrt(10**6))
-        for want_sigma in (False, True):
-            assert np.array_equal(
-                multiplicative_range(10**6 - 500, 10**6, want_sigma, base),
-                multiplicative_range(10**6 - 500, 10**6, want_sigma,
-                                     base.tolist()))
-
-    def test_edge_of_the_exactness_domain(self):
+    def test_edge_of_the_exactness_domain(self, cold_primes):
         top = arith.KERNEL_CEILING
         assert top == 2**53
         with pytest.raises(DomainError, match="2\\^53"):
-            multiplicative_range(top - 10, top + 1, False, [2, 3])
-        # every prime below sqrt(2^53), about 5.4M of them (43 MB)
-        base = np.concatenate(list(iter_prime_chunks(math.isqrt(top - 1) + 1)))
+            multiplicative_range(top - 10, top + 1, False)
+        # the kernel grows the list to every prime below sqrt(2^53), about
+        # 5.4M of them (43 MB); cold_primes drops it afterwards
         lo = top - 48
         for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
-            got = multiplicative_range(lo, top, want_sigma, base)
+            got = multiplicative_range(lo, top, want_sigma)
             assert got.tolist() == [fn(n) for n in range(lo, top)]

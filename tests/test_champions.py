@@ -262,7 +262,7 @@ def prop2_reference(limit):
 def every_m_a_candidate(monkeypatch):
     """A prefilter whose every value lies above f(N_k) - _CANDIDATE_BAND."""
     monkeypatch.setattr(criteria, "_chunk_values",
-                        lambda lo, hi, kind, base: np.full(hi - lo, np.inf))
+                        lambda lo, hi, kind: np.full(hi - lo, np.inf))
 
 
 class TestDecisionPath:
@@ -308,7 +308,7 @@ def chunk_size(request, monkeypatch):
 def every_n_a_record_candidate(monkeypatch):
     """Float ratios that rule nothing out, so the exact path decides all."""
     monkeypatch.setattr(criteria, "_chunk_ratios",
-                        lambda lo, hi, kind, base: np.full(hi - lo, np.inf))
+                        lambda lo, hi, kind: np.full(hi - lo, np.inf))
 
 
 def check_record_scans(limit):

@@ -56,7 +56,7 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "psirh: domain error: mertens ratio defined for n >= 2\n"),
     "bounds": (["bounds", "--hi", "3000", "--sigma-hi", "10000"],
-        0, "95e17f0cb6e61c3561dbc9c35f118e5aa858769ea5c0e0050691cf6bcbb49122",
+        0, "86493965eaedc49ca1ef9817ef13ca1fd28361e27771aaae796ad087c16bdc22",
         ""),
     "bounds below 20000": (["bounds", "--lo", "100"],
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

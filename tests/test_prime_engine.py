@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from psirh import prime_engine
+from oracles import sieve_reference
+from psirh import criteria, prime_engine
 from psirh.errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 from psirh.prime_engine import (CHUNK_SUM_MAX_VALUES, PRIME_INDEX_CEILING,
                                 ThetaCache, ThetaPoint, chunk_sum_dd, dd_add,
@@ -75,7 +76,7 @@ class TestSegmentPrimes:
 
     @staticmethod
     def segment(lo, hi):
-        base = prime_engine._base_primes(hi)
+        base = prime_engine._simple_sieve(math.isqrt(hi - 1))
         return prime_engine._segment_primes(lo, hi, base).tolist()
 
     @pytest.mark.parametrize("lo, hi", [
@@ -96,12 +97,73 @@ class TestSegmentPrimes:
         assert self.segment(lo, lo + 120) == trial_division_primes(lo, lo + 120)
 
     def test_whole_segments_match_one_sieve(self):
-        primes = prime_engine._simple_sieve(2**23)
+        primes = sieve_reference(2**23)
         for lo in (0, 2**21, 3 * 2**21):
             hi = lo + 2**21
             want = primes[(primes >= lo) & (primes < hi)]
-            got = prime_engine._segment_primes(lo, hi, prime_engine._base_primes(hi))
+            got = prime_engine._segment_primes(
+                lo, hi, sieve_reference(math.isqrt(hi - 1)))
             assert np.array_equal(got, want) and got.dtype == np.int64
+
+
+class TestPrimeList:
+    """The one shared list of small primes: prime_engine._primes_below grows
+    it, and _simple_sieve hands out read-only prefixes of it."""
+
+    BOUNDS = (0, 1, 2, 3, 4, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1)
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_matches_the_reference(self, request, cold):
+        if cold:
+            request.getfixturevalue("cold_primes")
+        for limit in self.BOUNDS:
+            got = prime_engine._simple_sieve(limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, sieve_reference(limit)), limit
+            # the whole list: every prime below its bound, and nothing else
+            primes, hi = prime_engine._prime_list
+            assert hi > limit
+            assert np.array_equal(primes, sieve_reference(hi - 1))
+
+    def test_cold_growth_is_one_segment_per_level(self, cold_primes,
+                                                  monkeypatch):
+        # the base primes by recursion (to 35, 6, 3, 2), then [0, 1181) at once
+        calls = []
+        segment = prime_engine._segment_primes
+        monkeypatch.setattr(prime_engine, "_segment_primes",
+                            lambda lo, hi, base: calls.append((lo, hi))
+                            or segment(lo, hi, base))
+        prime_engine._simple_sieve(1180)
+        assert calls == [(0, 2), (0, 3), (0, 6), (0, 35), (0, 1181)]
+        assert prime_engine._prime_list[1] == 1181
+        # a short list doubles its bound: nothing below it is sieved again
+        calls.clear()
+        prime_engine._primes_below(1500)
+        assert calls == [(1181, 2362)]
+
+    def test_prefixes_are_read_only(self):
+        primes = prime_engine._simple_sieve(100)
+        with pytest.raises(ValueError):
+            primes[0] = 4
+        with pytest.raises(ValueError):
+            prime_engine._primes_below(100)[-1] = 4
+        assert prime_engine._simple_sieve(100)[0] == 2
+
+    def test_cold_list_grown_by_two_workers(self, cold_primes, set_workers,
+                                            monkeypatch):
+        # a 2-worker scan grows the empty list from its worker threads,
+        # one base-prime bound per chunk, and reports what a serial one does
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1 << 12)
+        runs = []
+        for workers in (2, 1):
+            set_workers(workers)
+            monkeypatch.setattr(prime_engine, "_prime_list", (None, 0))
+            prime_engine._simple_sieve.cache_clear()
+            for kind in (criteria.CriterionKind.DEDEKIND_F,
+                         criteria.CriterionKind.ROBIN_G):
+                runs.append(criteria.scan_exceptions(kind, 2, 10**5))
+        assert runs[:2] == runs[2:]
+        assert runs[0].exceptions == (2, 3, 4, 5, 6, 8, 10, 12, 18, 30)
 
 
 class TestPrimeStreamPipeline:
@@ -280,7 +342,7 @@ def real_chunks():
     of primes near p_1e7."""
     lo = 179_000_000
     late = prime_engine._segment_primes(
-        lo, lo + 2**21, prime_engine._base_primes(lo + 2**21))
+        lo, lo + 2**21, prime_engine._simple_sieve(math.isqrt(lo + 2**21 - 1)))
     out = []
     for primes in (next(iter_prime_chunks(2**21)), late):
         pf = primes.astype(np.float64)

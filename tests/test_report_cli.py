@@ -100,15 +100,18 @@ class TestFormats:
     def test_csv_footer_floats_in_shortest_form(self):
         limit = CONSTANTS.e_gamma_over_zeta2
         rep = report.RenderedReport(
-            command="mertens", parameters={"indices": "10"},
+            command="mertens", parameters={"indices": "10", "c": 0.6483},
             columns=["n", "ratio"], rows=[{"n": 10, "ratio": 0.279}],
             footer={"limit": limit, "runtime_s": 0.279})
         lines = rep.to_csv().splitlines()
-        # rows keep 17 significant digits; the footer prints as JSON does
+        # rows keep 17 significant digits; every "# key=value" line, header
+        # and footer, prints a float as JSON does
+        assert "# c=0.6483" in lines
         assert lines[-3:] == ["10,0.27900000000000003",
                               "# limit=1.0827621932609246",
                               "# runtime_s=0.279"]
-        assert json.loads(rep.to_json())["footer"]["runtime_s"] == 0.279
+        doc = json.loads(rep.to_json())
+        assert doc["meta"]["c"] == 0.6483 and doc["footer"]["runtime_s"] == 0.279
 
     def test_markdown_table(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "md", "table2", "--indices", "3,10")
