@@ -31,6 +31,7 @@ from .prime_engine import _nth_prime_value_bound, _simple_sieve
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
 # 2-core Xeon with 7 GB); prop2 walks its range in chunks, in under 65 MB:
 SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n
+S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV
 PROP1_CEILING = 10**8
 PROP2_CEILING = 10**8          # 4.1 s, 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
@@ -86,8 +87,10 @@ def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     """All l*N_k <= limit with 1 <= l < p_{k+1}, in increasing order.
 
     Generated structurally from the primorial ladder, never by scanning
-    integers; limit may be an arbitrary-precision integer.
+    integers; limit is an int up to S_SEQUENCE_CEILING.
     """
+    if limit > S_SEQUENCE_CEILING:
+        raise ResourceLimitError("limit exceeds ceiling 10**300")
     out: list[ChampionNumber] = []
     ratio_log = 0.0
     for k, p, primorial, p_next in _primorials(limit):

@@ -262,6 +262,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.digits < 0:  # a usage error before any work, in every format
+            parser.error(f"argument --digits: must be >= 0, got {args.digits}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

@@ -1,13 +1,13 @@
-"""Segmented prime sieve and compensated Chebyshev theta accumulation.
+"""Segmented prime sieve and exact Chebyshev theta accumulation.
 
 Primes come from a segmented sieve of Eratosthenes over an odd-number bitmap
 (2**20 entries per segment, start offsets in numpy), later segments sieved
 ahead on a thread pool (_ordered); it also grows the one small-prime list.
-Theta, the running sum of log p, is an unevaluated (hi, lo) pair of binary64
-values, about twice the precision of a double.  Each chunk is summed exactly
-by repeated extraction (chunk_sum_dd), giving its correctly rounded sum and
-residual, and the pairs are combined by error-free double-double addition in
-fixed order: bits do not depend on the worker count.
+Theta, the running sum of log p, is summed exactly: repeated extraction
+(chunk_sum_dd) makes each chunk's sum a Python int counting units of
+2**-1074, totals add with +, and dd_pair reads one out as an unevaluated
+(hi, lo) pair of binary64 values, its correctly rounded sum and residual.
+Bits depend neither on the worker count nor on the chunking.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .constants import Record
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 
 # numpy is imported inside the functions that make (unannotated) arrays:
-# the theta cache and the double-double helpers serve a warm table1 without it.
+# the theta cache and dd_pair serve a warm table1 without it.
 
 # Ceilings: index ceiling leaves headroom above 10**7 so the n = 10**7 table
 # column plus one successor prime is always reachable.
@@ -69,20 +69,7 @@ def _ordered(fn, jobs):
 
 
 # ---------------------------------------------------------------------------
-# double-double helpers
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
-    s, e = _two_sum(ahi, bhi)
-    e += alo + blo
-    hi = s + e
-    return hi, e - (hi - s)
-
+# exact sums
 
 # Extraction needs 2**M >= n + 2 and M < 52; CHUNK_SUM_MAX_VALUES keeps M at
 # most 27, so each round takes at least 25 more bits off every value.
@@ -90,18 +77,17 @@ CHUNK_SUM_MAX_VALUES = 1 << 26
 _UNIT = 1 << 1074  # every double is an integer count of 2**-1074
 
 
-def chunk_sum_dd(values) -> tuple[float, float]:
-    """Sum a chunk of finite floats to a (hi, lo) pair, exactly.
+def chunk_sum_dd(values) -> int:
+    """The exact sum of a chunk of finite floats, as an int count of 2**-1074.
 
     Repeated extraction (ExtractVector of Rump, Ogita & Oishi, "Accurate
     floating-point summation part I: faithful rounding", SIAM J. Sci.
     Comput. 31(1), 2008): with sigma = 2**k >= 2**M * max|q| and
     2**M >= n + 2, p = (q + sigma) - sigma and q - p are exact and
-    np.sum(p) does not round.  Each round's sum goes into one Python int,
-    the exact total in units of 2**-1074, and q - p goes to the next round
-    until q is all zero.  hi is the total correctly rounded (math.fsum's
-    value) and lo the correctly rounded residual.  Only ufuncs touch the
-    array, so the sum releases the GIL.
+    np.sum(p) does not round.  Each round's sum goes into the int total and
+    q - p goes to the next round until q is all zero.  Totals add exactly
+    with +, and dd_pair rounds one to floats.  Only ufuncs touch the array,
+    so the sum releases the GIL.
     """
     import numpy as np
     n = len(values)
@@ -117,7 +103,7 @@ def chunk_sum_dd(values) -> tuple[float, float]:
         if not math.isfinite(top):
             raise DomainError("chunk contains inf or nan")
         if top == 0.0:
-            break
+            return total
         k = math.frexp(top)[1] + m  # top < 2**(k - m)
         if k > 1023:  # sigma would overflow: add the integers >= 2**(1023-m)
             big = np.abs(q) >= math.ldexp(1.0, 1023 - m)
@@ -130,6 +116,11 @@ def chunk_sum_dd(values) -> tuple[float, float]:
         num, den = float(p.sum()).as_integer_ratio()
         total += num << (1075 - den.bit_length())
         q -= p
+
+
+def dd_pair(total: int) -> tuple[float, float]:
+    """A chunk_sum_dd total as (hi, lo): the total correctly rounded, as
+    math.fsum rounds it, and the residual correctly rounded."""
     hi = total / _UNIT
     num, den = hi.as_integer_ratio()
     return hi, (total - num * (_UNIT // den)) / _UNIT
@@ -146,13 +137,16 @@ def _primes_below(limit: int):
     It starts empty and is replaced, never mutated: threads see whole lists."""
     global _prime_list
     primes, hi = _prime_list
-    if hi < limit:  # the base first, then [hi, max(2 hi, limit)) in one go
+    if hi < limit:  # the base first, then [hi, max(2 hi, limit))
         import numpy as np
         top = max(2 * hi, limit)
         root = math.isqrt(top - 1) + 1  # above every p with p * p < top
         base = _primes_below(root) if root < top else np.empty(0, np.int64)
-        more = _segment_primes(hi, top, base)
-        primes = np.concatenate([primes, more]) if hi else more
+        # _SEG_SPAN values at a time, in a plain loop: it may run on a worker
+        pieces = [primes] if hi else []
+        for lo in range(hi, top, _SEG_SPAN):
+            pieces.append(_segment_primes(lo, min(lo + _SEG_SPAN, top), base))
+        primes = np.concatenate(pieces)
         primes.flags.writeable = False  # and so is every prefix of it
         _prime_list = (primes, top)
     return primes

@@ -2,8 +2,8 @@
 successor-ratio deviations, and the explicit bounds for p_n >= 20000.
 
 N_n is never materialized (N_100000 has half a million digits); everything
-lives on log N_n = theta(p_n) and R_n = sum log(1 + 1/p_i), both carried as
-compensated (hi, lo) pairs along a single ordered prime stream.
+lives on log N_n = theta(p_n) and R_n = sum log(1 + 1/p_i), both summed
+exactly along a single ordered prime stream into (hi, lo) checkpoints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .constants import CONSTANTS, BoundCheckResult, Record
 from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
 from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
-                           cache_load, cache_save, chunk_sum_dd, dd_add,
+                           cache_load, cache_save, chunk_sum_dd, dd_pair,
                            iter_prime_chunks, _nth_prime_value_bound)
 from .prime_engine import nth_prime  # noqa: F401 (wrapped by perfbench/spans.py)
 
@@ -102,13 +102,14 @@ def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
     yields (first, primes, logs, rl, theta_start, theta_cum, r_start, stats),
     the chunk's first index, its primes, log p and log1p(1/p) as floats,
     theta before the chunk and its prefix sums on it, R before the chunk,
-    and the PrimorialStats at the sorted cuts in it.  The (hi, lo) theta and
-    R lanes add each chunk exactly, split at the cuts; nothing else sums
-    them.  The arrays are rows of one buffer that the next chunk overwrites:
-    fresh ones, still held by the caller, cost bounds 2.5x the page faults.
+    and the PrimorialStats at the sorted cuts in it.  The theta and R lanes
+    are exact int totals (chunk_sum_dd), so a checkpoint (dd_pair) is
+    correctly rounded however the stream is chunked and cut.  The arrays
+    are rows of one buffer that the next chunk overwrites: fresh ones,
+    still held by the caller, cost bounds 2.5x the page faults.
     """
     import numpy as np
-    theta_hi = theta_lo = r_hi = r_lo = 0.0
+    theta = r = 0
     count = ci = 0
     bound = min(_nth_prime_value_bound(n_max), prime_engine.PRIME_VALUE_CEILING)
     buf = np.empty((4, 0))
@@ -123,7 +124,7 @@ def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
         np.log(pf, out=logs)
         np.divide(1.0, pf, out=rl)
         np.log1p(rl, out=rl)
-        theta_start, r_start = theta_hi + theta_lo, r_hi + r_lo
+        theta_start, r_start = dd_pair(theta)[0], dd_pair(r)[0]
         np.cumsum(logs, out=theta_cum)
         theta_cum += theta_start
         stats = []
@@ -131,13 +132,11 @@ def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
         while pos < len(chunk):  # up to the next cut or the chunk's end
             at_cut = ci < len(cuts) and cuts[ci] <= count + len(chunk)
             end = cuts[ci] - count if at_cut else len(chunk)
-            h, l = chunk_sum_dd(logs[pos:end])
-            theta_hi, theta_lo = dd_add(theta_hi, theta_lo, h, l)
-            h, l = chunk_sum_dd(rl[pos:end])
-            r_hi, r_lo = dd_add(r_hi, r_lo, h, l)
+            theta += chunk_sum_dd(logs[pos:end])
+            r += chunk_sum_dd(rl[pos:end])
             if at_cut:
                 stats.append(PrimorialStats(cuts[ci], int(chunk[end - 1]),
-                                            theta_hi, theta_lo, r_hi, r_lo))
+                                            *dd_pair(theta), *dd_pair(r)))
                 ci += 1
             pos = end
         yield count + 1, pf, logs, rl, theta_start, theta_cum, r_start, stats

@@ -10,6 +10,7 @@ import psirh
 from psirh import champions, criteria
 from psirh.arith import psi_table, sigma_table
 from psirh.champions import Proposition, first_primes, read_bfile
+from psirh.cli import OEIS_S_LIMIT
 from psirh.criteria import CriterionKind
 from psirh.errors import BFileParseError, ResourceLimitError
 
@@ -72,6 +73,12 @@ class TestSSequence:
     def test_matches_brute_force_scan(self):
         limit = 10**4
         assert psi_champions(limit) == s_values(limit)
+
+    def test_ceiling(self):
+        assert champions.S_SEQUENCE_CEILING >= OEIS_S_LIMIT
+        for limit in (champions.S_SEQUENCE_CEILING + 1, 10**3000):
+            with pytest.raises(ResourceLimitError):
+                psirh.generate_s_sequence(limit)
 
 
 class TestPsiChampion:

@@ -40,6 +40,9 @@ GOLDEN = {
     "champions md": (["--format", "md", "champions", "--limit", "10000"],
         0, "982e8589342029974eb93ef13bd2eda8ab3f34ae325cc85a2734b81601c56dfd",
         ""),
+    "champions ceiling": (["champions", "--limit", "1" + "0" * 300 + "1"],
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: resource limit: limit exceeds ceiling 10**300\n"),
     "superabundant": (["superabundant", "--limit", "100000"],
         0, "0efe44e17f02e70ee7f4653c26b47a31f247e202234b69a8eeff32825113ece8",
         ""),

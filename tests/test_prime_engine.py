@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import sieve_reference
 from psirh import criteria, prime_engine
 from psirh.errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 from psirh.prime_engine import (CHUNK_SUM_MAX_VALUES, PRIME_INDEX_CEILING,
-                                ThetaCache, ThetaPoint, chunk_sum_dd, dd_add,
+                                ThetaCache, ThetaPoint, chunk_sum_dd, dd_pair,
                                 iter_prime_chunks)
 from psirh.primorial import TABLE1_DEFAULT_INDICES
 
@@ -140,6 +141,18 @@ class TestPrimeList:
         calls.clear()
         prime_engine._primes_below(1500)
         assert calls == [(1181, 2362)]
+
+    def test_cold_growth_sieves_a_segment_at_a_time(self, cold_primes,
+                                                    monkeypatch):
+        # a jump past _SEG_SPAN values is sieved in pieces of at most that
+        spans = []
+        segment = prime_engine._segment_primes
+        monkeypatch.setattr(prime_engine, "_segment_primes",
+                            lambda lo, hi, base: spans.append(hi - lo)
+                            or segment(lo, hi, base))
+        primes = prime_engine._primes_below(2**23)
+        assert max(spans) == prime_engine._SEG_SPAN and len(spans) > 4
+        assert np.array_equal(primes, sieve_reference(2**23 - 1))
 
     def test_prefixes_are_read_only(self):
         primes = prime_engine._simple_sieve(100)
@@ -310,13 +323,18 @@ class TestThetaStream:
 class TestDoubleDouble:
     def test_chunk_sum_recovers_residual(self):
         vals = np.array([1.0, 1e-17, 1e-17, 1e-17])
-        hi, lo = chunk_sum_dd(vals)
+        hi, lo = dd_pair(chunk_sum_dd(vals))
         assert hi == 1.0
         assert lo == pytest.approx(3e-17, rel=1e-10)
 
-    def test_dd_add_exact_for_representable(self):
-        hi, lo = dd_add(1.0, 0.0, 2.0**-60, 0.0)
-        assert hi == 1.0 and lo == 2.0**-60
+    def test_totals_add_exactly(self):
+        # 1 + 2**-60 + 2**-120 needs more than a (hi, lo) pair: the total
+        # keeps every bit, and its pair is the correctly rounded one
+        total = sum(chunk_sum_dd(np.array([v]))
+                    for v in (1.0, 2.0**-60, 2.0**-120))
+        assert Fraction(total, 2**1074) == (
+            1 + Fraction(1, 2**60) + Fraction(1, 2**120))
+        assert dd_pair(total) == (1.0, 2.0**-60)
 
 
 def fsum_pair(values):
@@ -328,6 +346,11 @@ def fsum_pair(values):
 
 def same_bits(got, want):
     return [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def pair_sum(values):
+    """chunk_sum_dd's exact total of values, read out by dd_pair."""
+    return dd_pair(chunk_sum_dd(values))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64,
@@ -351,13 +374,17 @@ def real_chunks():
 
 
 class TestChunkSum:
-    """chunk_sum_dd is exact: hi and lo carry the bits of math.fsum."""
+    """chunk_sum_dd is exact: its int total is the sum in units of
+    2**-1074, and dd_pair's hi and lo carry the bits of math.fsum."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(finite, spread, subnormal), max_size=60))
     def test_matches_fsum(self, values):
         x = np.array(values, dtype=np.float64)
-        assert same_bits(chunk_sum_dd(x), fsum_pair(values))
+        total = chunk_sum_dd(x)
+        assert Fraction(total, 2**1074) == sum(map(Fraction, values),
+                                              Fraction(0))
+        assert same_bits(dd_pair(total), fsum_pair(values))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(spread, subnormal), min_size=1, max_size=40),
@@ -365,16 +392,16 @@ class TestChunkSum:
     def test_exact_cancellation(self, values, rnd):
         both = values + [-v for v in values]
         rnd.shuffle(both)
-        assert same_bits(chunk_sum_dd(np.array(both)), (0.0, 0.0))
+        assert same_bits(pair_sum(np.array(both)), (0.0, 0.0))
         both.append(values[0])
-        assert same_bits(chunk_sum_dd(np.array(both)), fsum_pair(both))
+        assert same_bits(pair_sum(np.array(both)), fsum_pair(both))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(subnormal, max_size=40), st.lists(spread, max_size=5))
     def test_subnormals(self, tiny, big):
         """Sums that land in the gradual-underflow range round like fsum."""
         values = tiny + big
-        assert same_bits(chunk_sum_dd(np.array(values, dtype=np.float64)),
+        assert same_bits(pair_sum(np.array(values, dtype=np.float64)),
                          fsum_pair(values))
 
     @pytest.mark.parametrize("values", [
@@ -386,14 +413,14 @@ class TestChunkSum:
         [1.5 * 2.0**1019] * 7 + [2.0**-1074],  # the first sigma past 2**1023
     ])
     def test_top_exponents_keep_subnormal_bits(self, values):
-        assert same_bits(chunk_sum_dd(np.array(values)), fsum_pair(values))
+        assert same_bits(pair_sum(np.array(values)), fsum_pair(values))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0),
                               st.integers(-1074, 1020)), max_size=8))
     def test_whole_exponent_range(self, values):
         # at most 8 values below 2**1020: no partial sum overflows
-        assert same_bits(chunk_sum_dd(np.array(values, dtype=np.float64)),
+        assert same_bits(pair_sum(np.array(values, dtype=np.float64)),
                          fsum_pair(values))
 
     def test_input_left_unchanged(self, real_chunks):
@@ -403,9 +430,9 @@ class TestChunkSum:
         assert np.array_equal(arr, copy)
 
     def test_empty_and_single(self):
-        assert same_bits(chunk_sum_dd(np.array([])), (0.0, 0.0))
+        assert same_bits(pair_sum(np.array([])), (0.0, 0.0))
         for v in (0.0, -0.0, 1.5, -2.0**-1074, 2.0**1023, math.pi):
-            assert same_bits(chunk_sum_dd(np.array([v])), fsum_pair([v]))
+            assert same_bits(pair_sum(np.array([v])), fsum_pair([v]))
 
     @settings(max_examples=60, deadline=None)
     @given(which=st.integers(0, 3), start=st.integers(0, 10**5),
@@ -414,11 +441,11 @@ class TestChunkSum:
         arr = real_chunks[which]
         start %= len(arr)
         part = arr[start:start + length]
-        assert same_bits(chunk_sum_dd(part), fsum_pair(part.tolist()))
+        assert same_bits(pair_sum(part), fsum_pair(part.tolist()))
 
     def test_whole_real_chunks(self, real_chunks):
         for arr in real_chunks:
-            assert same_bits(chunk_sum_dd(arr), fsum_pair(arr.tolist()))
+            assert same_bits(pair_sum(arr), fsum_pair(arr.tolist()))
 
     @pytest.mark.parametrize("bad", [[math.inf], [-math.inf], [math.nan],
                                      [1.0, math.inf, -math.inf],

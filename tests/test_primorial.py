@@ -128,6 +128,63 @@ class TestThetaChecks:
         assert not res.theta_monotonic
 
 
+def exact_pair(total):
+    """The correctly rounded (hi, lo) pair of a Fraction; a zero is +0.0."""
+    hi = float(total)
+    return hi + 0.0, float(total - Fraction(hi)) + 0.0
+
+
+class TestExactLanes:
+    """The theta and R lanes of the pass are exact: at every cut, (hi, lo)
+    is the correctly rounded sum of the float logs the pass made, whatever
+    the chunking and the cuts."""
+
+    @staticmethod
+    def run(monkeypatch, values, sizes, cuts):
+        """The pass over values in chunks of the given sizes: the float log p
+        and log1p(1/p) it made, and its PrimorialStats at the cuts."""
+        chunks = np.split(np.array(values, dtype=np.int64), np.cumsum(sizes)[:-1])
+        monkeypatch.setattr(primorial, "iter_prime_chunks",
+                            lambda limit: iter(chunks))
+        logs, rls, stats = [], [], []
+        for _, _, lg, rl, _, _, _, at_cuts in primorial._pass(len(values), cuts):
+            logs += lg.tolist()
+            rls += rl.tolist()
+            stats += at_cuts
+        return logs, rls, stats
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_correctly_rounded_at_every_cut(self, monkeypatch, seed):
+        rnd = random.Random(seed)
+        n = rnd.randint(50, 300)
+        # values up to 2**62: the R lane runs from log 1.5 down to ulps of
+        # 2**-114, wider than the 106 bits a (hi, lo) pair holds
+        values = [rnd.randint(2, 2 ** rnd.randint(2, 62)) for _ in range(n)]
+        common = rnd.sample(range(1, n + 1), 8)
+        bits = []
+        for _ in range(2):  # the same values, regrouped and cut elsewhere
+            edges = sorted(rnd.sample(range(1, n), rnd.randint(0, 5)))
+            cuts = sorted({*common, *rnd.sample(range(1, n + 1), 10)})
+            logs, rls, stats = self.run(monkeypatch, values,
+                                        np.diff([0, *edges, n]), cuts)
+            assert [s.index for s in stats] == cuts
+            for s in stats:
+                theta = sum(map(Fraction, logs[:s.index]), Fraction(0))
+                r = sum(map(Fraction, rls[:s.index]), Fraction(0))
+                assert s.prime == values[s.index - 1]
+                assert same_bits((s.theta_hi, s.theta_lo), exact_pair(theta))
+                assert same_bits((s.psi_ratio_log_hi, s.psi_ratio_log_lo),
+                                 exact_pair(r))
+            bits.append({s.index: tuple(v.hex() for v in (
+                s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo))
+                for s in stats if s.index in common})
+        assert bits[0] == bits[1]
+
+
+def same_bits(got, want):
+    return [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def stream_values(n):
     """theta(p_n) as a ThetaPoint and p_{n+1}, from one prime pass."""
     point, succ = psirh.full_scan(n + 1, [n, n + 1]).stats

@@ -68,6 +68,20 @@ class TestScanCommand:
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(capsys, "scan", "--criterion", "x", "--hi", "10")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_negative_digits_usage_error(self, capsys, monkeypatch, fmt):
+        # rejected before any work: the table is never computed
+        monkeypatch.setattr(primorial, "table2", None)
+        code, out, err = run_cli(capsys, "--format", fmt, "--digits", "-1",
+                                 "table2", "--indices", "3,10")
+        assert (code, out) == (2, "")
+        assert "--digits: must be >= 0" in err
+
+    def test_zero_digits_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "md", "--digits", "0",
+                               "table2", "--indices", "3,10")
+        assert code == 0 and "| 3 | 5 | 0.22 | 0.2 | 2 | 1 |" in out
+
     def test_byte_reproducibility(self, capsys):
         outs = []
         for _ in range(2):
