@@ -4,8 +4,8 @@ Everything here is integer-exact: Python ints widen automatically, so no
 function value can overflow or be corrupted by rounding.  Bulk values over a
 range come from one segmented sieve kernel (multiplicative_range) that
 returns exact int64 psi or sigma below 2^53: each n starts from a cached
-periodic pattern of the prime powers 2^4, 3^2, 5, 7 and 11, the other prime
-powers multiply into it by strided slices, and the one prime left over is
+periodic pattern of 2^4, 3^2, 5, 7 and 11, one loop per prime power
+multiplies the others in by strided slices, and the one prime left over is
 found by dividing n by the smooth part.  Single queries use vectorized
 trial division, with deterministic Miller-Rabin for the cofactor and
 Brent's rho for a composite cofactor whose prime factors are all above the
@@ -212,7 +212,7 @@ def is_squarefree(n: int) -> bool:
 # pattern primes, each power capped.  It is gcd(n mod _PERIOD, _PERIOD), so
 # one cached period of it and of its psi or sigma is copied in, and only the
 # powers above the caps are visited.
-_PATTERN = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1))  # (p, cap)
+_PATTERN = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1}  # p: cap
 _PERIOD = 55440  # 2^4 * 3^2 * 5 * 7 * 11
 # q = n / part is one float division, exact for n < 2^53; sigma(n) < 2^56
 # there, so int64 is exact too.
@@ -226,7 +226,7 @@ def _pattern(want_sigma: bool) -> tuple[np.ndarray, np.ndarray]:
     values[r] its psi, or its sigma when want_sigma."""
     part = np.gcd(np.arange(_PERIOD, dtype=np.int64), _PERIOD)
     values = np.ones(_PERIOD, dtype=np.int64)
-    for p, cap in _PATTERN:
+    for p, cap in _PATTERN.items():
         pe = np.gcd(part, p**cap)  # p^e, e the exponent of p in part
         values *= (pe * p - 1) // (p - 1) if want_sigma else pe + pe // p
     values.flags.writeable = part.flags.writeable = False  # shared by the cache
@@ -239,15 +239,15 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
 
     Its base primes are every p with p * p < hi: _simple_sieve(isqrt(hi - 1)).
     Each n starts from its pattern part (see _PATTERN) and that part's psi or
-    sigma.  Every other base prime p, and every power p^k < hi above a
-    pattern cap, then reaches its multiples through one strided slice; the
-    first multiples of all primes at one exponent come from one numpy pass.
-    The smooth part is multiplied by p.  p^1 multiplies the value by p + 1;
-    a higher power multiplies psi by p, or replaces sigma(p^(k-1)) by
-    sigma(p^k), dividing first so that no intermediate exceeds the final
-    value and int64 stays exact.  What is left, q = n / part, is 1 or a
-    prime and contributes q + (q > 1).  Every value is exact, so it does not
-    depend on how a range is split.
+    sigma.  For each base prime p with a multiple in the window (one numpy
+    filter), a loop walks the powers p^k above its pattern cap up to the
+    first with no multiple n >= max(lo, 1) here; each p^k reaches its
+    multiples through one strided slice and multiplies the smooth part by p.
+    p^1 multiplies the value by p + 1; a higher power multiplies psi by p,
+    or replaces sigma(p^(k-1)) by sigma(p^k), dividing first so that no
+    intermediate exceeds the final value and int64 stays exact.  What is
+    left, q = n / part, is 1 or a prime and contributes q + (q > 1).  Every
+    value is exact, so it does not depend on how a range is split.
     """
     if lo < 0 or hi <= lo:
         raise DomainError(f"need 0 <= lo < hi, got lo={lo} hi={hi}")
@@ -259,27 +259,23 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
     for a in range(-(lo % _PERIOD), size, _PERIOD):  # one period at a time
         for out, pat in zip((val, part), _pattern(want_sigma)):
             out[max(a, 0):a + _PERIOD] = pat[max(-a, 0):size - a]
-    p = _simple_sieve(math.isqrt(hi - 1))
-    pk = p.copy()  # the power of p visited next
-    for i, (_, cap) in enumerate(_PATTERN[:p.searchsorted(11, "right")]):
-        pk[i] **= cap + 1
-    s = (pk - 1) // (p - 1)  # sigma(pk / p)
-    while p.size:
-        start = np.maximum(-(-lo // pk), 1) * pk - lo  # first multiple n >= 1
-        hit = start < size
-        p, pk, s, start = p[hit], pk[hit], s[hit], start[hit]
-        s_next = s * p + 1
-        mult = s_next if want_sigma else np.where(pk == p, p + 1, p)
-        for o, step, prime, d, m in zip(start.tolist(), pk.tolist(),
-                                        p.tolist(), s.tolist(), mult.tolist()):
-            sl = val[o::step]
-            if want_sigma and d > 1:
-                sl //= d
-            sl *= m
-            sl = part[o::step]
-            sl *= prime
-        more = pk <= (hi - 1) // p
-        p, pk, s = p[more], pk[more] * p[more], s_next[more]
+    base = _simple_sieve(math.isqrt(hi - 1))
+    first = max(lo, 1)  # skip n = 0, which every p^k divides; it ends as 0
+    for p in base[-lo % base < size].tolist():  # those with a multiple here
+        pk = p ** (_PATTERN.get(p, 0) + 1)  # the first power past the cap
+        s = (pk - 1) // (p - 1)  # sigma(pk / p)
+        while (o := first - lo + -first % pk) < size:  # n >= first
+            sl = val[o::pk]
+            if want_sigma:
+                if s > 1:
+                    sl //= s
+                s = s * p + 1
+                sl *= s
+            else:
+                sl *= p + 1 if pk == p else p
+            sl = part[o::pk]
+            sl *= p
+            pk *= p
     for a in range(0, size, _BLOCK):  # q = n / part, exact below 2^53
         q = part[a:a + _BLOCK]
         q[...] = np.arange(lo + a, lo + a + len(q), dtype=np.float64) / q

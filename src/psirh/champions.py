@@ -32,8 +32,8 @@ from .prime_engine import _nth_prime_value_bound, _simple_sieve
 # 2-core Xeon with 7 GB); prop2 walks its range in chunks, in under 65 MB:
 SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n
 S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV
-PROP1_CEILING = 10**8
-PROP2_CEILING = 10**8          # 4.1 s, 96,453,730 cases
+PROP1_CEILING = 10**8          # 0.2 s, 31 MB
+PROP2_CEILING = 10**8          # 3.3-3.5 s, 48 MB: 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 

@@ -14,8 +14,8 @@ import time
 
 from . import primorial
 from .constants import CONSTANTS, DEFAULT_SIGMA_BOUND_C
-from .errors import (BFileParseError, CacheParseError, CacheVersionError,
-                     DomainError, ResourceLimitError)
+from .errors import (BFileParseError, CacheParseError, DomainError,
+                     ResourceLimitError)
 from .report import RenderedReport
 
 # criteria and champions (and with them numpy and arith) are imported by the
@@ -272,8 +272,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"psirh: domain error: {exc}", file=sys.stderr)
         return 2
-    except (BFileParseError, CacheParseError, CacheVersionError,
-            FileNotFoundError) as exc:
+    except (BFileParseError, CacheParseError, OSError) as exc:
         print(f"psirh: input error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

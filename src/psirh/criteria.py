@@ -32,6 +32,8 @@ ESCALATION_DPS = 30
 # anything this close to the threshold gets the exact treatment.
 _CANDIDATE_BAND = 1e-6
 
+# A budget, measured at the ceiling (the whole command, on a 2-core Xeon): a
+# scan takes 3.3-4.1 s in 46 MB, bounds --sigma-hi 3.4-4.2 s in 53-56 MB.
 SCAN_CEILING = 10**8
 # A range walk keeps at most prime_engine.WORKERS chunks computing plus the
 # one its caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores
@@ -205,6 +207,8 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
         raise DomainError("bound is stated for n >= 3")
     if hi <= lo:
         raise DomainError(f"empty range: hi={hi} <= lo={lo}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
     worst = math.inf

@@ -333,15 +333,20 @@ class TestKernelPattern:
     """The kernel against the reference and pointwise values where its
     periodic pattern could go wrong."""
 
-    def check(self, lo, hi, points=()):
+    def check(self, lo, hi, points=(), starts=1):
+        """The kernel on [s, hi) for the first `starts` starts s from lo,
+        against the reference on [lo, hi); the reference against pointwise
+        values at the points."""
         for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
-            got = multiplicative_range(lo, hi, want_sigma)
-            assert np.array_equal(got, reference_range(lo, hi, want_sigma))
+            want = reference_range(lo, hi, want_sigma)
             for n in points:
-                assert got[n - lo] == (fn(n) if n else 0)
+                assert want[n - lo] == (fn(n) if n else 0)
+            for s in range(lo, lo + starts):
+                got = multiplicative_range(s, hi, want_sigma)
+                assert np.array_equal(got, want[s - lo:])
 
     def test_period_is_the_capped_pattern(self):
-        assert PERIOD == math.prod(p**cap for p, cap in arith._PATTERN)
+        assert PERIOD == math.prod(p**cap for p, cap in arith._PATTERN.items())
         for want_sigma, fn in ((False, psirh.dedekind_psi), (True, psirh.sigma)):
             values, part = arith._pattern(want_sigma)
             assert part[0] == PERIOD and values[0] == fn(PERIOD)
@@ -360,6 +365,22 @@ class TestKernelPattern:
     ])
     def test_powers_beyond_the_caps(self, n):
         self.check(max(n - 3, 0), n + 4, (n,))
+
+    @pytest.mark.parametrize("p", sieve_reference(100).tolist())
+    def test_windows_starting_next_to_each_power(self, p):
+        # windows [n - 1, n + 2), [n, n + 2) and [n + 1, n + 2) for every
+        # n = p^k < 10^8, where the first multiple of p^k is at offset 1, 0
+        # or past the end, and p^(k+1) is not below hi
+        n = p
+        while n < 10**8:
+            self.check(n - 1, n + 2, (n,), starts=3)
+            n *= p
+
+    @pytest.mark.parametrize("top", [2**20, 3**12])
+    def test_deep_powers_from_0(self, top):
+        # lo = 0 walks every power of 2 up to 2^20, or of 3 up to 3^12; a
+        # window from 0 to 2^26 or 3^16 would need about 1 GB of arrays
+        self.check(0, top + 2, (top // 2, top - 1, top, top + 1))
 
     @pytest.mark.parametrize("lo", [0, 1])
     @pytest.mark.parametrize("span", [1, 2, 3, 31, 32, 33, 1000, PERIOD - 1])

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import mpmath as mp
@@ -136,6 +137,11 @@ class TestSigmaUpperBound:
     def test_lo_validation(self):
         with pytest.raises(DomainError):
             check_sigma_upper_bound(2, 100)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_c_must_be_finite(self, c):
+        with pytest.raises(DomainError, match="finite"):
+            check_sigma_upper_bound(3, 100, c=c)
 
 
 def walk(fn=criteria._chunk_values, lo=2, hi=1000):

@@ -221,6 +221,13 @@ class TestOtherCommands:
         rows = parse_csv(out)
         assert all(r["passed"] == "true" for r in rows)
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_bounds_c_must_be_finite(self, capsys, c):
+        code, out, err = run_cli(capsys, "bounds", "--hi", "3000",
+                                 "--sigma-hi", "1000", f"--c={c}")
+        assert (code, out) == (2, "")
+        assert err.startswith("psirh: domain error: c must be finite")
+
 
 class TestPrimeWalks:
     """Each primorial command walks the prime stream once, and none looks
@@ -397,6 +404,18 @@ class TestOeisCheck:
                              str(tmp_path / "nope.txt"),
                              "--sequence", "A060735", "--count", "2")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--indices", "10", "--cache", "{dir}"),
+    ("oeis-check", "--bfile", "{dir}", "--sequence", "A060735",
+     "--count", "1"),
+], ids=lambda argv: argv[0])
+def test_unreadable_path_is_an_input_error(capsys, tmp_path, argv):
+    # a directory where a file is expected: an input error, not a traceback
+    code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("psirh: input error: ")
 
 
 def run_python(code, *flags):
