@@ -7,15 +7,14 @@ returns exact int64 psi or sigma below 2^53: each n starts from a cached
 periodic pattern of 2^4, 3^2, 5, 7 and 11, one loop per prime power
 multiplies the others in by strided slices, and the one prime left over is
 found by dividing n by the smooth part.  Single queries use vectorized
-trial division, with deterministic Miller-Rabin for the cofactor and
-Brent's rho for a composite cofactor whose prime factors are all above the
-trial bound.  Both read their primes from prime_engine's one grown list.
+trial division by the primes below 2^27, with deterministic Miller-Rabin
+for the cofactor, so every n < 2^54 factors completely.  Both read their
+primes from prime_engine's one grown list.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from functools import lru_cache
 
@@ -43,15 +42,15 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
            3825123056546413051, 3825123056546413051, 3825123056546413051,
            318665857834031151167461, 3317044064679887385961981)
 _MR_LIMIT = _MR_PSI[-1]
-# Trial division stops at this bound: growing the prime list to 2^24 (1.08M
-# primes, 8.6 MB) and dividing by every prime takes about 0.2 s on 2 cores.
-# A cofactor >= _MR_LIMIT left then has no primality proof here; a smaller
-# composite one is split by Brent's rho, which needs about 1.2 sqrt(p) steps
-# for its least prime factor p < 1.9e12, at about 0.5 us a step on a 2-core
-# Xeon: about 1 s for two primes near 10^12, at most about 9 s at this cap.
-FACTORIZE_TRIAL_CEILING = 1 << 24
-RHO_STEP_CAP = 1 << 24
-_RHO_BATCH = 128  # steps per gcd
+# Trial division stops at this bound, 2^27 >= sqrt(2^53): a cofactor left
+# then has no prime factor below 2^27, so below 2^54 it is 1 or prime, and
+# one not proven prime raises ResourceLimitError.  Fresh process, 2 vCPU
+# Xeon, 3 runs each: 94,906,247 * 94,906,249 (< 2^53) factors in 0.40-0.45 s
+# at 146 MB peak RSS (30 ms warm); a rejection with m < 2^63 takes
+# 0.40-0.42 s at 146 MB, and one with m >= 2^63 1.1-1.3 s at 227 MB, which
+# lists each block as Python ints (0.7 s warm).  The grown list, the 7.6M
+# primes below 2^27 (about 58 MB), is kept for the life of the process.
+FACTORIZE_TRIAL_CEILING = 1 << 27
 
 
 def _is_prime(m: int) -> bool:
@@ -76,52 +75,6 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _rho(m: int) -> int:
-    """A factor 1 < d < m of an odd composite m: Brent's variant of
-    Pollard's rho (BIT 20 (1980) 176-184), x -> x^2 + c from the fixed seed
-    x = 2, for c = 1, 2, ...  Raises ResourceLimitError rather than take
-    more than RHO_STEP_CAP steps in all."""
-    root = math.isqrt(m)
-    if root * root == m:
-        return root
-    steps = 0
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            steps += 2 * r  # at most, in this round
-            if steps > RHO_STEP_CAP:
-                raise ResourceLimitError(
-                    f"no factor of {m} within {RHO_STEP_CAP} rho steps")
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % m
-                    q = q * abs(x - y) % m
-                g = math.gcd(q, m)
-                k += _RHO_BATCH
-            r *= 2
-        if g == m:  # the batch overshot: redo it one gcd per step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = math.gcd(abs(x - ys), m)
-        if g != m:
-            return g
-
-
-def _split(m: int) -> list[int]:
-    """The prime factors of an odd 1 < m < _MR_LIMIT, with multiplicity and
-    increasing, each proven by _is_prime."""
-    if _is_prime(m):
-        return [m]
-    d = _rho(m)
-    return sorted(_split(d) + _split(m // d))
-
-
 def factorize(n: int) -> Factorization:
     """Exact prime-power decomposition of n >= 1.
 
@@ -129,8 +82,8 @@ def factorize(n: int) -> Factorization:
     below 256 and then those in [hi, 2 hi) for doubling hi: one numpy
     remainder per block while the cofactor m fits in int64.  It stops once a
     block passes sqrt(m) or m is 1 or proven prime.  Once the primes below
-    FACTORIZE_TRIAL_CEILING are tried, a composite m < _MR_LIMIT is split by
-    Brent's rho (_split), and an m >= _MR_LIMIT raises ResourceLimitError.
+    FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime raises
+    ResourceLimitError, so every n < 2^54 factors completely.
     The blocks come from prime_engine._primes_below, not from the 8-slot
     _simple_sieve lru, which the cycle of about 13 bounds of a query misses.
     """
@@ -159,14 +112,9 @@ def factorize(n: int) -> Factorization:
         if m < hi * hi or (m < _MR_LIMIT and _is_prime(m)):
             break
         if hi >= FACTORIZE_TRIAL_CEILING:
-            if m >= _MR_LIMIT:
-                raise ResourceLimitError(
-                    f"cofactor {m} of {n} has no prime factor below {hi} and "
-                    f"is too large for a primality proof")
-            rest = _split(m)
-            factors += [(p, rest.count(p)) for p in sorted(set(rest))]
-            m = 1
-            break
+            raise ResourceLimitError(
+                f"cofactor {m} of {n} has no prime factor below {hi} and "
+                f"is not proven prime")
         hi, i = 2 * hi, j
     if m > 1:
         factors.append((m, 1))

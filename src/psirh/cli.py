@@ -123,6 +123,8 @@ def _cmd_table2(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
     from . import criteria
+    # the sigma bound's arguments are checked before the prime pass
+    criteria.check_sigma_bound_args(3, args.sigma_hi, args.c)
     loglog, f_bound = primorial.check_primorial_bounds(args.hi, args.lo)
     sig = criteria.check_sigma_upper_bound(3, args.sigma_hi, c=args.c)
     rows = []

@@ -196,13 +196,8 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
                            escalations=escalations)
 
 
-def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
-                            ) -> BoundCheckResult:
-    """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
-
-    The float pass finds the witness with the smallest margin; the margin
-    reported, and the pass/fail decision, come from mpmath at the witness.
-    """
+def check_sigma_bound_args(lo: int, hi: int, c: float) -> None:
+    """Reject what check_sigma_upper_bound would reject, before any pass."""
     if lo < 3:
         raise DomainError("bound is stated for n >= 3")
     if hi <= lo:
@@ -211,6 +206,16 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
         raise DomainError(f"c must be finite, got {c}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
+
+
+def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
+                            ) -> BoundCheckResult:
+    """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
+
+    The float pass finds the witness with the smallest margin; the margin
+    reported, and the pass/fail decision, come from mpmath at the witness.
+    """
+    check_sigma_bound_args(lo, hi, c)
     worst = math.inf
     witness = lo
     for c_lo, ratios in _chunks(_chunk_ratios, lo, hi, CriterionKind.ROBIN_G):

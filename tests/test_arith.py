@@ -71,42 +71,47 @@ class TestFactorize:
         # divides it; trial division stops at the ceiling, not at 2*10^12
         n = 2_000_000_000_003 * 2_000_000_000_123
         assert n >= arith._MR_LIMIT
-        with pytest.raises(ResourceLimitError, match="primality proof"):
+        with pytest.raises(ResourceLimitError,
+                           match=f"no prime factor below {2**27} and is not "
+                                 f"proven prime"):
             psirh.factorize(n)
+        assert arith.FACTORIZE_TRIAL_CEILING == 2**27
         assert prime_engine._prime_list[1] == arith.FACTORIZE_TRIAL_CEILING
         # a cofactor that drops below psi_13 early is still factored
         assert psirh.factorize(3 * 1009**5 * (10**12 + 39)).factors == (
             (3, 1), (1009, 5), (10**12 + 39, 1))
 
-    def test_two_primes_near_1e12_split_by_rho(self):
-        # about 1 s on a 2-core Xeon: the primes below 2^24 are tried, then
-        # Brent's rho takes about 1.9M steps to find 10^12 + 61
-        n = (10**12 + 39) * (10**12 + 61)
-        assert n < arith._MR_LIMIT
-        assert psirh.factorize(n).factors == ((10**12 + 39, 1),
-                                              (10**12 + 61, 1))
+    def test_two_primes_at_the_2_53_edge(self, cold_primes):
+        # the twin primes next to sqrt(2^53), both above 2^26: found by
+        # trial division alone
+        n = 94_906_247 * 94_906_249
+        assert n < 2**53 and 94_906_247 > 2**26
+        assert psirh.factorize(n).factors == ((94_906_247, 1),
+                                              (94_906_249, 1))
 
+    # prime factors in (2^24, 2^27): trial division reaches them
     @pytest.mark.parametrize("n, factors", [
-        ((10**12 + 39)**2, ((10**12 + 39, 2),)),
         (16777259**3, ((16777259, 3),)),          # the least prime above 2^24
         (16777259 * 16777289 * 16777291,
          ((16777259, 1), (16777289, 1), (16777291, 1))),
         (16777259**2 * 16777289, ((16777259, 2), (16777289, 1))),
-        (399165290221 * 798330580441,             # psi_12
-         ((399165290221, 1), (798330580441, 1))),
         (7 * 2**30 * 16777259 * (10**12 + 39),    # small factors first
          ((2, 30), (7, 1), (16777259, 1), (10**12 + 39, 1))),
     ])
     def test_composite_cofactor_past_the_trial_ceiling(self, n, factors):
         assert psirh.factorize(n).factors == factors
 
-    def test_rho_stops_at_its_step_cap(self, monkeypatch):
-        monkeypatch.setattr(arith, "RHO_STEP_CAP", 1000)
-        with pytest.raises(ResourceLimitError, match="rho steps"):
-            psirh.factorize((10**12 + 39) * (10**12 + 61))
-        # a square cofactor needs no rho step
-        monkeypatch.setattr(arith, "RHO_STEP_CAP", -1)
-        assert psirh.factorize((10**12 + 39)**2).factors == ((10**12 + 39, 2),)
+    @pytest.mark.parametrize("n", [
+        pytest.param((10**12 + 39) * (10**12 + 61), id="(1e12+39)(1e12+61)"),
+        pytest.param(399165290221 * 798330580441, id="psi_12"),
+        pytest.param((10**12 + 39)**2, id="(1e12+39)^2"),
+        # above 2^54, below 2^63: the numpy remainder path to the ceiling
+        pytest.param(134_217_757 * 134_217_773, id="two primes above 2^27"),
+    ])
+    def test_unsplit_cofactor_raises(self, cold_primes, n):
+        # no prime below 2^27 divides n, and n is composite: not factored
+        with pytest.raises(ResourceLimitError, match="is not proven prime"):
+            psirh.factorize(n)
 
     def test_primorial(self):
         primes = first_primes(62)  # 2 .. 293, across the first block edge

@@ -228,6 +228,20 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert err.startswith("psirh: domain error: c must be finite")
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (("--c", "nan"), 2, "domain error: c must be finite, got nan"),
+        (("--sigma-hi", "100000001"), 3,
+         "resource limit: hi=100000001 exceeds scan ceiling 100000000"),
+    ])
+    def test_bounds_sigma_args_checked_before_the_pass(
+            self, capsys, monkeypatch, argv, code, err):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the prime pass ran")
+        monkeypatch.setattr(primorial, "_pass", no_pass)
+        assert run_cli(capsys, "bounds", "--hi", "10000001",
+                       "--sigma-hi", "1000", *argv) == \
+            (code, "", f"psirh: {err}\n")
+
 
 class TestPrimeWalks:
     """Each primorial command walks the prime stream once, and none looks
