@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in (
                  "scan_exceptions"),
     ("errors", "BFileParseError CacheParseError CacheVersionError DomainError "
                "ResourceLimitError"),
-    ("prime_engine", "ThetaCache ThetaPoint cache_load cache_save nth_prime"),
+    ("prime_engine", "ThetaPoint cache_load cache_save nth_prime"),
     ("primorial", "check_primorial_bounds ftilde_ratio_deviation full_scan "
                   "k_ratio table1 table2"),
 ) for name in names.split()}

@@ -26,7 +26,7 @@ from . import prime_engine
 from .prime_engine import _simple_sieve
 
 
-class Factorization(Record, frozen=True):
+class Factorization(Record):
     __slots__ = {"n": "int",
                  "factors": "tuple[tuple[int, int], ...]: (prime, exponent), "
                             "primes increasing"}
@@ -45,10 +45,10 @@ _MR_LIMIT = _MR_PSI[-1]
 # Trial division stops at this bound, 2^27 >= sqrt(2^53): a cofactor left
 # then has no prime factor below 2^27, so below 2^54 it is 1 or prime, and
 # one not proven prime raises ResourceLimitError.  Fresh process, 2 vCPU
-# Xeon, 3 runs each: 94,906,247 * 94,906,249 (< 2^53) factors in 0.40-0.45 s
-# at 146 MB peak RSS (30 ms warm); a rejection with m < 2^63 takes
-# 0.40-0.42 s at 146 MB, and one with m >= 2^63 1.1-1.3 s at 227 MB, which
-# lists each block as Python ints (0.7 s warm).  The grown list, the 7.6M
+# Xeon, 3 runs each: 94,906,247 * 94,906,249 (< 2^53) factors in 0.31-0.35 s
+# at 145 MB peak RSS (30 ms warm); a rejection with m < 2^63 takes
+# 0.31-0.33 s at 145 MB, and (2*10^12 + 3)(2*10^12 + 123), past 2^81,
+# 0.37-0.38 s at 171 MB (three 36-bit digits).  The grown list, the 7.6M
 # primes below 2^27 (about 58 MB), is kept for the life of the process.
 FACTORIZE_TRIAL_CEILING = 1 << 27
 
@@ -75,15 +75,26 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _residues(m: int, block):
+    """m mod each prime of block (all below 2^27) in int64: m's top 63 bits,
+    then Horner's rule on its 36-bit digits, so r << 36 stays below 2^63."""
+    s = -(-max(m.bit_length() - 63, 0) // 36) * 36
+    r = (m >> s) % block
+    while s:
+        s -= 36
+        r = (r << 36 | m >> s & (1 << 36) - 1) % block
+    return r
+
+
 def factorize(n: int) -> Factorization:
     """Exact prime-power decomposition of n >= 1.
 
     Trial division runs over blocks of the shared prime list, the primes
-    below 256 and then those in [hi, 2 hi) for doubling hi: one numpy
-    remainder per block while the cofactor m fits in int64.  It stops once a
-    block passes sqrt(m) or m is 1 or proven prime.  Once the primes below
-    FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime raises
-    ResourceLimitError, so every n < 2^54 factors completely.
+    below 256 and then those in [hi, 2 hi) for doubling hi, with int64
+    remainders whatever the size of the cofactor m (_residues).  It stops
+    once a block passes sqrt(m) or m is 1 or proven prime.  Once the primes
+    below FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime
+    raises ResourceLimitError, so every n < 2^54 factors completely.
     The blocks come from prime_engine._primes_below, not from the 8-slot
     _simple_sieve lru, which the cycle of about 13 bounds of a query misses.
     """
@@ -98,11 +109,7 @@ def factorize(n: int) -> Factorization:
         primes = prime_engine._primes_below(hi)
         j = int(primes.searchsorted(hi))
         block = primes[i:j]
-        if m < 1 << 63:
-            hits = block[m % block == 0].tolist()
-        else:
-            hits = [p for p in block.tolist() if m % p == 0]
-        for p in hits:
+        for p in block[_residues(m, block) == 0].tolist():
             e = 0
             while m % p == 0:
                 m //= p

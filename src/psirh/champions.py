@@ -37,7 +37,7 @@ PROP2_CEILING = 10**8          # 3.3-3.5 s, 48 MB: 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
-class ChampionNumber(Record, frozen=True):
+class ChampionNumber(Record):
     __slots__ = {"primorial_index": "int: k >= 1",
                  "multiplier": "int: 1 <= l < p_{k+1}",
                  "value": "int: l * N_k, exact",
@@ -45,7 +45,7 @@ class ChampionNumber(Record, frozen=True):
                                   "independent of l"}
 
 
-class RecordScanResult(Record, frozen=True):
+class RecordScanResult(Record):
     __slots__ = {"records": "tuple[tuple[int, int], ...]: (n, sigma(n))",
                  "limit": "int"}
 
@@ -56,7 +56,7 @@ class Proposition(enum.Enum):
     PSI_MULTIPLE_IDENTITY = "psi_multiple_identity"
 
 
-class PropositionCheck(Record, frozen=True):
+class PropositionCheck(Record):
     __slots__ = {"proposition": "Proposition", "limit": "int",
                  "cases_checked": "int",
                  "failures": "tuple[tuple[int, ...], ...]"}

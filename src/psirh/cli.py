@@ -148,8 +148,7 @@ def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     primorial.check_n_max(max(indices))
     if min(indices) < 2:
         raise DomainError("mertens ratio defined for n >= 2")
-    stats = {s.index: s
-             for s in primorial.full_scan(max(indices), indices).stats}
+    stats = primorial.full_scan(max(indices), indices)
     limit = CONSTANTS.e_gamma_over_zeta2
     rows = []
     for n in indices:

@@ -8,14 +8,6 @@ command pays for ``dataclasses`` (which loads ``inspect``) at start-up.
 """
 
 
-def _read_only(self, name, value=None):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _hash(self):
-    return hash(self._values())
-
-
 _FRESH = object()  # stands for a default made fresh per record
 
 
@@ -28,23 +20,17 @@ class Record:
     (same class, equal fields), ``__hash__`` and ``__repr__`` behave as the
     ``dataclasses`` ones do.  ``_defaults`` maps a field to its default; a
     class there (``dict``, ``list``) is called for a fresh value per record,
-    so no container is shared between records.  A subclass declared with
-    ``frozen=True``, or of a frozen record, rejects assignment and hashes by
-    value; any other is unhashable.
+    so no container is shared between records.  Every record is frozen:
+    it rejects assignment and hashes by value.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
-    _frozen = False
 
-    def __init_subclass__(cls, frozen=False):
+    def __init_subclass__(cls):
         super().__init_subclass__()
         fields = cls._fields = cls._fields + tuple(cls.__dict__["__slots__"])
-        cls._frozen = frozen = cls._frozen or frozen
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _read_only
-        cls.__hash__ = _hash if frozen else None
         # __init__ is compiled once per record, as dataclasses does, so a
         # record costs no more to build than a dataclass
         params, body = [], []
@@ -67,10 +53,18 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -81,7 +75,7 @@ class Record:
 DEFAULT_SIGMA_BOUND_C = 0.6483  # 0.6482 as printed fails at n = 12
 
 
-class Constants(Record, frozen=True):
+class Constants(Record):
     __slots__ = {"gamma": "float", "e_gamma": "float", "zeta2": "float",
                  "e_gamma_over_zeta2": "float"}
     _defaults = {"gamma": 0.57721566490153286061,
@@ -93,6 +87,6 @@ class Constants(Record, frozen=True):
 CONSTANTS = Constants()
 
 
-class BoundCheckResult(Record, frozen=True):
+class BoundCheckResult(Record):
     __slots__ = {"bound": "str", "first": "int", "last": "int",
                  "passed": "bool", "worst_margin": "float", "witness": "int"}

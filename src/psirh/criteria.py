@@ -49,23 +49,18 @@ def mp_e_gamma():
     return mp.exp(mp.euler)
 
 
-def mp_zeta2():
-    import mpmath as mp
-    return mp.pi ** 2 / 6
-
-
 class CriterionKind(enum.Enum):
     ROBIN_G = "g"
     DEDEKIND_F = "f"
 
 
-class CriterionValue(Record, frozen=True):
+class CriterionValue(Record):
     __slots__ = {"n": "int", "kind": "CriterionKind", "ratio": "float",
                  "threshold": "float", "value": "float",
                  "precision_escalated": "bool"}
 
 
-class ExceptionReport(Record, frozen=True):
+class ExceptionReport(Record):
     __slots__ = {"kind": "CriterionKind", "lo": "int", "hi": "int",
                  "exceptions": "tuple[int, ...]",
                  "values": "tuple[CriterionValue, ...]: the decided value "

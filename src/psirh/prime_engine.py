@@ -228,7 +228,7 @@ def nth_prime(n: int) -> int:
 # ---------------------------------------------------------------------------
 # theta accumulation
 
-class ThetaPoint(Record, frozen=True):
+class ThetaPoint(Record):
     __slots__ = {"index": "int", "prime": "int", "theta_hi": "float",
                  "theta_lo": "float"}
 
@@ -248,38 +248,32 @@ class ThetaPoint(Record, frozen=True):
 CACHE_FORMAT_VERSION = 3
 
 
-class ThetaCache(Record):
-    __slots__ = {"points": "list[ThetaPoint]"}
-    _defaults = {"points": list}
-
-    def by_index(self) -> dict[int, ThetaPoint]:
-        return {p.index: p for p in self.points}
-
-
 def _cache_trailer(body: bytes, count: int) -> bytes:
     import hashlib  # only a command that reads or writes a cache loads OpenSSL
     return f"end points={count} sha256={hashlib.sha256(body).hexdigest()}\n".encode()
 
 
-def cache_save(cache: ThetaCache, path) -> None:
-    """Write the cache atomically: a temp file in the same directory, then
-    os.replace, so readers see the old file or the whole new one."""
+def cache_save(points: dict[int, ThetaPoint], path) -> None:
+    """Write the points, sorted by index, atomically: a temp file in the
+    same directory, then os.replace, so readers see the old file or the
+    whole new one."""
     lines = [f"psicache v{CACHE_FORMAT_VERSION}"]
-    for p in sorted(cache.points, key=lambda q: q.index):
+    for _, p in sorted(points.items()):
         lines.append(f"{p.index} {p.prime} "
                      f"{float(p.theta_hi).hex()} {float(p.theta_lo).hex()}")
     body = ("\n".join(lines) + "\n").encode()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body + _cache_trailer(body, len(cache.points)))
+            fh.write(body + _cache_trailer(body, len(points)))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def cache_load(path) -> ThetaCache:
+def cache_load(path) -> dict[int, ThetaPoint]:
+    """The points of a cache file, by index."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
@@ -308,18 +302,15 @@ def cache_load(path) -> ThetaCache:
             "missing or mismatched trailer (truncated or altered file)",
             len(lines) if lines[-1] else len(lines) - 1)
 
-    points = []
+    points = {}
     for lineno, line in enumerate(rows, start=2):
         parts = line.split(" ")
         if len(parts) != 4:
             raise CacheParseError(f"expected 4 fields, got {len(parts)}", lineno)
         try:
-            index = int(parts[0])
-            prime = int(parts[1])
-            theta_hi = float.fromhex(parts[2])
-            theta_lo = float.fromhex(parts[3])
+            point = ThetaPoint(int(parts[0]), int(parts[1]),
+                               *map(float.fromhex, parts[2:]))
         except ValueError as exc:
             raise CacheParseError(str(exc), lineno) from None
-        points.append(ThetaPoint(index=index, prime=prime,
-                                 theta_hi=theta_hi, theta_lo=theta_lo))
-    return ThetaCache(points=points)
+        points[point.index] = point
+    return points

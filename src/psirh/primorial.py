@@ -12,11 +12,11 @@ import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
 
-from .constants import CONSTANTS, BoundCheckResult, Record
+from .constants import CONSTANTS, BoundCheckResult
 from .errors import CacheVersionError, DomainError, ResourceLimitError
 from . import prime_engine
-from .prime_engine import (PRIME_INDEX_CEILING, ThetaCache, ThetaPoint,
-                           cache_load, cache_save, chunk_sum_dd, dd_pair,
+from .prime_engine import (PRIME_INDEX_CEILING, ThetaPoint, cache_load,
+                           cache_save, chunk_sum_dd, dd_pair,
                            iter_prime_chunks, _nth_prime_value_bound)
 from .prime_engine import nth_prime  # noqa: F401 (wrapped by perfbench/spans.py)
 
@@ -73,12 +73,6 @@ class PrimorialStats(ThetaPoint):
     def mertens_ratio(self) -> float:
         """exp(R_n) / log p_n, tending to e^gamma / zeta(2)."""
         return self.psi_over_n / math.log(self.prime)
-
-
-class FullScanResult(Record):
-    __slots__ = {"n_max": "int", "stats": "list[PrimorialStats]",
-                 "theta_monotonic": "bool", "theta_below_prime": "bool",
-                 "first_theta_violation": "int | None"}
 
 
 def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
@@ -143,34 +137,30 @@ def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
         count += len(chunk)
 
 
-def full_scan(n_max: int, report_indices: Iterable[int] = ()) -> FullScanResult:
-    """PrimorialStats at each requested index, from one pass (_pass) over
-    the first n_max primes that also checks theta rises at every prime
-    (across chunk joins too) and stays below it."""
+def full_scan(n_max: int, report_indices: Iterable[int] = ()
+              ) -> dict[int, PrimorialStats]:
+    """PrimorialStats at each requested index, by index, from one pass
+    (_pass) over the first n_max primes that also checks theta rises at
+    every prime (across chunk joins too) and stays below it; a chunk where
+    it does not raises RuntimeError naming the chunk's index range."""
     check_n_max(n_max)
     cuts = sorted({i for i in report_indices if 1 <= i <= n_max})
-    stats: list[PrimorialStats] = []
-    count = 0
-    monotonic = below_prime = True
-    first_violation: int | None = None
+    stats: dict[int, PrimorialStats] = {}
     last_theta = -math.inf  # the previous chunk's last float theta
     for first, pf, _, _, theta_start, theta_cum, _, at_cuts in _pass(n_max, cuts):
-        stats += at_cuts
-        count = first + len(pf) - 1
-        if below_prime:
-            bad = (theta_cum >= pf).nonzero()[0]
-            if bad.size:
-                below_prime = False
-                first_violation = first + int(bad[0])
-        if monotonic and len(theta_cum):
-            # the first step must rise above both the float theta the chunk
-            # starts from and the previous chunk's last float value
-            monotonic = bool(theta_cum[0] > max(theta_start, last_theta)
-                             and (theta_cum[1:] > theta_cum[:-1]).all())
-            last_theta = theta_cum[-1]
-    return FullScanResult(n_max=count, stats=stats, theta_monotonic=monotonic,
-                          theta_below_prime=below_prime,
-                          first_theta_violation=first_violation)
+        if not len(pf):
+            continue
+        # the first step must rise above both the float theta the chunk
+        # starts from and the previous chunk's last float value
+        rises = (theta_cum[0] > max(theta_start, last_theta)
+                 and (theta_cum[1:] > theta_cum[:-1]).all())
+        if not rises or not (theta_cum < pf).all():
+            raise RuntimeError(
+                f"theta(p_n) {'>= p_n' if rises else 'does not rise'} "
+                f"for n in [{first}, {first + len(pf) - 1}]")
+        last_theta = theta_cum[-1]
+        stats.update((s.index, s) for s in at_cuts)
+    return stats
 
 
 def ftilde_ratio_deviation(theta_n: ThetaPoint, p_next: int) -> float:
@@ -290,18 +280,14 @@ def _theta_points_for(indices: Sequence[int],
     cached = {}
     if cache_path is not None and os.path.exists(cache_path):
         try:
-            cached = cache_load(cache_path).by_index()
+            cached = cache_load(cache_path)
         except CacheVersionError:
             pass  # another format version: rebuild the file
         if all(i in cached for i in need):
             return {i: cached[i] for i in need}
-    points = {s.index: s for s in full_scan(max(need), need).stats}
+    points = full_scan(max(need), need)
     if cache_path is not None:
-        merged = dict(cached)
-        merged.update(points)
-        cache_save(ThetaCache(points=sorted(merged.values(),
-                                            key=lambda p: p.index)),
-                   cache_path)
+        cache_save({**cached, **points}, cache_path)
     return points
 
 
@@ -341,7 +327,7 @@ def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES) -> list[dict]:
         raise ResourceLimitError(f"index {max(need)} exceeds ceiling")
     if min(need) < 2:
         raise DomainError("table indices must be >= 2")
-    stats = {s.index: s for s in full_scan(max(need), need).stats}
+    stats = full_scan(max(need), need)
     rows = []
     for n in indices:
         s = stats[n]

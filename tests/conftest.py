@@ -11,8 +11,8 @@ DECADES = tuple(10**k for k in range(1, 8))
 
 @pytest.fixture(scope="session")
 def timed_full_scan():
-    """One pass over the first 10^7 + 1 primes, shared by every heavy test,
-    and its wall time in seconds."""
+    """One pass over the first 10^7 + 1 primes, shared by every heavy test:
+    its PrimorialStats by index, and its wall time in seconds."""
     indices = set(DECADES) | {n + 1 for n in TABLE1_INDICES} | {3, 10**4 + 1}
     t0 = time.perf_counter()
     res = psirh.full_scan(10**7 + 1, sorted(indices))
@@ -34,11 +34,6 @@ def full_scan_result(timed_full_scan):
 @pytest.fixture(scope="session")
 def full_scan_elapsed(timed_full_scan):
     return timed_full_scan[1]
-
-
-@pytest.fixture(scope="session")
-def stats_by_index(full_scan_result):
-    return {s.index: s for s in full_scan_result.stats}
 
 
 @pytest.fixture

@@ -65,6 +65,33 @@ class TestFactorize:
     def test_awkward_points(self, n, factors):
         assert psirh.factorize(n).factors == factors
 
+    def test_remainders_past_2_63_match_python(self):
+        # n >= 2^63 is reduced by 36-bit digits in int64: the remainders,
+        # and so the factors, are those Python % gives over the same primes
+        rng = random.Random(20261019)
+        # moduli at both ends of the trial range, up to 2^27 - 1
+        block = np.r_[2:1000, 2**27 - 1000:2**27].astype(np.int64)
+        for bits in (62, 63, 64, 98, 99, 100, 400):
+            m = rng.getrandbits(bits) | 1 << bits - 1
+            assert arith._residues(m, block).tolist() == \
+                [m % p for p in block.tolist()], bits
+        primes = prime_engine._primes_below(1 << 20).tolist()
+        for _ in range(60):
+            n = rng.choice((1, 10**12 + 39))  # 10^12 + 39 is left as prime
+            while n < 2**63 or rng.random() < 0.8:
+                n *= rng.choice(primes) ** rng.randint(1, 3)
+            want, m = [], n
+            for p in primes:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                if e:
+                    want.append((p, e))
+            if m > 1:
+                want.append((m, 1))
+            assert psirh.factorize(n).factors == tuple(want), n
+
     def test_cofactor_above_psi13_stops_at_trial_ceiling(self, cold_primes):
         # two primes near 2*10^12: the product is above psi_13, so no
         # primality proof applies, and no prime below its square root

@@ -9,7 +9,7 @@ import psirh
 from psirh import criteria
 from psirh.arith import multiplicative_range
 from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
-                            mp_e_gamma, mp_zeta2, scan_exceptions)
+                            mp_e_gamma, scan_exceptions)
 from psirh.errors import DomainError, ResourceLimitError
 
 SET_A = (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 20, 24, 30, 36, 48, 60, 72, 84,
@@ -20,10 +20,11 @@ SET_B = (2, 3, 4, 5, 6, 8, 10, 12, 18, 30)
 class TestConstants:
     def test_against_high_precision(self):
         with mp.workdps(30):
+            zeta2 = mp.pi ** 2 / 6
             assert CONSTANTS.gamma == float(mp.euler)
             assert CONSTANTS.e_gamma == float(mp_e_gamma())
-            assert CONSTANTS.zeta2 == float(mp_zeta2())
-            assert CONSTANTS.e_gamma_over_zeta2 == float(mp_e_gamma() / mp_zeta2())
+            assert CONSTANTS.zeta2 == float(zeta2)
+            assert CONSTANTS.e_gamma_over_zeta2 == float(mp_e_gamma() / zeta2)
 
 
 class TestRobinG:

@@ -15,7 +15,7 @@ from oracles import sieve_reference
 from psirh import criteria, prime_engine
 from psirh.errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 from psirh.prime_engine import (CHUNK_SUM_MAX_VALUES, PRIME_INDEX_CEILING,
-                                ThetaCache, ThetaPoint, chunk_sum_dd, dd_pair,
+                                ThetaPoint, chunk_sum_dd, dd_pair,
                                 iter_prime_chunks)
 from psirh.primorial import TABLE1_DEFAULT_INDICES
 
@@ -117,6 +117,7 @@ class TestPrimeList:
     def test_matches_the_reference(self, request, cold):
         if cold:
             request.getfixturevalue("cold_primes")
+        ref_hi = ref = None  # the reference for the whole list, per bound
         for limit in self.BOUNDS:
             got = prime_engine._simple_sieve(limit)
             assert got.dtype == np.int64
@@ -124,7 +125,9 @@ class TestPrimeList:
             # the whole list: every prime below its bound, and nothing else
             primes, hi = prime_engine._prime_list
             assert hi > limit
-            assert np.array_equal(primes, sieve_reference(hi - 1))
+            if hi != ref_hi:
+                ref_hi, ref = hi, sieve_reference(hi - 1)
+            assert np.array_equal(primes, ref)
 
     def test_cold_growth_is_one_segment_per_level(self, cold_primes,
                                                   monkeypatch):
@@ -258,7 +261,7 @@ class TestPrimeStreamPipeline:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert len(list(iter_prime_chunks(limit))) == -(-limit // 2**21)
-        assert psirh.full_scan(10**5, [10**5]).stats[0].prime == 1299709
+        assert psirh.full_scan(10**5, [10**5])[10**5].prime == 1299709
 
 
 class TestNthPrime:
@@ -285,26 +288,29 @@ class TestThetaStream:
     """theta(p_n) from the ordered double-double pass (full_scan)."""
 
     def test_theta_at_29(self):
-        pts = psirh.full_scan(10, [10]).stats
-        assert pts[0].index == 10 and pts[0].prime == 29
-        assert pts[0].theta == pytest.approx(22.59039453, abs=5e-8)
+        pts = psirh.full_scan(10, [10])
+        assert list(pts) == [10]
+        assert pts[10].index == 10 and pts[10].prime == 29
+        assert pts[10].theta == pytest.approx(22.59039453, abs=5e-8)
 
     def test_emits_default_report_indices(self):
-        pts = psirh.full_scan(1500, TABLE1_DEFAULT_INDICES).stats
-        assert [p.index for p in pts] == [10, 1000]
+        pts = psirh.full_scan(1500, TABLE1_DEFAULT_INDICES)
+        assert [(i, p.index) for i, p in pts.items()] == \
+            [(10, 10), (1000, 1000)]
 
     def test_extra_indices(self):
-        pts = psirh.full_scan(100, [42, 7, 1000, 10]).stats
-        assert [p.index for p in pts] == [7, 10, 42]
+        pts = psirh.full_scan(100, [42, 7, 1000, 10])
+        assert [(i, p.index) for i, p in pts.items()] == \
+            [(7, 7), (10, 10), (42, 42)]
 
     def test_monotone(self):
-        pts = psirh.full_scan(10**4, range(100, 10**4 + 1, 100)).stats
+        pts = psirh.full_scan(10**4, range(100, 10**4 + 1, 100)).values()
         thetas = [p.theta for p in pts]
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
         assert all(p.theta < p.prime for p in pts)
 
     def test_against_high_precision_oracle(self):
-        pts = {p.index: p for p in psirh.full_scan(10**4, [10, 10**4]).stats}
+        pts = psirh.full_scan(10**4, [10, 10**4])
         with mp.workdps(50):
             for index, frozen in ((10, THETA_10), (10**4, THETA_1E4)):
                 exact = mp.mpf(frozen)
@@ -476,16 +482,20 @@ def write_cache(path, body):
 
 class TestThetaCache:
     def _points(self):
-        return [ThetaPoint(10, 29, 22.59039453011, 1.23e-15),
-                ThetaPoint(20, 71, 56.5, -4.5e-16),
-                ThetaPoint(30, 113, 103.0, 0.0)]
+        return {p.index: p for p in (
+            ThetaPoint(10, 29, 22.59039453011, 1.23e-15),
+            ThetaPoint(20, 71, 56.5, -4.5e-16),
+            ThetaPoint(30, 113, 103.0, 0.0))}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "theta.cache"
-        cache = ThetaCache(points=self._points())
-        psirh.cache_save(cache, path)
+        points = self._points()
+        # written sorted by index, whatever the dict's order
+        psirh.cache_save(dict(reversed(points.items())), path)
+        rows = path.read_text().split("\n")[1:-2]
+        assert [int(row.split()[0]) for row in rows] == [10, 20, 30]
         loaded = psirh.cache_load(path)
-        assert loaded.points == self._points()
+        assert loaded == points and list(loaded) == [10, 20, 30]
         assert [p.name for p in tmp_path.iterdir()] == ["theta.cache"]
 
     def test_version_mismatch(self, tmp_path):
@@ -519,7 +529,7 @@ class TestThetaCache:
 
     def test_altered_value_rejected(self, tmp_path):
         path = tmp_path / "theta.cache"
-        psirh.cache_save(ThetaCache(points=self._points()), path)
+        psirh.cache_save(self._points(), path)
         data = path.read_bytes()
         at = data.index(b"0x1.")
         path.write_bytes(data[:at + 4] + b"7" + data[at + 5:])
@@ -528,10 +538,10 @@ class TestThetaCache:
 
     def test_every_truncation_raises_or_loads_identical(self, tmp_path):
         # 9.8e-14 cut inside its hex exponent used to load as 1.724
-        points = [ThetaPoint(10, 29, 22.59039453011, 9.8e-14),
-                  ThetaPoint(20, 71, 56.5, -4.5e-16)]
+        points = {10: ThetaPoint(10, 29, 22.59039453011, 9.8e-14),
+                  20: ThetaPoint(20, 71, 56.5, -4.5e-16)}
         path = tmp_path / "theta.cache"
-        psirh.cache_save(ThetaCache(points=points), path)
+        psirh.cache_save(points, path)
         data = path.read_bytes()
         cut_path = tmp_path / "cut.cache"
         loaded = []
@@ -541,6 +551,6 @@ class TestThetaCache:
                 got = psirh.cache_load(cut_path)
             except (CacheParseError, CacheVersionError):
                 continue
-            assert got.points == points, f"cut at byte {cut}"
+            assert got == points, f"cut at byte {cut}"
             loaded.append(cut)
         assert loaded == [len(data)]

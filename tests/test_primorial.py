@@ -30,19 +30,18 @@ def mp_ftilde_deviation(n, dps=50):
 
 class TestStatsStream:
     def test_index3(self):
-        s = psirh.full_scan(3, [3]).stats[0]
+        s = psirh.full_scan(3, [3])[3]
         assert s.prime == 5
         assert s.f_value == pytest.approx(0.22, abs=0.005)
 
     def test_index10(self):
-        s = psirh.full_scan(10, [10]).stats[0]
+        s = psirh.full_scan(10, [10])[10]
         assert s.psi_over_n == pytest.approx(3.8769, abs=1e-4)
         assert s.theta == pytest.approx(22.59039453, abs=5e-8)
         assert s.f_value == pytest.approx(-1.67, abs=0.01)
 
     def test_consistency_with_exact_arithmetic(self):
-        stats = psirh.full_scan(14, range(1, 15)).stats
-        for s in stats:
+        for s in psirh.full_scan(14, range(1, 15)).values():
             n_k = math.prod(first_primes(s.index))
             exact = Fraction(psirh.dedekind_psi(n_k), n_k)
             assert abs(s.psi_over_n - exact) / float(exact) < 1e-14
@@ -54,7 +53,7 @@ class TestStatsStream:
                 assert abs(s.f_value - g) < 1e-10
 
     def test_monotone_fields(self):
-        stats = psirh.full_scan(100, range(1, 101)).stats
+        stats = list(psirh.full_scan(100, range(1, 101)).values())
         for a, b in zip(stats, stats[1:]):
             assert a.theta < b.theta
             assert a.psi_ratio_log < b.psi_ratio_log
@@ -75,9 +74,9 @@ GOLDEN_BITS = {
 
 
 class TestFullScanGoldenBits:
-    def test_checkpoint_bits(self, stats_by_index):
+    def test_checkpoint_bits(self, full_scan_result):
         for index, want in GOLDEN_BITS.items():
-            s = stats_by_index[index]
+            s = full_scan_result[index]
             got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
             assert tuple(v.hex() for v in got) == want, index
 
@@ -94,8 +93,9 @@ class TestFullScanGoldenBits:
     def test_same_bits_at_worker_count(self, set_workers, bounds_result,
                                        workers):
         set_workers(workers)
-        res = psirh.full_scan(10**7 + 1, sorted(GOLDEN_BITS))
-        for s in res.stats:
+        stats = psirh.full_scan(10**7 + 1, sorted(GOLDEN_BITS))
+        assert list(stats) == sorted(GOLDEN_BITS)
+        for s in stats.values():
             got = (s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo)
             assert tuple(v.hex() for v in got) == GOLDEN_BITS[s.index]
         assert psirh.check_primorial_bounds(10**7 + 1, 2263) == bounds_result
@@ -106,11 +106,12 @@ class TestThetaChecks:
     def scan_chunks(monkeypatch, *chunks):
         monkeypatch.setattr(primorial, "iter_prime_chunks", lambda limit: (
             np.array(c, dtype=np.int64) for c in chunks))
-        return psirh.full_scan(sum(map(len, chunks)))
+        n = sum(map(len, chunks))
+        return psirh.full_scan(n, range(1, n + 1))
 
     def test_monotone_across_a_join(self, monkeypatch):
-        res = self.scan_chunks(monkeypatch, [2, 3, 5], [7, 11])
-        assert res.theta_monotonic and res.theta_below_prime
+        stats = self.scan_chunks(monkeypatch, [2, 3, 5], [7, 11])
+        assert [s.prime for s in stats.values()] == [2, 3, 5, 7, 11]
 
     @pytest.mark.parametrize("first, second", [([2, 3], [1, 5]),
                                                ([2, 3, 5], [1, 7])])
@@ -120,12 +121,21 @@ class TestThetaChecks:
         # cumsum of log 2, log 3, log 5 ends one ulp below the exact sum
         # the next chunk starts from, so the join is also checked against
         # that start
-        res = self.scan_chunks(monkeypatch, first, second)
-        assert not res.theta_monotonic
+        n = len(first)
+        with pytest.raises(RuntimeError,
+                           match=rf"does not rise for n in "
+                                 rf"\[{n + 1}, {n + len(second)}\]"):
+            self.scan_chunks(monkeypatch, first, second)
 
     def test_violation_inside_a_chunk(self, monkeypatch):
-        res = self.scan_chunks(monkeypatch, [2, 3], [5, 1, 7])
-        assert not res.theta_monotonic
+        with pytest.raises(RuntimeError,
+                           match=r"does not rise for n in \[3, 5\]"):
+            self.scan_chunks(monkeypatch, [2, 3], [5, 1, 7])
+
+    def test_theta_at_or_above_the_prime(self, monkeypatch):
+        # theta rises at every step but passes p = 3 at n = 3
+        with pytest.raises(RuntimeError, match=r">= p_n for n in \[2, 3\]"):
+            self.scan_chunks(monkeypatch, [2], [100, 3])
 
 
 def exact_pair(total):
@@ -187,7 +197,7 @@ def same_bits(got, want):
 
 def stream_values(n):
     """theta(p_n) as a ThetaPoint and p_{n+1}, from one prime pass."""
-    point, succ = psirh.full_scan(n + 1, [n, n + 1]).stats
+    point, succ = psirh.full_scan(n + 1, [n, n + 1]).values()
     return point, succ.prime
 
 
@@ -202,7 +212,7 @@ def k_ratio(n):
 
 class TestMertensRatio:
     def test_n10(self):
-        s = psirh.full_scan(10, [10]).stats[0]
+        s = psirh.full_scan(10, [10])[10]
         assert s.mertens_ratio == pytest.approx(1.1513, abs=1e-4)
 
 
@@ -261,7 +271,7 @@ class TestBounds:
         # from the first chunk's sums
         first, last = 200000, 200500
         loglog, f_bound = psirh.check_primorial_bounds(last, first)
-        stats = psirh.full_scan(last, range(first, last + 1)).stats
+        stats = psirh.full_scan(last, range(first, last + 1)).values()
         m1 = min((s.loglogN - math.log(s.prime) + 0.123 / math.log(s.prime),
                   s.index) for s in stats)
         m2 = min((f_bound_rhs(s.prime) - s.f_value, s.index) for s in stats)
@@ -322,7 +332,7 @@ class TestTables:
         assert psirh.table1([10, 1000], cache_path=cache) == \
             psirh.table1([10, 1000])
         assert cache.read_text().startswith("psicache v3\n")
-        assert {p.index for p in psirh.cache_load(cache).points} == \
+        assert set(psirh.cache_load(cache)) == \
             {10, 11, 1000, 1001}
 
     def test_table1_corrupt_cache_still_raises(self, tmp_path):

@@ -6,34 +6,29 @@ import pytest
 from psirh import arith, champions, criteria, prime_engine, primorial, report
 from psirh.constants import CONSTANTS, BoundCheckResult, Constants
 
-# (record, its fields in order, frozen)
+# (record, its fields in order); every record is frozen
 RECORDS = [
-    (Constants, "gamma e_gamma zeta2 e_gamma_over_zeta2", True),
-    (BoundCheckResult, "bound first last passed worst_margin witness", True),
-    (prime_engine.ThetaPoint, "index prime theta_hi theta_lo", True),
-    (prime_engine.ThetaCache, "points", False),
+    (Constants, "gamma e_gamma zeta2 e_gamma_over_zeta2"),
+    (BoundCheckResult, "bound first last passed worst_margin witness"),
+    (prime_engine.ThetaPoint, "index prime theta_hi theta_lo"),
     (primorial.PrimorialStats, "index prime theta_hi theta_lo "
-                               "psi_ratio_log_hi psi_ratio_log_lo", True),
-    (primorial.FullScanResult, "n_max stats theta_monotonic theta_below_prime "
-                               "first_theta_violation",
-     False),
-    (report.RenderedReport, "command parameters columns rows footer", False),
+                               "psi_ratio_log_hi psi_ratio_log_lo"),
+    (report.RenderedReport, "command parameters columns rows footer"),
     (criteria.CriterionValue, "n kind ratio threshold value "
-                              "precision_escalated", True),
+                              "precision_escalated"),
     (criteria.ExceptionReport, "kind lo hi exceptions values largest "
-                               "escalations", True),
-    (arith.Factorization, "n factors", True),
+                               "escalations"),
+    (arith.Factorization, "n factors"),
     (champions.ChampionNumber, "primorial_index multiplier value "
-                               "psi_ratio_log", True),
-    (champions.RecordScanResult, "records limit", True),
-    (champions.PropositionCheck, "proposition limit cases_checked failures",
-     True),
+                               "psi_ratio_log"),
+    (champions.RecordScanResult, "records limit"),
+    (champions.PropositionCheck, "proposition limit cases_checked failures"),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, frozen", RECORDS,
+@pytest.mark.parametrize("cls, fields", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
-def test_record(cls, fields, frozen):
+def test_record(cls, fields):
     fields = fields.split()
     values = [(i, f"v{i}") for i in range(len(fields))]
     rec = cls(**dict(zip(fields, values)))
@@ -50,19 +45,13 @@ def test_record(cls, fields, frozen):
         cls(*values, 0)
     with pytest.raises(TypeError):
         cls(*values[1:], **{fields[0]: values[0], "no_such_field": 0})
-    if frozen:
-        assert hash(rec) == hash(cls(*values))
-        for f in fields:
-            with pytest.raises(AttributeError, match="cannot assign"):
-                setattr(rec, f, 0)
-            with pytest.raises(AttributeError):
-                delattr(rec, f)
-        assert [getattr(rec, f) for f in fields] == values
-    else:
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(rec)
-        setattr(rec, fields[0], 0)
-        assert getattr(rec, fields[0]) == 0
+    assert hash(rec) == hash(cls(*values))
+    for f in fields:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(rec, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert [getattr(rec, f) for f in fields] == values
 
 
 def test_defaults():
@@ -77,8 +66,6 @@ def test_defaults():
     assert first.footer is not second.footer
     first.footer["runtime_s"] = 1.0
     assert second.footer == {}
-    assert prime_engine.ThetaCache().points is not \
-        prime_engine.ThetaCache().points
     with pytest.raises(TypeError, match="'command'"):
         report.RenderedReport()
 
