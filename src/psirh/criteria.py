@@ -10,6 +10,13 @@ within the 1e-9 escalation band is re-evaluated at 30 significant digits
 with mpmath before its sign is trusted.  The same 30-digit evaluator gives
 the sigma-bound margin at its witness and settles the proposition cases
 the float pass leaves within _CANDIDATE_BAND.
+
+Robin's unconditional bound sigma(n)/n <= e^gamma L + c / L, L = log log n,
+is checked by structure: its right side does not decrease from n0(c) on
+(n0 = 7 at the default c), and between consecutive superabundant numbers
+s <= n < s' the ratio sigma(n)/n is at most sigma(s)/s.  So past the first
+superabundant number s* >= max(lo, n0) the least margin lies at a
+superabundant number, and only the head [lo, s*) is walked n by n.
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ ESCALATION_DPS = 30
 # anything this close to the threshold gets the exact treatment.
 _CANDIDATE_BAND = 1e-6
 
-# A budget, measured at the ceiling (the whole command, on a 2-core Xeon): a
-# scan takes 3.3-4.1 s in 46 MB, bounds --sigma-hi 3.4-4.2 s in 53-56 MB.
+# A budget, measured at the ceiling (the whole command, on a 2-core Xeon):
+# scan --criterion g takes 3.6-4.0 s in 46 MB.  bounds --lo 2263 --hi 2263
+# --sigma-hi takes 0.2 s in 34 MB at the default c, which walks only [3, 12);
+# a c whose n0 lies past the ceiling (--c 1e6) walks all of it, 4.2-4.7 s in
+# 52-53 MB.
 SCAN_CEILING = 10**8
 # A range walk keeps at most prime_engine.WORKERS chunks computing plus the
 # one its caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores
@@ -128,25 +138,26 @@ def _chunk_ratios(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
     return np.divide(exact, n, out=n)
 
 
-def _loglog(lo: int, hi: int) -> np.ndarray:
-    """log log n for n in [lo, hi), one rounding per step, in one buffer."""
-    llg = np.arange(lo, hi, dtype=np.float64)
-    np.log(llg, out=llg)
-    return np.log(llg, out=llg)
+def _loglog(n: np.ndarray) -> np.ndarray:
+    """log log n, one rounding per step, computed in n's float64 buffer."""
+    np.log(n, out=n)
+    return np.log(n, out=n)
 
 
 def _chunk_values(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
     """The ratios minus e^gamma log log n, rounded as written."""
     values = _chunk_ratios(lo, hi, kind)
-    thr = _loglog(lo, hi)
+    thr = _loglog(np.arange(lo, hi, dtype=np.float64))
     thr *= CONSTANTS.e_gamma
     values -= thr
     return values
 
 
-def _sigma_margin(lo: int, ratios: np.ndarray, c: float) -> np.ndarray:
-    """e^gamma llg + c / llg - ratios, llg = log log n from n = lo."""
-    llg = _loglog(lo, lo + len(ratios))
+def _sigma_margin(n: np.ndarray, ratios: np.ndarray, c: float) -> np.ndarray:
+    """e^gamma llg + c / llg - ratios, llg = log log n computed in n's
+    float64 buffer: the one margin of the sigma bound's head walk and of
+    its superabundant numbers, rounded as written."""
+    llg = _loglog(n)
     margin = CONSTANTS.e_gamma * llg
     margin += np.divide(c, llg, out=llg)
     margin -= ratios
@@ -203,22 +214,70 @@ def check_sigma_bound_args(lo: int, hi: int, c: float) -> None:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
 
 
+def _sigma_bound_rise(c: float) -> float:
+    """A real x past which B(n) = e^gamma L + c / L, L = log log n, does not
+    decrease in n: x = e^(e^L0), L0 = sqrt(max(c, 0) / e^gamma), or inf when
+    that overflows.  The least integer n0(c) >= max(x, 3) is 7 at the
+    default c = 0.6483, and 3 for every c <= 0.
+
+    x is raised by 1e-12 relative, above the roundings of its two exps
+    (under 1e-13 relative for any x <= SCAN_CEILING), so an n below the
+    exact threshold is never taken for one past it.
+    """
+    l0 = math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma)
+    try:
+        return math.exp(math.exp(l0)) * (1 + 1e-12)
+    except OverflowError:
+        return math.inf
+
+
 def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
                             ) -> BoundCheckResult:
-    """Verify sigma(n)/n <= e^gamma log log n + c / log log n on [lo, hi).
+    """Verify sigma(n)/n <= B(n) = e^gamma L + c / L, L = log log n, on
+    [lo, hi) (Robin 1984), by structure and a short head walk.
 
-    The float pass finds the witness with the smallest margin; the margin
-    reported, and the pass/fail decision, come from mpmath at the witness.
+    Lemma.  dB/dL = e^gamma - c / L^2, so B does not decrease once
+    L >= L0 = sqrt(max(c, 0) / e^gamma), that is for n >= n0(c) (see
+    _sigma_bound_rise).  For consecutive superabundant numbers s <= n < s',
+    sigma(n)/n <= sigma(s)/s: the largest ratio up to n is first reached at
+    a superabundant number, and s is the last one up to n.  So for s >= n0
+    the margin B(n) - sigma(n)/n on [s, s') is least at s.
+
+    Let s* be the first superabundant number >= max(lo, n0).  The float
+    margin is walked, chunk by chunk, only on the head [lo, s*), and past
+    it taken at each superabundant number in [s*, hi); with no such number
+    below hi (a large c puts n0 past the range) the head is all of [lo, hi).
+    Both parts use _sigma_margin, so each margin taken is the float a walk
+    of the whole range takes at that n, and the witness is the first n of
+    least float margin among them (the same n as that walk's on every case
+    the tests compare).  The margin reported, and the pass/fail decision,
+    come from mpmath at the witness.
     """
     check_sigma_bound_args(lo, hi, c)
+    from . import champions  # not at import time: champions imports criteria
+    start = max(lo, _sigma_bound_rise(c))
+    sa = [r for r in champions.generate_superabundant(hi - 1).records
+          if r[0] >= start]
+
+    def margins():
+        """(the n of each margin, the margins), in increasing n."""
+        for c_lo, ratios in _chunks(_chunk_ratios, lo, sa[0][0] if sa else hi,
+                                    CriterionKind.ROBIN_G):
+            n = np.arange(c_lo, c_lo + len(ratios), dtype=np.float64)
+            yield range(c_lo, c_lo + len(ratios)), _sigma_margin(n, ratios, c)
+        if sa:
+            ns, sigmas = zip(*sa)
+            n = np.array(ns, dtype=np.float64)
+            ratios = np.array(sigmas, dtype=np.float64) / n
+            yield ns, _sigma_margin(n, ratios, c)
+
     worst = math.inf
     witness = lo
-    for c_lo, ratios in _chunks(_chunk_ratios, lo, hi, CriterionKind.ROBIN_G):
-        margin = _sigma_margin(c_lo, ratios, c)
+    for ns, margin in margins():
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
-            witness = c_lo + i
+            witness = ns[i]
     import mpmath as mp
     with mp.workdps(ESCALATION_DPS):
         exact = float(mp.mpf(c) / mp.log(mp.log(witness))

@@ -341,22 +341,30 @@ def check_scans(hi):
         assert rep.exceptions == tuple(v.n for v in rep.values)
 
 
-def check_sigma_bound(hi):
+SIGMA_BOUND_LOS = (3, 4, 6, 7, 11, 12, 13, 2520, 2521)
+# the default c (n0 = 7), the paper's, two with n0 = 3, n0 = 18 and 209,
+# and n0 past every float
+SIGMA_BOUND_CS = (0.6483, 0.6482, 0.0, -1.0, 2.0, 5.0, 1e6)
+
+
+def check_sigma_bound(hi, los=SIGMA_BOUND_LOS, cs=SIGMA_BOUND_CS):
     """The witness is the first whole-table argmin of the float margin, and
-    the margin reported is the 30-digit one there."""
-    c = criteria.DEFAULT_SIGMA_BOUND_C
+    the margin reported is the 30-digit one there: the brute force over
+    every n of the range, at every c."""
     sig = sigma_table(hi - 1)
-    for lo in (3, 13):  # the witness is 12, then somewhere past it
+    for lo in los:
         n = np.arange(lo, hi, dtype=np.float64)
         llg = np.log(np.log(n))
-        margin = criteria.CONSTANTS.e_gamma * llg + c / llg - sig[lo:] / n
-        witness = lo + int(np.argmin(margin))
-        with mp.workdps(criteria.ESCALATION_DPS):
-            exact = float(mp.mpf(c) / mp.log(mp.log(witness))
-                          - criteria._exact_value(witness, int(sig[witness])))
-        res = criteria.check_sigma_upper_bound(lo, hi)
-        assert (res.witness, res.worst_margin, res.passed) == \
-            (witness, exact, exact > 0)
+        for c in cs:
+            margin = criteria.CONSTANTS.e_gamma * llg + c / llg - sig[lo:] / n
+            witness = lo + int(np.argmin(margin))
+            with mp.workdps(criteria.ESCALATION_DPS):
+                exact = float(
+                    mp.mpf(c) / mp.log(mp.log(witness))
+                    - criteria._exact_value(witness, int(sig[witness])))
+            res = criteria.check_sigma_upper_bound(lo, hi, c)
+            assert (res.witness, res.worst_margin, res.passed) == \
+                (witness, exact, exact > 0), (lo, c)
 
 
 def check_prop2(limit):
@@ -368,7 +376,10 @@ def check_every_caller(limit):
     check_record_scans(limit)
     check_prop2(limit)
     check_scans(limit)
-    check_sigma_bound(limit)
+    # the default c walks a short head and 1e6 all of [lo, limit); the
+    # whole lo x c grid runs at every chunk size in TestChunkDriver
+    check_sigma_bound(limit, los=(3, 13),
+                      cs=(criteria.DEFAULT_SIGMA_BOUND_C, 1e6))
 
 
 class TestChunkDriver:
@@ -384,29 +395,40 @@ class TestChunkDriver:
     def test_sigma_bound_chunk_invariant(self, chunk_size):
         check_sigma_bound(DRIVER_LIMIT)
 
+    def test_sigma_bound_past_720720(self):
+        # the last superabundant number below 10^6, and the head after it
+        check_sigma_bound(10**6 + 1, los=(720720, 720721))
+
     def test_every_caller_reads_the_chunk_size(self, chunk_size,
                                                monkeypatch):
-        sizes = []
+        spans = []
         for name in ("_chunk_values", "_chunk_ratios"):
             fn = getattr(criteria, name)
             monkeypatch.setattr(
                 criteria, name, lambda lo, hi, *rest, fn=fn:
-                sizes.append(hi - lo) or fn(lo, hi, *rest))
+                spans.append((lo, hi)) or fn(lo, hi, *rest))
         callers = (
             lambda: psirh.verify_prop2(DRIVER_LIMIT),
             lambda: criteria.scan_exceptions(CriterionKind.ROBIN_G, 2,
                                              DRIVER_LIMIT),
-            lambda: criteria.check_sigma_upper_bound(3, DRIVER_LIMIT))
+            # the sigma bound walks only its head, here [2521, 3000)
+            lambda: criteria.check_sigma_upper_bound(2521, DRIVER_LIMIT))
         for caller in callers:
-            sizes.clear()
+            spans.clear()
             caller()
-            assert max(sizes) == chunk_size
+            assert max(hi - lo for lo, hi in spans) == chunk_size
+        # past n0 = 7 the first superabundant number is 12: the head is
+        # [3, 12) even at the scan ceiling
+        spans.clear()
+        criteria.check_sigma_upper_bound(3, 10**8)
+        assert sorted(spans) == [(lo, min(lo + chunk_size, 12))
+                                 for lo in range(3, 12, chunk_size)]
         # the record sequences are built by structure and walk no range
         for caller in (psirh.generate_s_sequence,
                        psirh.generate_superabundant):
-            sizes.clear()
+            spans.clear()
             caller(DRIVER_LIMIT)
-            assert sizes == []
+            assert spans == []
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)

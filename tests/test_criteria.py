@@ -135,6 +135,19 @@ class TestSigmaUpperBound:
         res = check_sigma_upper_bound(13, 10**4, c=0.6482)
         assert res.passed
 
+    def test_no_superabundant_number_below_n0(self):
+        # at c = 2, B falls until n0 = 18: the margin at 6 is no lower
+        # bound for [6, 12), and the least margin below 12 lies at 10
+        assert criteria._sigma_bound_rise(2.0) == pytest.approx(17.9, abs=0.1)
+        res = check_sigma_upper_bound(3, 12, c=2.0)
+        assert res.witness == 10
+
+    @pytest.mark.parametrize("c", [1e6, 1e300])
+    def test_n0_past_every_float(self, c):
+        assert criteria._sigma_bound_rise(c) == math.inf
+        res = check_sigma_upper_bound(3, 100, c=c)
+        assert res.passed
+
     def test_lo_validation(self):
         with pytest.raises(DomainError):
             check_sigma_upper_bound(2, 100)
@@ -220,5 +233,5 @@ class TestChunkArithmetic:
             assert same_bits(criteria._chunk_values(lo, hi, kind),
                              ratios - CONSTANTS.e_gamma * llg)
         c = float(rng.uniform(0.1, 1.0))
-        assert same_bits(criteria._sigma_margin(lo, ratios, c),
+        assert same_bits(criteria._sigma_margin(n, ratios, c),
                          CONSTANTS.e_gamma * llg + c / llg - ratios)
