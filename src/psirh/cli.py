@@ -16,6 +16,7 @@ from . import primorial
 from .constants import CONSTANTS, DEFAULT_SIGMA_BOUND_C
 from .errors import (BFileParseError, CacheParseError, DomainError,
                      ResourceLimitError)
+from .prime_engine import check_n_max
 from .report import RenderedReport
 
 # criteria and champions (and with them numpy and arith) are imported by the
@@ -38,8 +39,7 @@ def _parse_indices(text: str) -> list[int]:
 def _cmd_scan(args) -> tuple[RenderedReport, bool]:
     from . import criteria
     from .criteria import CriterionKind
-    kind = CriterionKind.DEDEKIND_F if args.criterion == "f" else CriterionKind.ROBIN_G
-    rep = criteria.scan_exceptions(kind, args.lo, args.hi)
+    rep = criteria.scan_exceptions(CriterionKind(args.criterion), args.lo, args.hi)
     rows = [{"n": cv.n, "ratio": cv.ratio, "threshold": cv.threshold,
              "value": cv.value, "escalated": cv.precision_escalated}
             for cv in rep.values]
@@ -145,7 +145,7 @@ def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
 def _cmd_mertens(args) -> tuple[RenderedReport, bool]:
     indices = _parse_indices(args.indices)
     # every index is checked before the pass, the pass's own checks first
-    primorial.check_n_max(max(indices))
+    check_n_max(max(indices))
     if min(indices) < 2:
         raise DomainError("mertens ratio defined for n >= 2")
     stats = primorial.full_scan(max(indices), indices)

@@ -159,7 +159,8 @@ def _sigma_margin(n: np.ndarray, ratios: np.ndarray, c: float) -> np.ndarray:
     its superabundant numbers, rounded as written."""
     llg = _loglog(n)
     margin = CONSTANTS.e_gamma * llg
-    margin += np.divide(c, llg, out=llg)
+    with np.errstate(over="ignore"):  # a c near the float maximum: inf
+        margin += np.divide(c, llg, out=llg)
     margin -= ratios
     return margin
 

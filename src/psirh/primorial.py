@@ -13,11 +13,10 @@ import os
 from collections.abc import Iterable, Iterator, Sequence
 
 from .constants import CONSTANTS, BoundCheckResult
-from .errors import CacheVersionError, DomainError, ResourceLimitError
+from .errors import CacheVersionError, DomainError
 from . import prime_engine
-from .prime_engine import (PRIME_INDEX_CEILING, ThetaPoint, cache_load,
-                           cache_save, chunk_sum_dd, dd_pair,
-                           iter_prime_chunks, _nth_prime_value_bound)
+from .prime_engine import (ThetaPoint, cache_load, cache_save, check_n_max,
+                           chunk_sum_dd, dd_pair, iter_prime_chunks)
 from .prime_engine import nth_prime  # noqa: F401 (wrapped by perfbench/spans.py)
 
 # numpy is imported by _pass and check_primorial_bounds, which make arrays.
@@ -82,15 +81,6 @@ def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
     return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
 
 
-def check_n_max(n_max: int) -> None:
-    """Reject an n_max that full_scan would reject, before any pass runs."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(
-            f"n_max={n_max} exceeds configured index ceiling {PRIME_INDEX_CEILING}")
-
-
 def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
     """The one ordered pass over the first n_max primes, a chunk at a time:
     yields (first, primes, logs, rl, theta_start, theta_cum, r_start, stats),
@@ -105,12 +95,8 @@ def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
     import numpy as np
     theta = r = 0
     count = ci = 0
-    bound = min(_nth_prime_value_bound(n_max), prime_engine.PRIME_VALUE_CEILING)
     buf = np.empty((4, 0))
-    for chunk in iter_prime_chunks(bound):
-        if count >= n_max:
-            break
-        chunk = chunk[: n_max - count]
+    for chunk in iter_prime_chunks(n_max):
         if buf.shape[1] < len(chunk):
             buf = np.empty((4, len(chunk)))
         pf, logs, rl, theta_cum = buf[:, :len(chunk)]
@@ -148,8 +134,6 @@ def full_scan(n_max: int, report_indices: Iterable[int] = ()
     stats: dict[int, PrimorialStats] = {}
     last_theta = -math.inf  # the previous chunk's last float theta
     for first, pf, _, _, theta_start, theta_cum, _, at_cuts in _pass(n_max, cuts):
-        if not len(pf):
-            continue
         # the first step must rise above both the float theta the chunk
         # starts from and the previous chunk's last float value
         rises = (theta_cum[0] > max(theta_start, last_theta)
@@ -204,8 +188,7 @@ def check_primorial_bounds(last: int, first: int | None = None
         first = 1 + len(prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1))
     if last < first:
         raise DomainError(f"empty index range [{first}, {last}]")
-    if last > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(f"last={last} exceeds index ceiling")
+    check_n_max(last)
     if first < 1:
         raise DomainError("prime index must be >= 1")
     count = 0
@@ -295,8 +278,7 @@ def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
            cache_path=None) -> list[dict]:
     """Rows of the theta-ratio / successor-ratio / k-ratio table."""
     need = sorted({i for i in indices} | {i + 1 for i in indices})
-    if max(need) > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(f"index {max(need)} exceeds ceiling")
+    check_n_max(max(need))
     if min(indices) < 7:
         raise DomainError("table indices must be >= 7 (k ratio domain)")
     pts = _theta_points_for(need, cache_path)
@@ -323,8 +305,7 @@ def table1(indices: Sequence[int] = TABLE1_DEFAULT_INDICES,
 def table2(indices: Sequence[int] = TABLE2_DEFAULT_INDICES) -> list[dict]:
     """Rows of f(N_n) = g(N_n) versus the number of primes in the primorial."""
     need = sorted(set(indices))
-    if max(need) > PRIME_INDEX_CEILING:
-        raise ResourceLimitError(f"index {max(need)} exceeds ceiling")
+    check_n_max(max(need))
     if min(need) < 2:
         raise DomainError("table indices must be >= 2")
     stats = full_scan(max(need), need)

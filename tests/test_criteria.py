@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -147,6 +148,14 @@ class TestSigmaUpperBound:
         assert criteria._sigma_bound_rise(c) == math.inf
         res = check_sigma_upper_bound(3, 100, c=c)
         assert res.passed
+
+    def test_c_near_the_float_maximum_warns_nothing(self):
+        # c / log log n is inf for small n; the margin there is inf, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = check_sigma_upper_bound(3, 1000, 1.7e308)
+        assert (res.passed, res.witness, res.worst_margin) == \
+            (True, 999, 8.7968957316259156e+307)
 
     def test_lo_validation(self):
         with pytest.raises(DomainError):

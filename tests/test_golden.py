@@ -79,7 +79,8 @@ GOLDEN = {
         "psirh: domain error: empty index range [3000, 2999]\n"),
     "bounds ceiling": (["bounds", "--hi", "10500001"],
         3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "psirh: resource limit: last=10500001 exceeds index ceiling\n"),
+        "psirh: resource limit: n_max=10500001 exceeds configured index "
+        "ceiling 10500000\n"),
     "oeis S late": (["oeis-check", "--bfile", "late.txt", "--sequence", "A060735", "--count", "1"],
         0, "da25159fdd9efb9a43916bde6824b961e755a914153db19792e3570e137ee02f",
         ""),

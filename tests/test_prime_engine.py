@@ -34,9 +34,12 @@ def trial_division_primes(lo, hi):
 
 
 def stream_primes(lo, hi):
-    """The primes in [lo, hi) taken from the one prime stream."""
-    primes = [p for chunk in iter_prime_chunks(hi) for p in chunk.tolist()]
-    return [p for p in primes if p >= lo]
+    """The primes in [lo, hi) taken from the one prime stream: its first n
+    primes, n > pi(hi) by pi(x) < 1.25506 x / log x for x > 1 (Rosser and
+    Schoenfeld 1962)."""
+    n = int(1.25506 * hi / math.log(hi)) + 1 if hi > 1 else 0
+    primes = [p for chunk in iter_prime_chunks(n) for p in chunk.tolist()]
+    return [p for p in primes if lo <= p < hi]
 
 
 class TestSieveRange:
@@ -51,12 +54,16 @@ class TestSieveRange:
         assert got == trial_division_primes(10**6, 10**6 + 100)
 
     def test_empty_range_yields_nothing(self):
-        for limit in (0, 1, 2):
-            assert list(iter_prime_chunks(limit)) == []
+        # the first 0 primes (the primes below 0, 1 or 2) are no chunk at all
+        assert list(iter_prime_chunks(0)) == []
+        assert [c.tolist() for c in iter_prime_chunks(1)] == [[2]]
 
     def test_ceiling_rejected(self):
+        # at the call, before the first next()
         with pytest.raises(ResourceLimitError):
-            next(iter_prime_chunks(10**12))
+            iter_prime_chunks(PRIME_INDEX_CEILING + 1)
+        with pytest.raises(DomainError):
+            iter_prime_chunks(-1)
 
     @settings(max_examples=30, deadline=None)
     @given(lo=st.integers(0, 10**6), span=st.integers(1, 300))
@@ -182,6 +189,11 @@ class TestPrimeList:
         assert runs[0].exceptions == (2, 3, 4, 5, 6, 8, 10, 12, 18, 30)
 
 
+# pi(2 * 10**7): the stream of these primes ends at p_n = 19999999, in the
+# tenth of the eleven 2**21-value segments below its value bound
+PRIMES_BELOW_2E7 = 1_270_607
+
+
 class TestPrimeStreamPipeline:
     """iter_prime_chunks sieves segments ahead on prime_engine.WORKERS
     threads and yields them in order."""
@@ -190,19 +202,19 @@ class TestPrimeStreamPipeline:
         runs = []
         for workers in (1, 2, 3):
             set_workers(workers)
-            runs.append(list(iter_prime_chunks(2 * 10**7)))
+            runs.append(list(iter_prime_chunks(PRIMES_BELOW_2E7)))
         assert len(runs[0]) == 10
         for run in runs[1:]:
             assert len(run) == len(runs[0])
             assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
     def test_more_workers_than_cores_with_fast_switching(self, set_workers):
-        want = list(iter_prime_chunks(2 * 10**7))
+        want = list(iter_prime_chunks(PRIMES_BELOW_2E7))
         set_workers(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = list(iter_prime_chunks(2 * 10**7))
+            got = list(iter_prime_chunks(PRIMES_BELOW_2E7))
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(want)
@@ -211,7 +223,7 @@ class TestPrimeStreamPipeline:
     def test_close_mid_stream_stops_every_worker(self, set_workers):
         set_workers(2)
         before = threading.active_count()
-        stream = iter_prime_chunks(2 * 10**7)
+        stream = iter_prime_chunks(PRIMES_BELOW_2E7)
         next(stream)
         next(stream)
         assert threading.active_count() > before
@@ -219,10 +231,12 @@ class TestPrimeStreamPipeline:
         assert threading.active_count() == before
 
     def test_nth_prime_leaves_no_worker(self, set_workers):
-        # nth_prime leaves the stream after 8 of its 9 segments
+        # p_1e6 is in the last of its stream's 8 segments; the stream of
+        # PRIMES_BELOW_2E7 ends in the 10th of 11, one sieved ahead
         set_workers(2)
         before = threading.active_count()
         assert psirh.nth_prime(10**6) == 15485863
+        assert psirh.nth_prime(PRIMES_BELOW_2E7) == 19999999
         assert threading.active_count() == before
 
     def test_worker_error_keeps_its_type(self, set_workers, monkeypatch):
@@ -244,15 +258,17 @@ class TestPrimeStreamPipeline:
         before = threading.active_count()
         seen = []
         with pytest.raises(Boom):
-            for chunk in iter_prime_chunks(2 * 10**7):
+            for chunk in iter_prime_chunks(PRIMES_BELOW_2E7):
                 seen.append(int(chunk[0]))
         assert seen == [2, 2097169, 4194319]  # the first three segments
         assert threading.get_ident() not in callers
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers, limit", [(1, 2 * 10**7), (2, 2**21)])
+    # 145000 primes: the value bound, 2082160, is one segment
+    @pytest.mark.parametrize("workers, n, segments",
+                             [(1, PRIMES_BELOW_2E7, 10), (2, 145_000, 1)])
     def test_serial_stream_starts_no_thread(self, set_workers, monkeypatch,
-                                           workers, limit):
+                                           workers, n, segments):
         # one worker, or a stream of one segment, stays on the serial loop
         set_workers(workers)
 
@@ -260,7 +276,7 @@ class TestPrimeStreamPipeline:
             raise AssertionError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert len(list(iter_prime_chunks(limit))) == -(-limit // 2**21)
+        assert len(list(iter_prime_chunks(n))) == segments
         assert psirh.full_scan(10**5, [10**5])[10**5].prime == 1299709
 
 
@@ -278,8 +294,20 @@ class TestNthPrime:
         with pytest.raises(ResourceLimitError):
             psirh.nth_prime(10**8)
 
+    def test_stream_short_of_p_n_raises(self, monkeypatch):
+        # a value bound below p_100 = 541 gives the 25 primes below 100:
+        # the pass and the lookup both raise from the stream's one check
+        monkeypatch.setattr(prime_engine, "_nth_prime_value_bound",
+                            lambda n: 100)
+        for run in (lambda: psirh.full_scan(100, [100]),
+                    lambda: psirh.nth_prime(100)):
+            with pytest.raises(RuntimeError,
+                               match="prime bound 100 too small: 75 primes short"):
+                run()
+
     def test_consistent_with_sieve_stream(self):
-        primes = np.concatenate(list(iter_prime_chunks(1300000)))
+        # pi(1300000): the stream is cut past every n read
+        primes = np.concatenate(list(iter_prime_chunks(100_021)))
         for n in (1, 2, 100, 5000, 100000):
             assert psirh.nth_prime(n) == primes[n - 1]
 
@@ -373,7 +401,8 @@ def real_chunks():
     late = prime_engine._segment_primes(
         lo, lo + 2**21, prime_engine._simple_sieve(math.isqrt(lo + 2**21 - 1)))
     out = []
-    for primes in (next(iter_prime_chunks(2**21)), late):
+    # pi(2**21): the first chunk is every prime of the first segment
+    for primes in (next(iter_prime_chunks(155_611)), late):
         pf = primes.astype(np.float64)
         out += [np.log(pf), np.log1p(1.0 / pf)]
     return out

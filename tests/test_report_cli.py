@@ -167,6 +167,43 @@ class TestTableCommands:
         assert f"| 0.773127 | 0.976036 | 0.866674 | " \
                f"{float(row['theta_ratio']):.9g} |" in md
 
+    # past the one index ceiling, each with the count of primes its pass
+    # would need
+    @pytest.mark.parametrize("argv, n", [
+        (("table1", "--indices", "10500000"), 10500001),
+        (("table1", "--indices", "10,20000000"), 20000001),
+        (("table2", "--indices", "10500001"), 10500001),
+        (("table2", "--indices", "3,20000000"), 20000000),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_tables_past_the_ceiling_exit_3_before_the_pass(
+            self, capsys, monkeypatch, argv, n):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the prime pass ran")
+        monkeypatch.setattr(primorial, "full_scan", no_pass)
+        assert run_cli(capsys, *argv) == (
+            3, "", f"psirh: resource limit: n_max={n} exceeds configured "
+                   f"index ceiling 10500000\n")
+
+    def test_table1_ceiling_checked_before_the_cache(self, capsys, monkeypatch,
+                                                     tmp_path):
+        # a crafted cache already holding n and n + 1 past the ceiling
+        cache = tmp_path / "theta.cache"
+        prime_engine.cache_save({
+            i: prime_engine.ThetaPoint(i, p, p - 1e4, 0.0) for i, p in
+            ((10500000, 188943803), (10500001, 188943817))}, cache)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the prime pass ran")
+        monkeypatch.setattr(primorial, "full_scan", no_pass)
+        argv = ("table1", "--indices", "10500000", "--cache", str(cache))
+        assert run_cli(capsys, *argv) == (
+            3, "", "psirh: resource limit: n_max=10500001 exceeds configured "
+                   "index ceiling 10500000\n")
+        # the same cache serves the row once the ceiling admits it
+        monkeypatch.setattr(prime_engine, "PRIME_INDEX_CEILING", 10500001)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and parse_csv(out)[0]["p_n"] == "188943803"
+
 
 class TestOtherCommands:
     def test_champions(self, capsys):
@@ -227,6 +264,14 @@ class TestOtherCommands:
                                  "--sigma-hi", "1000", f"--c={c}")
         assert (code, out) == (2, "")
         assert err.startswith("psirh: domain error: c must be finite")
+
+    def test_bounds_c_near_the_float_maximum(self, capsys):
+        # c / log log n overflows to inf for small n: no warning, same row
+        code, out, err = run_cli(capsys, "bounds", "--lo", "2263", "--hi",
+                                 "2263", "--sigma-hi", "1000", "--c", "1.7e308")
+        assert (code, err) == (0, "")
+        assert "sigma_upper,3,999,true,8.7968957316259156e+307,999" in \
+            out.splitlines()
 
     @pytest.mark.parametrize("argv, code, err", [
         (("--c", "nan"), 2, "domain error: c must be finite, got nan"),
