@@ -151,6 +151,23 @@ def generate_superabundant(limit: int) -> RecordScanResult:
     return RecordScanResult(records=tuple(records), limit=limit)
 
 
+def ratio_records(kind: CriterionKind, limit: int) -> tuple[tuple[int, int], ...]:
+    """The strict ratio records up to limit as (n, psi(n) or sigma(n)), in
+    increasing n: n = 1 and the N_k for psi, the superabundant numbers for
+    sigma.  The last record s <= x has the largest ratio on [1, x].
+
+    For psi: an n < N_{k+1} has at most k distinct prime factors, so
+    psi(n)/n, the product of 1 + 1/p over p | n, is at most psi(N_k)/N_k,
+    with equality only when n is a multiple of N_k.
+    """
+    if kind is CriterionKind.ROBIN_G:
+        return generate_superabundant(limit).records
+    records = [(1, 1)]
+    for _, p, primorial, _ in _primorials(limit):
+        records.append((primorial, records[-1][1] * (p + 1)))
+    return tuple(records)
+
+
 def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
     """Verify psi(l*N_k) = l*psi(N_k) exactly for 1 <= l < p_{k+1}, k <= k_max."""
     if k_max < 1:

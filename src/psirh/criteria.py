@@ -17,12 +17,18 @@ is checked by structure: its right side does not decrease from n0(c) on
 s <= n < s' the ratio sigma(n)/n is at most sigma(s)/s.  So past the first
 superabundant number s* >= max(lo, n0) the least margin lies at a
 superabundant number, and only the head [lo, s*) is walked n by n.
+
+The scans use the same records: on [1, x] the ratio is at most that of
+the last record s <= x (N_k for psi, superabundant for sigma), so a chunk
+whose threshold lies clear above it is skipped; to 10^8 only the first
+chunk is walked.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -40,7 +46,8 @@ ESCALATION_DPS = 30
 _CANDIDATE_BAND = 1e-6
 
 # A budget, measured at the ceiling (the whole command, on a 2-core Xeon):
-# scan --criterion g takes 3.6-4.0 s in 46 MB.  bounds --lo 2263 --hi 2263
+# scan --criterion f or g takes 0.3 s in 35 MB, the ratio records leaving
+# only the first chunk open.  bounds --lo 2263 --hi 2263
 # --sigma-hi takes 0.2 s in 34 MB at the default c, which walks only [3, 12);
 # a c whose n0 lies past the ceiling (--c 1e6) walks all of it, 4.2-4.7 s in
 # 52-53 MB.
@@ -165,31 +172,62 @@ def _sigma_margin(n: np.ndarray, ratios: np.ndarray, c: float) -> np.ndarray:
     return margin
 
 
-def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
+def _chunks(fn, lo: int, hi: int, kind: CriterionKind, records=()):
     """Yield (c_lo, fn(c_lo, c_hi, kind)) for the consecutive chunks
     [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
     _chunk_ratios.  The one walk of every range caller: memory stays
     O(chunk) whatever the range, and each chunk's kernel fetches its own
     base primes.  The chunk length is DEFAULT_CHUNK, read at call time.
 
+    records, the strict ratio records of kind up to hi - 1
+    (champions.ratio_records), skip each chunk they prove clean, neither
+    computed nor yielded: one with ceiling(c_hi - 1) (1 + 1e-12) +
+    _CANDIDATE_BAND < threshold(c_lo) (1 - 1e-12), ceiling(x) the float
+    ratio of the last record <= x (scan_exceptions says why).
+
     Only fn runs ahead on prime_engine._ordered's workers; mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
-    return _ordered(fn, [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
-                         for c_lo in range(lo, hi, DEFAULT_CHUNK)])
+    ns = [n for n, _ in records]
+    ceilings = [numer / n * (1 + 1e-12) for n, numer in records]
+    jobs = []
+    for c_lo in range(lo, hi, DEFAULT_CHUNK):
+        c_hi = min(c_lo + DEFAULT_CHUNK, hi)
+        if not (records and ceilings[bisect_right(ns, c_hi - 1) - 1]
+                + _CANDIDATE_BAND < threshold(c_lo) * (1 - 1e-12)):
+            jobs.append((c_lo, c_hi, kind))
+    return _ordered(fn, jobs)
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
-    exact confirmation of every near-threshold candidate."""
+    exact confirmation of every near-threshold candidate, on the chunks the
+    ratio records leave open (_chunks).
+
+    Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
+    record <= x: the largest ratio on [1, x] is first reached at a record.
+
+    Why a skipped chunk [c_lo, c_hi) loses nothing.  The kernel's float
+    ratio is within one rounding of the exact ratio, so by the lemma at
+    most ceiling(c_hi - 1) (1 + 1e-12).  np.log is within a few ulps of
+    the true log and log log n rises with n, so each float threshold in the
+    chunk is at least threshold(c_lo) (1 - 1e-12), positive as it exceeds
+    a ceiling >= 1.  Every value there is below -_CANDIDATE_BAND: no
+    candidate would have been made, nothing escalated, and the exceptions,
+    their values and the escalation count are those of a walk of every
+    chunk.  The least skip margin of the tests, 7.4e-4, is far above the
+    1e-12 slack.
+    """
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
     if hi > SCAN_CEILING:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
+    from . import champions  # not at import time: champions imports criteria
     found = []
     escalations = 0
-    for c_lo, values in _chunks(_chunk_values, lo, hi, kind):
+    for c_lo, values in _chunks(_chunk_values, lo, hi, kind,
+                                champions.ratio_records(kind, hi - 1)):
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
@@ -257,7 +295,7 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     check_sigma_bound_args(lo, hi, c)
     from . import champions  # not at import time: champions imports criteria
     start = max(lo, _sigma_bound_rise(c))
-    sa = [r for r in champions.generate_superabundant(hi - 1).records
+    sa = [r for r in champions.ratio_records(CriterionKind.ROBIN_G, hi - 1)
           if r[0] >= start]
 
     def margins():

@@ -430,6 +430,20 @@ class TestChunkDriver:
             caller(DRIVER_LIMIT)
             assert spans == []
 
+    @pytest.mark.parametrize("kind", CriterionKind)
+    def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind):
+        spans = []
+        fn = criteria._chunk_values
+        monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
+                            spans.append((lo, hi)) or fn(lo, hi, k))
+        # the ratio records leave open only the chunk of 30 or 5040, even
+        # at the scan ceiling, and no chunk of [10^7, 1.5 * 10^7)
+        criteria.scan_exceptions(kind, 2, 10**8)
+        assert spans == [(2, 2 + criteria.DEFAULT_CHUNK)]
+        spans.clear()
+        criteria.scan_exceptions(kind, 10**7, 15 * 10**6)
+        assert spans == []
+
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)
 

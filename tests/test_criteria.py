@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 import warnings
@@ -108,6 +109,59 @@ class TestScanExceptions:
             scan_exceptions(CriterionKind.ROBIN_G, 10, 10)
         with pytest.raises(ResourceLimitError):
             scan_exceptions(CriterionKind.ROBIN_G, 2, 10**9)
+
+
+# the kernel's values, before any test wraps criteria._chunk_values
+CHUNK_VALUES = criteria._chunk_values
+
+
+@functools.cache
+def range_values(kind, lo, hi):
+    """The float values of every n in [lo, hi) from one kernel call; a
+    value does not depend on the chunk it is computed in
+    (TestChunkArithmetic)."""
+    return CHUNK_VALUES(lo, hi, kind)
+
+
+class TestSkipRule:
+    """Every chunk the ratio records skip holds no value above
+    -_CANDIDATE_BAND, and the report is the one a walk of every chunk
+    gives."""
+
+    @staticmethod
+    def check(monkeypatch, kind, lo, hi, size):
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
+        walked = []
+        monkeypatch.setattr(criteria, "_chunk_values", lambda c_lo, c_hi, k:
+                            walked.append((c_lo, c_hi))
+                            or CHUNK_VALUES(c_lo, c_hi, k))
+        rep = scan_exceptions(kind, lo, hi)
+        grid = [(c, min(c + size, hi)) for c in range(lo, hi, size)]
+        assert set(walked) <= set(grid)
+        skipped = set(grid) - set(walked)
+        assert skipped
+        values = range_values(kind, lo, hi)
+        for c_lo, c_hi in skipped:
+            assert values[c_lo - lo:c_hi - lo].max() <= -criteria._CANDIDATE_BAND
+        found = [criteria._criterion(lo + int(off), kind)
+                 for off in np.nonzero(values > -criteria._CANDIDATE_BAND)[0]]
+        assert (rep.values, rep.escalations) == (
+            tuple(cv for cv in found if cv.value >= 0),
+            sum(cv.precision_escalated for cv in found))
+        return walked
+
+    @pytest.mark.parametrize("size", [64, 999, 1 << 16])
+    @pytest.mark.parametrize("kind, largest", [
+        (CriterionKind.DEDEKIND_F, 30), (CriterionKind.ROBIN_G, 5040)])
+    def test_skipped_chunks_are_clean(self, monkeypatch, kind, largest, size):
+        walked = self.check(monkeypatch, kind, 2, 2 * 10**6, size)
+        assert any(c_lo <= largest < c_hi for c_lo, c_hi in walked)
+
+    @pytest.mark.parametrize("kind", CriterionKind)
+    def test_seeded_window_below_the_ceiling(self, monkeypatch, kind):
+        rng = np.random.default_rng(25)
+        lo = int(rng.integers(10**7, criteria.SCAN_CEILING - 5 * 10**6))
+        self.check(monkeypatch, kind, lo, lo + 5 * 10**6, 1 << 18)
 
 
 class TestSigmaUpperBound:

@@ -34,6 +34,13 @@ GOLDEN = {
     "scan g json": (["--format", "json", "scan", "--criterion", "g", "--hi", "100000"],
         0, "5806efc79edbbd07d99680014f5c5ec45bd1b3e523f0082368539471172a4946",
         ""),
+    # past the first chunk of 2^18: chunks the ratio records skip
+    "scan f 1e6": (["scan", "--criterion", "f", "--hi", "1000000"],
+        0, "00771a6f1f9c429f11bdeff1a8ab3df58278976b1f2b1d0e17b2040da5498f84",
+        ""),
+    "scan g window": (["scan", "--criterion", "g", "--lo", "10000000", "--hi", "10600000"],
+        0, "b77520ecd0448e9d891e72df9a2fb2a6743a7854dfe0c487a456469403be797b",
+        ""),
     "champions": (["champions", "--limit", "10000"],
         0, "e7a416cf61840edfd65417d42368942b35a4cc54b1abffa3d8168be125b96c84",
         ""),
