@@ -30,8 +30,10 @@ from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
 # 2-core Xeon with 7 GB); prop2 walks its range in chunks, in under 65 MB:
-SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n
-S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV
+SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n;
+#                      as scan g's hi - 1 (ratio_records), 2.4-2.8 s, 165 MB
+S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV;
+#                      as scan f's hi - 1 (ratio_records), 0.25-0.31 s, 35 MB
 PROP1_CEILING = 10**8          # 0.2 s, 31 MB
 PROP2_CEILING = 10**8          # 3.3-3.5 s, 48 MB: 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
@@ -162,6 +164,8 @@ def ratio_records(kind: CriterionKind, limit: int) -> tuple[tuple[int, int], ...
     """
     if kind is CriterionKind.ROBIN_G:
         return generate_superabundant(limit).records
+    if limit > S_SEQUENCE_CEILING:
+        raise ResourceLimitError("limit exceeds ceiling 10**300")
     records = [(1, 1)]
     for _, p, primorial, _ in _primorials(limit):
         records.append((primorial, records[-1][1] * (p + 1)))

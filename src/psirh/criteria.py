@@ -18,21 +18,19 @@ s <= n < s' the ratio sigma(n)/n is at most sigma(s)/s.  So past the first
 superabundant number s* >= max(lo, n0) the least margin lies at a
 superabundant number, and only the head [lo, s*) is walked n by n.
 
-The scans use the same records: on [1, x] the ratio is at most that of
-the last record s <= x (N_k for psi, superabundant for sigma), so a chunk
-whose threshold lies clear above it is skipped; to 10^8 only the first
-chunk is walked.
+The scans use the same records (N_k for psi, superabundant for sigma):
+past each record r the threshold soon clears ratio(r), so one window
+[r, x_r) per record is walked, 37 n for f and 1,699 for g at any range.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 
 import numpy as np
 
-from .arith import dedekind_psi, multiplicative_range, sigma
+from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C,  # noqa: F401
                         BoundCheckResult, Constants, Record)
 from .errors import DomainError, ResourceLimitError
@@ -45,12 +43,10 @@ ESCALATION_DPS = 30
 # anything this close to the threshold gets the exact treatment.
 _CANDIDATE_BAND = 1e-6
 
-# A budget, measured at the ceiling (the whole command, on a 2-core Xeon):
-# scan --criterion f or g takes 0.3 s in 35 MB, the ratio records leaving
-# only the first chunk open.  bounds --lo 2263 --hi 2263
-# --sigma-hi takes 0.2 s in 34 MB at the default c, which walks only [3, 12);
-# a c whose n0 lies past the ceiling (--c 1e6) walks all of it, 4.2-4.7 s in
-# 52-53 MB.
+# The sigma bound's ceiling alone, a budget measured there (the whole
+# command, on a 2-core Xeon): bounds --lo 2263 --hi 2263 --sigma-hi takes
+# 0.2 s in 34 MB at the default c, which walks only [3, 12); a c whose n0
+# lies past it (--c 1e6) walks all of it, 4.2-4.7 s in 52-53 MB.
 SCAN_CEILING = 10**8
 # A range walk keeps at most prime_engine.WORKERS chunks computing plus the
 # one its caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores
@@ -172,57 +168,73 @@ def _sigma_margin(n: np.ndarray, ratios: np.ndarray, c: float) -> np.ndarray:
     return margin
 
 
+def _loglog_root(level: float) -> float:
+    """A real x past which log log n > level: e^(e^level) raised by 1e-12
+    relative, above the roundings of its two exps (under 2e-13 relative,
+    log x being below 710), or inf when that overflows."""
+    try:
+        return math.exp(math.exp(level)) * (1 + 1e-12)
+    except OverflowError:
+        return math.inf
+
+
 def _chunks(fn, lo: int, hi: int, kind: CriterionKind, records=()):
-    """Yield (c_lo, fn(c_lo, c_hi, kind)) for the consecutive chunks
-    [c_lo, c_hi) of [lo, hi) in order, fn being _chunk_values or
+    """Yield (c_lo, fn(c_lo, c_hi, kind)) in order for the chunks
+    [c_lo, c_hi) of [lo, hi), cut from lo in steps of DEFAULT_CHUNK (read
+    at call time), that meet a window; fn is _chunk_values or
     _chunk_ratios.  The one walk of every range caller: memory stays
     O(chunk) whatever the range, and each chunk's kernel fetches its own
-    base primes.  The chunk length is DEFAULT_CHUNK, read at call time.
+    base primes.
 
-    records, the strict ratio records of kind up to hi - 1
-    (champions.ratio_records), skip each chunk they prove clean, neither
-    computed nor yielded: one with ceiling(c_hi - 1) (1 + 1e-12) +
-    _CANDIDATE_BAND < threshold(c_lo) (1 - 1e-12), ceiling(x) the float
-    ratio of the last record <= x (scan_exceptions says why).
+    With no records the one window is [lo, hi).  records, the strict ratio
+    records of kind up to hi - 1 (champions.ratio_records), leave one
+    window per record r: [r, min(r', x_r)), r' the next record or hi,
+    x_r = _loglog_root((ratio(r) (1 + 1e-12) + _CANDIDATE_BAND) / e^gamma)
+    (scan_exceptions says why).  A window whose chunks would pass
+    arith.KERNEL_CEILING raises before any of them is cut.
 
     Only fn runs ahead on prime_engine._ordered's workers; mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
-    ns = [n for n, _ in records]
-    ceilings = [numer / n * (1 + 1e-12) for n, numer in records]
-    jobs = []
-    for c_lo in range(lo, hi, DEFAULT_CHUNK):
-        c_hi = min(c_lo + DEFAULT_CHUNK, hi)
-        if not (records and ceilings[bisect_right(ns, c_hi - 1) - 1]
-                + _CANDIDATE_BAND < threshold(c_lo) * (1 - 1e-12)):
-            jobs.append((c_lo, c_hi, kind))
-    return _ordered(fn, jobs)
+    windows = [] if records else [(lo, hi)]
+    for (r, numer), end in zip(records, [n for n, _ in records[1:]] + [hi]):
+        x_r = _loglog_root((numer / r * (1 + 1e-12) + _CANDIDATE_BAND)
+                           / CONSTANTS.e_gamma)
+        windows.append((max(r, lo), math.ceil(min(end, x_r))))
+    jobs = {}  # by chunk start: neighbouring windows may share a chunk
+    for a, b in windows:
+        if a >= b:
+            continue
+        if b + DEFAULT_CHUNK > KERNEL_CEILING:
+            raise ResourceLimitError(f"window [{a}, {b}) reaches the exact "
+                                     f"kernel's ceiling {KERNEL_CEILING}")
+        for c_lo in range(a - (a - lo) % DEFAULT_CHUNK, b, DEFAULT_CHUNK):
+            jobs[c_lo] = (c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
+    return _ordered(fn, list(jobs.values()))
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
-    exact confirmation of every near-threshold candidate, on the chunks the
-    ratio records leave open (_chunks).
+    exact confirmation of every near-threshold candidate, on the chunks
+    that meet a record window (_chunks), up to the records' ceilings.
 
     Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
     record <= x: the largest ratio on [1, x] is first reached at a record.
 
-    Why a skipped chunk [c_lo, c_hi) loses nothing.  The kernel's float
-    ratio is within one rounding of the exact ratio, so by the lemma at
-    most ceiling(c_hi - 1) (1 + 1e-12).  np.log is within a few ulps of
-    the true log and log log n rises with n, so each float threshold in the
-    chunk is at least threshold(c_lo) (1 - 1e-12), positive as it exceeds
-    a ceiling >= 1.  Every value there is below -_CANDIDATE_BAND: no
-    candidate would have been made, nothing escalated, and the exceptions,
-    their values and the escalation count are those of a walk of every
-    chunk.  The least skip margin of the tests, 7.4e-4, is far above the
-    1e-12 slack.
+    Why no n outside the windows is an exception or a candidate.  For
+    records r <= n < r' and n >= x_r, the exact threshold(n) exceeds the
+    exact ratio(r) + _CANDIDATE_BAND, as the 1e-12 slacks of x_r and its
+    level cover their roundings, and that is at least ratio(n) + the band
+    by the lemma: past 2^53, where n is no float, this rests on exact
+    values alone.  Below it the kernel's float ratio and np.log's threshold
+    are each within a few ulps of exact, far inside the slack, so no float
+    value there is above -_CANDIDATE_BAND: nothing is escalated, and the
+    report is that of a walk of every chunk.  The least margin at a record
+    past 10^6, 1.36 for f and 0.141 for g, is far above the slack.
     """
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
-    if hi > SCAN_CEILING:
-        raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
     from . import champions  # not at import time: champions imports criteria
     found = []
     escalations = 0
@@ -253,31 +265,15 @@ def check_sigma_bound_args(lo: int, hi: int, c: float) -> None:
         raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
 
 
-def _sigma_bound_rise(c: float) -> float:
-    """A real x past which B(n) = e^gamma L + c / L, L = log log n, does not
-    decrease in n: x = e^(e^L0), L0 = sqrt(max(c, 0) / e^gamma), or inf when
-    that overflows.  The least integer n0(c) >= max(x, 3) is 7 at the
-    default c = 0.6483, and 3 for every c <= 0.
-
-    x is raised by 1e-12 relative, above the roundings of its two exps
-    (under 1e-13 relative for any x <= SCAN_CEILING), so an n below the
-    exact threshold is never taken for one past it.
-    """
-    l0 = math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma)
-    try:
-        return math.exp(math.exp(l0)) * (1 + 1e-12)
-    except OverflowError:
-        return math.inf
-
-
 def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
                             ) -> BoundCheckResult:
     """Verify sigma(n)/n <= B(n) = e^gamma L + c / L, L = log log n, on
     [lo, hi) (Robin 1984), by structure and a short head walk.
 
     Lemma.  dB/dL = e^gamma - c / L^2, so B does not decrease once
-    L >= L0 = sqrt(max(c, 0) / e^gamma), that is for n >= n0(c) (see
-    _sigma_bound_rise).  For consecutive superabundant numbers s <= n < s',
+    L >= L0 = sqrt(max(c, 0) / e^gamma), that is for n >= n0(c), the
+    least integer >= max(_loglog_root(L0), 3): 7 at the default c = 0.6483,
+    3 for every c <= 0.  For consecutive superabundant numbers s <= n < s',
     sigma(n)/n <= sigma(s)/s: the largest ratio up to n is first reached at
     a superabundant number, and s is the last one up to n.  So for s >= n0
     the margin B(n) - sigma(n)/n on [s, s') is least at s.
@@ -294,7 +290,7 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     """
     check_sigma_bound_args(lo, hi, c)
     from . import champions  # not at import time: champions imports criteria
-    start = max(lo, _sigma_bound_rise(c))
+    start = max(lo, _loglog_root(math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma)))
     sa = [r for r in champions.ratio_records(CriterionKind.ROBIN_G, hi - 1)
           if r[0] >= start]
 

@@ -3,7 +3,7 @@ import time
 import pytest
 
 import psirh
-from psirh import prime_engine
+from psirh import champions, prime_engine
 
 TABLE1_INDICES = (10, 10**3, 10**5, 10**7)
 DECADES = tuple(10**k for k in range(1, 8))
@@ -53,3 +53,27 @@ def cold_primes(monkeypatch):
     prime_engine._simple_sieve.cache_clear()
     yield
     prime_engine._simple_sieve.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def superabundant_to_ceiling():
+    """The superabundant numbers up to SUPERABUNDANT_CEILING, built once
+    per session (about 2.5 s and 165 MB)."""
+    return champions.generate_superabundant(champions.SUPERABUNDANT_CEILING)
+
+
+@pytest.fixture
+def shared_superabundant(monkeypatch, superabundant_to_ceiling):
+    """generate_superabundant served from the one build for every limit
+    in [1, SUPERABUNDANT_CEILING], for one test: the strict records up to
+    a limit are the build's records up to it."""
+    build = champions.generate_superabundant
+    full = superabundant_to_ceiling
+
+    def served(limit):
+        if not 1 <= limit <= full.limit:
+            return build(limit)
+        return champions.RecordScanResult(
+            records=tuple(r for r in full.records if r[0] <= limit),
+            limit=limit)
+    monkeypatch.setattr(champions, "generate_superabundant", served)

@@ -33,6 +33,10 @@ def s_values(limit):
     return [c.value for c in psirh.generate_s_sequence(limit)]
 
 
+# the ceiling of champions.ratio_records, and so of a scan's hi - 1
+RECORD_CEILING = {CriterionKind.DEDEKIND_F: champions.S_SEQUENCE_CEILING,
+                  CriterionKind.ROBIN_G: champions.SUPERABUNDANT_CEILING}
+
 PAPER_S_LISTING = [2, 4, 6, 12, 18, 24, 30, 60, 90, 120, 150, 180, 210, 420,
                    630, 840, 1050, 1260, 1470, 1680, 1890, 2100, 2310, 4620,
                    6930, 9240]
@@ -79,6 +83,8 @@ class TestSSequence:
         for limit in (champions.S_SEQUENCE_CEILING + 1, 10**3000):
             with pytest.raises(ResourceLimitError):
                 psirh.generate_s_sequence(limit)
+            with pytest.raises(ResourceLimitError):
+                champions.ratio_records(CriterionKind.DEDEKIND_F, limit)
 
 
 class TestPsiChampion:
@@ -129,6 +135,8 @@ class TestSuperabundant:
         for limit in (10**30 + 1, 10**40):
             with pytest.raises(ResourceLimitError):
                 psirh.generate_superabundant(limit)
+            with pytest.raises(ResourceLimitError):
+                champions.ratio_records(CriterionKind.ROBIN_G, limit)
 
 
 def exponents(n):
@@ -431,18 +439,23 @@ class TestChunkDriver:
             assert spans == []
 
     @pytest.mark.parametrize("kind", CriterionKind)
-    def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind):
+    def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind,
+                                             shared_superabundant):
         spans = []
         fn = criteria._chunk_values
         monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
                             spans.append((lo, hi)) or fn(lo, hi, k))
-        # the ratio records leave open only the chunk of 30 or 5040, even
-        # at the scan ceiling, and no chunk of [10^7, 1.5 * 10^7)
-        criteria.scan_exceptions(kind, 2, 10**8)
-        assert spans == [(2, 2 + criteria.DEFAULT_CHUNK)]
-        spans.clear()
-        criteria.scan_exceptions(kind, 10**7, 15 * 10**6)
-        assert spans == []
+        # the record windows leave open only the chunk of 30 or 5040, at
+        # 10^8 and at the records' ceiling, and no chunk of
+        # [10^7, 1.5 * 10^7) or of [10^20, 10^20 + 10)
+        for hi in (10**8, RECORD_CEILING[kind]):
+            spans.clear()
+            criteria.scan_exceptions(kind, 2, hi)
+            assert spans == [(2, 2 + criteria.DEFAULT_CHUNK)]
+        for lo, hi in ((10**7, 15 * 10**6), (10**20, 10**20 + 10)):
+            spans.clear()
+            assert criteria.scan_exceptions(kind, lo, hi).exceptions == ()
+            assert spans == []
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)

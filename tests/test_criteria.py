@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import psirh
-from psirh import criteria
+from psirh import champions, criteria
 from psirh.arith import multiplicative_range
 from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
                             mp_e_gamma, scan_exceptions)
@@ -107,8 +108,11 @@ class TestScanExceptions:
             scan_exceptions(CriterionKind.ROBIN_G, 1, 100)
         with pytest.raises(DomainError):
             scan_exceptions(CriterionKind.ROBIN_G, 10, 10)
+        # one past the record ceilings, 10^300 for f and 10^30 for g
         with pytest.raises(ResourceLimitError):
-            scan_exceptions(CriterionKind.ROBIN_G, 2, 10**9)
+            scan_exceptions(CriterionKind.DEDEKIND_F, 2, 10**300 + 2)
+        with pytest.raises(ResourceLimitError):
+            scan_exceptions(CriterionKind.ROBIN_G, 2, 10**30 + 2)
 
 
 # the kernel's values, before any test wraps criteria._chunk_values
@@ -160,8 +164,84 @@ class TestSkipRule:
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_seeded_window_below_the_ceiling(self, monkeypatch, kind):
         rng = np.random.default_rng(25)
-        lo = int(rng.integers(10**7, criteria.SCAN_CEILING - 5 * 10**6))
+        lo = int(rng.integers(10**7, 10**8 - 5 * 10**6))
         self.check(monkeypatch, kind, lo, lo + 5 * 10**6, 1 << 18)
+
+
+def open_n(lo, hi, kind, records):
+    """The n of [lo, hi) in a window, as _chunks walks them at chunk 1."""
+    return [c_lo for c_lo, _ in criteria._chunks(lambda *job: None, lo, hi,
+                                                 kind, records)]
+
+
+class TestRecordWindows:
+    """One window [r, min(r', x_r)) per ratio record r is walked; past x_r
+    the exact threshold clears ratio(r) + _CANDIDATE_BAND."""
+
+    @pytest.mark.parametrize("kind", CriterionKind)
+    def test_loglog_root_above_the_exact_root(self, kind,
+                                              shared_superabundant):
+        # every record up to the ceiling of champions.ratio_records
+        records = champions.ratio_records(kind, {
+            CriterionKind.DEDEKIND_F: champions.S_SEQUENCE_CEILING,
+            CriterionKind.ROBIN_G: champions.SUPERABUNDANT_CEILING}[kind])
+        assert len(records) == {CriterionKind.DEDEKIND_F: 129,
+                                CriterionKind.ROBIN_G: 191}[kind]
+        with mp.workdps(40):
+            for r, numer in records:
+                # the level whose root closes the window of r
+                level = ((numer / r * (1 + 1e-12) + criteria._CANDIDATE_BAND)
+                         / CONSTANTS.e_gamma)
+                assert criteria._loglog_root(level) > mp.exp(mp.exp(level)), r
+
+    @pytest.mark.parametrize("kind", CriterionKind)
+    def test_windows_to_1e8(self, monkeypatch, kind):
+        # each window ends no later than where the per-chunk inequality of
+        # the walk it replaces first held, and the exact threshold at its
+        # end clears the record's ratio by the band
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+        records = champions.ratio_records(kind, 10**8 - 1)
+        walked = open_n(2, 10**8, kind, records)
+        nexts = [n for n, _ in records[1:]] + [10**8]
+        windows = []
+        for (r, numer), nxt in zip(records, nexts):
+            start = max(r, 2)
+            run = [n for n in walked if start <= n < nxt]
+            end = start + len(run)
+            assert run == list(range(start, end))
+            if run:
+                windows.append((start, end))
+            if end == nxt:
+                continue
+            ceiling = numer / r * (1 + 1e-12) + criteria._CANDIDATE_BAND
+            old = start + bisect.bisect_left(
+                range(start, nxt), True,
+                key=lambda n: ceiling < criteria.threshold(n) * (1 - 1e-12))
+            assert end <= old, r
+            with mp.workdps(30):
+                assert (mp_e_gamma() * mp.log(mp.log(end))
+                        > mp.mpf(numer) / r + criteria._CANDIDATE_BAND), r
+        assert (len(windows), len(walked), windows[-1]) == {
+            CriterionKind.DEDEKIND_F: (3, 37, (30, 47)),
+            CriterionKind.ROBIN_G: (16, 1699, (5040, 5583))}[kind]
+
+    def test_the_band_keeps_a_near_miss_open(self, monkeypatch):
+        # a record whose ratio lies half the band below the exact threshold
+        # at m: m could be a candidate, so its window runs past m
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+        r, m = 10**7, 10**7 + 1000
+        with mp.workdps(30):
+            numer = int(mp.floor(r * (mp_e_gamma() * mp.log(mp.log(m))
+                                      - criteria._CANDIDATE_BAND / 2)))
+        assert open_n(r, m + 1, CriterionKind.DEDEKIND_F, ((r, numer),)) \
+            == list(range(r, m + 1))
+
+    def test_window_past_the_kernel_raises_before_any_chunk(self):
+        calls = []
+        with pytest.raises(ResourceLimitError, match="kernel's ceiling"):
+            criteria._chunks(lambda *job: calls.append(job), 2**53 - 5,
+                             2**53 + 1, CriterionKind.ROBIN_G)
+        assert calls == []
 
 
 class TestSigmaUpperBound:
@@ -193,13 +273,15 @@ class TestSigmaUpperBound:
     def test_no_superabundant_number_below_n0(self):
         # at c = 2, B falls until n0 = 18: the margin at 6 is no lower
         # bound for [6, 12), and the least margin below 12 lies at 10
-        assert criteria._sigma_bound_rise(2.0) == pytest.approx(17.9, abs=0.1)
+        assert criteria._loglog_root(math.sqrt(2.0 / CONSTANTS.e_gamma)) \
+            == pytest.approx(17.9, abs=0.1)
         res = check_sigma_upper_bound(3, 12, c=2.0)
         assert res.witness == 10
 
     @pytest.mark.parametrize("c", [1e6, 1e300])
     def test_n0_past_every_float(self, c):
-        assert criteria._sigma_bound_rise(c) == math.inf
+        assert criteria._loglog_root(math.sqrt(c / CONSTANTS.e_gamma)) \
+            == math.inf
         res = check_sigma_upper_bound(3, 100, c=c)
         assert res.passed
 

@@ -41,6 +41,13 @@ GOLDEN = {
     "scan g window": (["scan", "--criterion", "g", "--lo", "10000000", "--hi", "10600000"],
         0, "b77520ecd0448e9d891e72df9a2fb2a6743a7854dfe0c487a456469403be797b",
         ""),
+    # at the ratio records' ceilings: the exceptions of the scans to 10^8
+    "scan f 1e300": (["scan", "--criterion", "f", "--hi", "1" + "0" * 300],
+        0, "c88992fa959fa9f067115b3717679a7fdf307bb5f335423aec4775df5e0dea92",
+        ""),
+    "scan g 1e30": (["scan", "--criterion", "g", "--hi", "1" + "0" * 30],
+        0, "4feec9608673d61969a21bffce627741e56f4e091f8ef4f61c069729c25cdf2b",
+        ""),
     "champions": (["champions", "--limit", "10000"],
         0, "e7a416cf61840edfd65417d42368942b35a4cc54b1abffa3d8168be125b96c84",
         ""),
@@ -125,8 +132,10 @@ def workdir(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_body(name, workdir, capsys):
+def test_report_body(name, workdir, capsys, request):
     argv, code, sha, err = GOLDEN[name]
+    if name == "scan g 1e30":  # the session's one superabundant build
+        request.getfixturevalue("shared_superabundant")
     assert run(capsys, argv) == (code, sha, err)
 
 

@@ -60,10 +60,12 @@ class TestScanCommand:
         assert "hi" in err
 
     def test_resource_error_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "scan", "--criterion", "g",
-                               "--hi", str(10**9))
-        assert code == 3
-        assert "ceiling" in err
+        # hi - 1 one past the ratio records' ceiling: 10^300 for f, 10^30 for g
+        for criterion, hi in (("f", 10**300 + 2), ("g", 10**30 + 2)):
+            code, _, err = run_cli(capsys, "scan", "--criterion", criterion,
+                                   "--hi", str(hi))
+            assert code == 3
+            assert "ceiling" in err
 
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(capsys, "scan", "--criterion", "x", "--hi", "10")[0] == 2
