@@ -7,9 +7,11 @@ returns exact int64 psi or sigma below 2^53: each n starts from a cached
 periodic pattern of 2^4, 3^2, 5, 7 and 11, one loop per prime power
 multiplies the others in by strided slices, and the one prime left over is
 found by dividing n by the smooth part.  Single queries use vectorized
-trial division by the primes below 2^27, with deterministic Miller-Rabin
-for the cofactor, so every n < 2^54 factors completely.  Both read their
-primes from prime_engine's one grown list.
+trial division by the primes below 2^27, with one deterministic
+Miller-Rabin proof per cofactor, so every n < 2^54 factors completely;
+psi, sigma, d and squarefreeness share the last two factorizations, so a
+query for f(n) and g(n) factors n once.  Both read their primes from
+prime_engine's one grown list.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ _MR_LIMIT = _MR_PSI[-1]
 # Trial division stops at this bound, 2^27 >= sqrt(2^53): a cofactor left
 # then has no prime factor below 2^27, so below 2^54 it is 1 or prime, and
 # one not proven prime raises ResourceLimitError.  Fresh process, 2 vCPU
-# Xeon, 3 runs each: 94,906,247 * 94,906,249 (< 2^53) factors in 0.31-0.35 s
-# at 145 MB peak RSS (30 ms warm); a rejection with m < 2^63 takes
-# 0.31-0.33 s at 145 MB, and (2*10^12 + 3)(2*10^12 + 123), past 2^81,
-# 0.37-0.38 s at 171 MB (three 36-bit digits).  The grown list, the 7.6M
-# primes below 2^27 (about 58 MB), is kept for the life of the process.
+# Xeon, first call after import, 3 runs each: 94,906,247 * 94,906,249
+# (< 2^53) factors in 0.55-0.60 s at 145 MB peak RSS (a second call is a
+# cache hit); a rejection with m < 2^63 takes 0.58-0.61 s at 145 MB (44-47
+# ms warm), and (2*10^12 + 3)(2*10^12 + 123), past 2^81, 0.65-0.69 s at
+# 170-171 MB (123-127 ms warm).  The grown list, the 7.6M primes below 2^27
+# (about 58 MB), is kept for the life of the process.
 FACTORIZE_TRIAL_CEILING = 1 << 27
 
 
@@ -86,17 +89,22 @@ def _residues(m: int, block):
     return r
 
 
+@lru_cache(maxsize=2, typed=True)
 def factorize(n: int) -> Factorization:
     """Exact prime-power decomposition of n >= 1.
 
     Trial division runs over blocks of the shared prime list, the primes
     below 256 and then those in [hi, 2 hi) for doubling hi, with int64
     remainders whatever the size of the cofactor m (_residues).  It stops
-    once a block passes sqrt(m) or m is 1 or proven prime.  Once the primes
-    below FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime
-    raises ResourceLimitError, so every n < 2^54 factors completely.
-    The blocks come from prime_engine._primes_below, not from the 8-slot
-    _simple_sieve lru, which the cycle of about 13 bounds of a query misses.
+    once a block passes sqrt(m) or m is 1 or proven prime, with one
+    Miller-Rabin per value of m.  Once the primes below
+    FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime raises
+    ResourceLimitError, so every n < 2^54 factors completely.  The blocks
+    come from prime_engine._primes_below, not from the 8-slot _simple_sieve
+    lru, which the cycle of about 13 bounds of a query misses.  The last
+    two results are cached (a Factorization is frozen), so psi, sigma, d
+    and squarefreeness of one n share one factorization; an exception is
+    raised anew on every call.
     """
     if n < 1:
         raise DomainError("cannot factorize n < 1")
@@ -104,6 +112,7 @@ def factorize(n: int) -> Factorization:
     factors = []
     hi = 256
     i = 0  # index of the first prime not yet tried
+    tested = None  # the last cofactor Miller-Rabin rejected
     while True:
         hi = min(hi, math.isqrt(m) + 1)
         primes = prime_engine._primes_below(hi)
@@ -115,8 +124,10 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors.append((p, e))
-        # m has no prime factor below hi: it is 1 or prime if m < hi^2
-        if m < hi * hi or (m < _MR_LIMIT and _is_prime(m)):
+        # m has no prime factor below hi: it is 1 or prime if m < hi^2;
+        # an m Miller-Rabin rejected stays composite until it shrinks
+        if m < hi * hi or (m != tested and m < _MR_LIMIT
+                           and _is_prime(tested := m)):
             break
         if hi >= FACTORIZE_TRIAL_CEILING:
             raise ResourceLimitError(

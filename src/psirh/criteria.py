@@ -179,9 +179,10 @@ def _loglog_root(level: float) -> float:
 
 
 def _chunks(fn, lo: int, hi: int, kind: CriterionKind, records=()):
-    """Yield (c_lo, fn(c_lo, c_hi, kind)) in order for the chunks
-    [c_lo, c_hi) of [lo, hi), cut from lo in steps of DEFAULT_CHUNK (read
-    at call time), that meet a window; fn is _chunk_values or
+    """Yield (c_lo, fn(c_lo, c_hi, kind)) in order, one per chunk of
+    [lo, hi), cut from lo in steps of DEFAULT_CHUNK (read at call time),
+    that meets a window: [c_lo, c_hi) runs from the first window start to
+    the last window end inside that chunk.  fn is _chunk_values or
     _chunk_ratios.  The one walk of every range caller: memory stays
     O(chunk) whatever the range, and each chunk's kernel fetches its own
     base primes.
@@ -203,21 +204,22 @@ def _chunks(fn, lo: int, hi: int, kind: CriterionKind, records=()):
                            / CONSTANTS.e_gamma)
         windows.append((max(r, lo), math.ceil(min(end, x_r))))
     jobs = {}  # by chunk start: neighbouring windows may share a chunk
-    for a, b in windows:
+    for a, b in windows:  # in increasing order, disjoint, b <= hi
         if a >= b:
             continue
         if b + DEFAULT_CHUNK > KERNEL_CEILING:
             raise ResourceLimitError(f"window [{a}, {b}) reaches the exact "
                                      f"kernel's ceiling {KERNEL_CEILING}")
         for c_lo in range(a - (a - lo) % DEFAULT_CHUNK, b, DEFAULT_CHUNK):
-            jobs[c_lo] = (c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
+            start = jobs[c_lo][0] if c_lo in jobs else max(a, c_lo)
+            jobs[c_lo] = (start, min(b, c_lo + DEFAULT_CHUNK), kind)
     return _ordered(fn, list(jobs.values()))
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
-    exact confirmation of every near-threshold candidate, on the chunks
-    that meet a record window (_chunks), up to the records' ceilings.
+    exact confirmation of every near-threshold candidate, on the record
+    windows (_chunks), up to the records' ceilings.
 
     Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
     record <= x: the largest ratio on [1, x] is first reached at a record.

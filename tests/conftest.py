@@ -3,7 +3,7 @@ import time
 import pytest
 
 import psirh
-from psirh import champions, prime_engine
+from psirh import arith, champions, prime_engine
 
 TABLE1_INDICES = (10, 10**3, 10**5, 10**7)
 DECADES = tuple(10**k for k in range(1, 8))
@@ -47,12 +47,16 @@ def set_workers(monkeypatch):
 
 @pytest.fixture
 def cold_primes(monkeypatch):
-    """Start prime_engine's shared prime list empty, as a fresh process does,
-    for one test; the list it grows and the lru prefixes of it go after."""
+    """Start prime_engine's shared prime list empty, and arith.factorize's
+    cache too, as a fresh process does, for one test; the list it grows,
+    the lru prefixes of it and the factorizations it caches go after."""
     monkeypatch.setattr(prime_engine, "_prime_list", (None, 0))
-    prime_engine._simple_sieve.cache_clear()
+    caches = (prime_engine._simple_sieve, arith.factorize)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    prime_engine._simple_sieve.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

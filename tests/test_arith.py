@@ -140,6 +140,32 @@ class TestFactorize:
         with pytest.raises(ResourceLimitError, match="is not proven prime"):
             psirh.factorize(n)
 
+    def test_a_query_factors_n_once(self, monkeypatch, cold_primes):
+        # f(n) then g(n) share one factorization of 13 blocks up to 2^20,
+        # and n, the cofactor through the first 12, gets one Miller-Rabin
+        calls = []
+        for name in ("_residues", "_is_prime"):
+            fn = getattr(arith, name)
+            monkeypatch.setattr(arith, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        n = 591_287 * 1_250_083
+        psirh.dedekind_f(n)
+        psirh.robin_g(n)
+        assert (calls.count("_residues"), calls.count("_is_prime")) == (13, 1)
+
+    def test_a_rejection_raises_on_every_call(self, monkeypatch):
+        # no exception is cached; each call tries every block to 2^27 and
+        # proves the one composite cofactor composite once
+        calls = []
+        fn = arith._is_prime
+        monkeypatch.setattr(arith, "_is_prime", lambda m:
+                            calls.append(m) or fn(m))
+        n = (10**12 + 39) * (10**12 + 61)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="not proven prime"):
+                psirh.factorize(n)
+        assert calls == [n, n]
+
     def test_primorial(self):
         primes = first_primes(62)  # 2 .. 293, across the first block edge
         assert primes[-1] == 293

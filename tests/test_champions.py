@@ -445,13 +445,15 @@ class TestChunkDriver:
         fn = criteria._chunk_values
         monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
                             spans.append((lo, hi)) or fn(lo, hi, k))
-        # the record windows leave open only the chunk of 30 or 5040, at
-        # 10^8 and at the records' ceiling, and no chunk of
-        # [10^7, 1.5 * 10^7) or of [10^20, 10^20 + 10)
+        # the record windows leave open only the first chunk, cut to the
+        # windows' span in it, [2, 47) for f and [2, 5583) for g, at 10^8
+        # and at the records' ceiling, and no chunk of [10^7, 1.5 * 10^7)
+        # or of [10^20, 10^20 + 10)
+        end = {CriterionKind.DEDEKIND_F: 47, CriterionKind.ROBIN_G: 5583}[kind]
         for hi in (10**8, RECORD_CEILING[kind]):
             spans.clear()
             criteria.scan_exceptions(kind, 2, hi)
-            assert spans == [(2, 2 + criteria.DEFAULT_CHUNK)]
+            assert spans == [(2, end)]
         for lo, hi in ((10**7, 15 * 10**6), (10**20, 10**20 + 10)):
             spans.clear()
             assert criteria.scan_exceptions(kind, lo, hi).exceptions == ()

@@ -128,7 +128,7 @@ def range_values(kind, lo, hi):
 
 
 class TestSkipRule:
-    """Every chunk the ratio records skip holds no value above
+    """Every n the ratio records skip holds no value above
     -_CANDIDATE_BAND, and the report is the one a walk of every chunk
     gives."""
 
@@ -140,13 +140,17 @@ class TestSkipRule:
                             walked.append((c_lo, c_hi))
                             or CHUNK_VALUES(c_lo, c_hi, k))
         rep = scan_exceptions(kind, lo, hi)
-        grid = [(c, min(c + size, hi)) for c in range(lo, hi, size)]
-        assert set(walked) <= set(grid)
-        skipped = set(grid) - set(walked)
-        assert skipped
+        # one span per chunk of the grid from lo, inside that chunk
+        grid = [lo + (c_lo - lo) // size * size for c_lo, _ in walked]
+        assert grid == sorted(set(grid))
+        assert all(c_lo < c_hi <= min(c + size, hi)
+                   for c, (c_lo, c_hi) in zip(grid, walked))
+        skipped = np.ones(hi - lo, dtype=bool)
+        for c_lo, c_hi in walked:
+            skipped[c_lo - lo:c_hi - lo] = False
+        assert skipped.any()
         values = range_values(kind, lo, hi)
-        for c_lo, c_hi in skipped:
-            assert values[c_lo - lo:c_hi - lo].max() <= -criteria._CANDIDATE_BAND
+        assert values[skipped].max() <= -criteria._CANDIDATE_BAND
         found = [criteria._criterion(lo + int(off), kind)
                  for off in np.nonzero(values > -criteria._CANDIDATE_BAND)[0]]
         assert (rep.values, rep.escalations) == (
