@@ -35,7 +35,7 @@ SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n;
 S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV;
 #                      as scan f's hi - 1 (ratio_records), 0.25-0.31 s, 35 MB
 PROP1_CEILING = 10**8          # 0.2 s, 31 MB
-PROP2_CEILING = 10**8          # 3.3-3.5 s, 48 MB: 96,453,730 cases
+PROP2_CEILING = 10**8          # 4.2-5.8 s, 45-48 MB: 96,453,730 cases
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
@@ -258,11 +258,16 @@ def read_bfile(path) -> list[tuple[int, int]]:
     Each field is an ASCII decimal integer with an optional leading `-`.
 
     Entries are compared by position, so each index must be the previous
-    one + 1; a gap, duplicate or out-of-order index raises BFileParseError.
+    one + 1; a gap, duplicate or out-of-order index raises BFileParseError,
+    as does a line, comments included, that is not UTF-8.
     """
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:  # an undecodable byte was read as a lone surrogate
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise BFileParseError("not UTF-8", lineno) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

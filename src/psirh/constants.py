@@ -4,7 +4,7 @@ the record base behind every value record in the package.
 This module imports nothing, so a command served from the theta cache (a
 warm ``table1``) can format its report without loading numpy, and no
 command pays for ``dataclasses`` (which loads ``inspect``) at start-up.
-``criteria`` re-exports every name here.
+``criteria`` imports from here the names it uses.
 """
 
 

@@ -18,9 +18,9 @@ s <= n < s' the ratio sigma(n)/n is at most sigma(s)/s.  So past the first
 superabundant number s* >= max(lo, n0) the least margin lies at a
 superabundant number, and only the head [lo, s*) is walked n by n.
 
-The scans use the same records (N_k for psi, superabundant for sigma):
-past each record r the threshold soon clears ratio(r), so one window
-[r, x_r) per record is walked, 37 n for f and 1,699 for g at any range.
+The scans use the same records (N_k for psi, superabundant for sigma): a
+scan walks only the prefix [lo, X) they leave open (X = 47 for f, 5583 for
+g), and they settle everything past X.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import math
 import numpy as np
 
 from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
-from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C,  # noqa: F401
-                        BoundCheckResult, Constants, Record)
+from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
+                        Record)
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _ordered
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
@@ -45,13 +45,15 @@ _CANDIDATE_BAND = 1e-6
 
 # The sigma bound's ceiling alone, a budget measured there (the whole
 # command, on a 2-core Xeon): bounds --lo 2263 --hi 2263 --sigma-hi takes
-# 0.2 s in 34 MB at the default c, which walks only [3, 12); a c whose n0
-# lies past it (--c 1e6) walks all of it, 4.2-4.7 s in 52-53 MB.
+# 0.13-0.20 s in 34 MB at the default c, which walks only [3, 12); a c
+# whose n0 lies past it (--c 1e6) walks all of it, 5.2-5.9 s in 52 MB.
 SCAN_CEILING = 10**8
-# A range walk keeps at most prime_engine.WORKERS chunks computing plus the
-# one its caller holds, so WORKERS + 1 = 3 live chunks of 2^18 on two cores
-# stay below the single 2^20 chunk of a serial walk.  2^19 chunks ran the
-# range scans up to a quarter faster but raised their peak RSS by 11-21 MB.
+# A range walk holds WORKERS + 1 = 3 live chunks on two cores (README).
+# Only Proposition 2 and the sigma head at a large c still walk far.  On a
+# 2-core Xeon, two workers against one: verify_prop2(10^8) 3.9-4.4 s in
+# 47 MB against 3.6-5.1 s in 37 MB; the sigma head to 10^8 at c = 1e6
+# 5.0-5.4 s in 51 MB against 5.5-6.9 s in 40 MB.  2^19 chunks ran both walks
+# a sixth faster, in 18 MB more.
 DEFAULT_CHUNK = 1 << 18
 
 
@@ -178,53 +180,38 @@ def _loglog_root(level: float) -> float:
         return math.inf
 
 
-def _chunks(fn, lo: int, hi: int, kind: CriterionKind, records=()):
-    """Yield (c_lo, fn(c_lo, c_hi, kind)) in order, one per chunk of
-    [lo, hi), cut from lo in steps of DEFAULT_CHUNK (read at call time),
-    that meets a window: [c_lo, c_hi) runs from the first window start to
-    the last window end inside that chunk.  fn is _chunk_values or
-    _chunk_ratios.  The one walk of every range caller: memory stays
-    O(chunk) whatever the range, and each chunk's kernel fetches its own
-    base primes.
-
-    With no records the one window is [lo, hi).  records, the strict ratio
-    records of kind up to hi - 1 (champions.ratio_records), leave one
-    window per record r: [r, min(r', x_r)), r' the next record or hi,
-    x_r = _loglog_root((ratio(r) (1 + 1e-12) + _CANDIDATE_BAND) / e^gamma)
-    (scan_exceptions says why).  A window whose chunks would pass
-    arith.KERNEL_CEILING raises before any of them is cut.
+def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
+    """Yield (c_lo, fn(c_lo, c_hi, kind)) for the consecutive chunks
+    [c_lo, c_hi) of [lo, hi) in order, cut from lo in steps of
+    DEFAULT_CHUNK (read at call time), fn being _chunk_values or
+    _chunk_ratios: the one walk of every range caller, in O(chunk) memory,
+    each chunk's kernel fetching its own base primes.  A non-empty range
+    past arith.KERNEL_CEILING raises at the call, before any chunk is cut.
 
     Only fn runs ahead on prime_engine._ordered's workers; mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
-    windows = [] if records else [(lo, hi)]
-    for (r, numer), end in zip(records, [n for n, _ in records[1:]] + [hi]):
-        x_r = _loglog_root((numer / r * (1 + 1e-12) + _CANDIDATE_BAND)
-                           / CONSTANTS.e_gamma)
-        windows.append((max(r, lo), math.ceil(min(end, x_r))))
-    jobs = {}  # by chunk start: neighbouring windows may share a chunk
-    for a, b in windows:  # in increasing order, disjoint, b <= hi
-        if a >= b:
-            continue
-        if b + DEFAULT_CHUNK > KERNEL_CEILING:
-            raise ResourceLimitError(f"window [{a}, {b}) reaches the exact "
-                                     f"kernel's ceiling {KERNEL_CEILING}")
-        for c_lo in range(a - (a - lo) % DEFAULT_CHUNK, b, DEFAULT_CHUNK):
-            start = jobs[c_lo][0] if c_lo in jobs else max(a, c_lo)
-            jobs[c_lo] = (start, min(b, c_lo + DEFAULT_CHUNK), kind)
-    return _ordered(fn, list(jobs.values()))
+    if lo < hi and hi > KERNEL_CEILING:
+        raise ResourceLimitError(f"range [{lo}, {hi}) passes the exact "
+                                 f"kernel's ceiling {KERNEL_CEILING}")
+    return _ordered(fn, [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
+                         for c_lo in range(lo, hi, DEFAULT_CHUNK)])
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
-    exact confirmation of every near-threshold candidate, on the record
-    windows (_chunks), up to the records' ceilings.
+    exact confirmation of every near-threshold candidate on the prefix
+    [lo, X) the ratio records leave open, up to the records' ceilings.
 
     Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
     record <= x: the largest ratio on [1, x] is first reached at a record.
 
-    Why no n outside the windows is an exception or a candidate.  For
+    Each record r up to hi - 1 (champions.ratio_records) leaves open the
+    window [r, min(r', x_r)), r' the next record or hi, x_r = _loglog_root(
+    (ratio(r) (1 + 1e-12) + _CANDIDATE_BAND) / e^gamma).  X is the end of
+    the last non-empty window, at most hi.  Why no n outside the windows
+    (past X, or in a gap below it) is an exception or a candidate.  For
     records r <= n < r' and n >= x_r, the exact threshold(n) exceeds the
     exact ratio(r) + _CANDIDATE_BAND, as the 1e-12 slacks of x_r and its
     level cover their roundings, and that is at least ratio(n) + the band
@@ -238,10 +225,16 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
     from . import champions  # not at import time: champions imports criteria
+    records = champions.ratio_records(kind, hi - 1)
+    x_end = lo
+    for (r, numer), nxt in zip(records, [n for n, _ in records[1:]] + [hi]):
+        x_r = _loglog_root((numer / r * (1 + 1e-12) + _CANDIDATE_BAND)
+                           / CONSTANTS.e_gamma)
+        if x_r > r:
+            x_end = math.ceil(min(nxt, x_r))
     found = []
     escalations = 0
-    for c_lo, values in _chunks(_chunk_values, lo, hi, kind,
-                                champions.ratio_records(kind, hi - 1)):
+    for c_lo, values in _chunks(_chunk_values, lo, x_end, kind):
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:

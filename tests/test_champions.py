@@ -556,6 +556,16 @@ class TestBFileReader:
             read_bfile(path)
         assert exc.value.line_number == 4
 
+    @pytest.mark.parametrize("data, line", [
+        (b"1 2\n2 4\n3 \xff\n", 3),       # in a data line
+        (b"1 2\n# caf\xe9\n2 4\n", 2)])  # in a comment
+    def test_undecodable_byte_names_line(self, tmp_path, data, line):
+        path = tmp_path / "b.txt"
+        path.write_bytes(data)
+        with pytest.raises(BFileParseError, match="not UTF-8") as exc:
+            read_bfile(path)
+        assert exc.value.line_number == line
+
     def test_negative_values_accepted(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("-1 -7\n0 0\n1 007\n")

@@ -172,15 +172,21 @@ class TestSkipRule:
         self.check(monkeypatch, kind, lo, lo + 5 * 10**6, 1 << 18)
 
 
-def open_n(lo, hi, kind, records):
-    """The n of [lo, hi) in a window, as _chunks walks them at chunk 1."""
-    return [c_lo for c_lo, _ in criteria._chunks(lambda *job: None, lo, hi,
-                                                 kind, records)]
+def walked_n(monkeypatch, kind, lo, hi):
+    """The n scan_exceptions(kind, lo, hi) walks, at chunk 1; every value
+    walked is -1, so no n is a candidate."""
+    monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+    walked = []
+    monkeypatch.setattr(criteria, "_chunk_values", lambda c_lo, c_hi, k:
+                        walked.append(c_lo) or np.full(c_hi - c_lo, -1.0))
+    scan_exceptions(kind, lo, hi)
+    return walked
 
 
 class TestRecordWindows:
-    """One window [r, min(r', x_r)) per ratio record r is walked; past x_r
-    the exact threshold clears ratio(r) + _CANDIDATE_BAND."""
+    """Each ratio record r leaves open the window [r, min(r', x_r)): past
+    x_r the exact threshold clears ratio(r) + _CANDIDATE_BAND.  A scan walks
+    [lo, X), X the end of the last non-empty window."""
 
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_loglog_root_above_the_exact_root(self, kind,
@@ -200,45 +206,65 @@ class TestRecordWindows:
 
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_windows_to_1e8(self, monkeypatch, kind):
-        # each window ends no later than where the per-chunk inequality of
-        # the walk it replaces first held, and the exact threshold at its
-        # end clears the record's ratio by the band
-        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+        # each ceil(x_r) below the next record lies no later than where the
+        # per-chunk inequality of the walk the windows replaced first held,
+        # and the exact threshold there clears the record's ratio by the
+        # band; the scan walks [2, X), X the end of the last open window
         records = champions.ratio_records(kind, 10**8 - 1)
-        walked = open_n(2, 10**8, kind, records)
         nexts = [n for n, _ in records[1:]] + [10**8]
         windows = []
         for (r, numer), nxt in zip(records, nexts):
             start = max(r, 2)
-            run = [n for n in walked if start <= n < nxt]
-            end = start + len(run)
-            assert run == list(range(start, end))
-            if run:
-                windows.append((start, end))
-            if end == nxt:
-                continue
             ceiling = numer / r * (1 + 1e-12) + criteria._CANDIDATE_BAND
+            x_r = math.ceil(criteria._loglog_root(ceiling / CONSTANTS.e_gamma))
+            if start < min(nxt, x_r):
+                windows.append((start, min(nxt, x_r)))
+            if x_r >= nxt:
+                continue
             old = start + bisect.bisect_left(
                 range(start, nxt), True,
                 key=lambda n: ceiling < criteria.threshold(n) * (1 - 1e-12))
-            assert end <= old, r
+            assert x_r <= old, r
             with mp.workdps(30):
-                assert (mp_e_gamma() * mp.log(mp.log(end))
+                assert (mp_e_gamma() * mp.log(mp.log(x_r))
                         > mp.mpf(numer) / r + criteria._CANDIDATE_BAND), r
-        assert (len(windows), len(walked), windows[-1]) == {
-            CriterionKind.DEDEKIND_F: (3, 37, (30, 47)),
-            CriterionKind.ROBIN_G: (16, 1699, (5040, 5583))}[kind]
+        walked = walked_n(monkeypatch, kind, 2, 10**8)
+        assert walked == list(range(2, windows[-1][1]))
+        assert (len(windows), sum(b - a for a, b in windows), len(walked),
+                windows[-1]) == {
+            CriterionKind.DEDEKIND_F: (3, 37, 45, (30, 47)),
+            CriterionKind.ROBIN_G: (16, 1699, 5581, (5040, 5583))}[kind]
 
     def test_the_band_keeps_a_near_miss_open(self, monkeypatch):
         # a record whose ratio lies half the band below the exact threshold
-        # at m: m could be a candidate, so its window runs past m
-        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+        # at m: m could be a candidate, so the walk runs past m
         r, m = 10**7, 10**7 + 1000
         with mp.workdps(30):
             numer = int(mp.floor(r * (mp_e_gamma() * mp.log(mp.log(m))
                                       - criteria._CANDIDATE_BAND / 2)))
-        assert open_n(r, m + 1, CriterionKind.DEDEKIND_F, ((r, numer),)) \
+        monkeypatch.setattr(champions, "ratio_records",
+                            lambda kind, limit: ((r, numer),))
+        assert walked_n(monkeypatch, CriterionKind.DEDEKIND_F, r, m + 1) \
             == list(range(r, m + 1))
+
+    @pytest.mark.parametrize("kind, hi, largest", [
+        (CriterionKind.DEDEKIND_F, 40, 30), (CriterionKind.ROBIN_G, 5100, 5040)])
+    def test_the_walk_ends_at_hi_inside_the_last_window(self, monkeypatch,
+                                                        kind, hi, largest):
+        # hi lies inside the last window, [30, 47) for f, [5040, 5583) for g
+        spans = []
+        fn = criteria._chunk_values
+        monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
+                            spans.append((lo, hi)) or fn(lo, hi, k))
+        assert scan_exceptions(kind, 2, hi).largest == largest
+        assert spans == [(2, hi)]
+
+    def test_empty_range_past_the_kernel_walks_nothing(self):
+        calls = []
+        for lo, hi in ((2**60, 2**60), (10**20, 47)):
+            assert list(criteria._chunks(lambda *job: calls.append(job), lo,
+                                         hi, CriterionKind.ROBIN_G)) == []
+        assert calls == []
 
     def test_window_past_the_kernel_raises_before_any_chunk(self):
         calls = []

@@ -41,6 +41,13 @@ GOLDEN = {
     "scan g window": (["scan", "--criterion", "g", "--lo", "10000000", "--hi", "10600000"],
         0, "b77520ecd0448e9d891e72df9a2fb2a6743a7854dfe0c487a456469403be797b",
         ""),
+    # from a gap between the record windows across the last one
+    "scan f gap": (["scan", "--criterion", "f", "--lo", "23", "--hi", "40"],
+        0, "852b9648f1b09012d686b4d89d6d77bd0b52fada1034028651ed8349138ea8fa",
+        ""),
+    "scan g gap": (["scan", "--criterion", "g", "--lo", "5000", "--hi", "6000"],
+        0, "224774e0f0c970d2923848f1c52ad73706599dc9db5de1bcda50d0151042683a",
+        ""),
     # at the ratio records' ceilings: the exceptions of the scans to 10^8
     "scan f 1e300": (["scan", "--criterion", "f", "--hi", "1" + "0" * 300],
         0, "c88992fa959fa9f067115b3717679a7fdf307bb5f335423aec4775df5e0dea92",

@@ -393,6 +393,17 @@ class TestOeisCheck:
         assert [int(r["expected"]) for r in parse_csv(out)] == terms
         assert "# compared=42\n# truncated=false\n# first_mismatch=\n" in out
 
+    @pytest.mark.parametrize("data, err", [
+        (b"1 1\n2 2\n3 \xff\n", "line 3: not UTF-8"),
+        (b"# \xfe\n1 1\n", "line 1: not UTF-8")])
+    def test_undecodable_bfile_is_an_input_error(self, capsys, tmp_path,
+                                                 data, err):
+        bfile = tmp_path / "b004394.txt"
+        bfile.write_bytes(data)
+        code, out, got = run_cli(capsys, "oeis-check", "--bfile", str(bfile),
+                                 "--sequence", "A004394", "--count", "3")
+        assert (code, out, got) == (2, "", f"psirh: input error: {err}\n")
+
     def test_truncation_reported(self, capsys, tmp_path):
         bfile = tmp_path / "b004394.txt"
         bfile.write_text("1 1\n2 2\n")
