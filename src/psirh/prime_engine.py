@@ -27,8 +27,8 @@ from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLim
 
 # The one ceiling of the prime stream, a count of primes: headroom above 10**7
 # so the n = 10**7 table column plus one successor prime is always reachable.
-# At the ceiling, table2 --indices 10500000 takes about 0.8 s and 42 MB peak
-# RSS on 2 vCPUs.
+# At the ceiling, table2 --indices 10500000 takes about 0.6-0.7 s and 39 MB
+# peak RSS on 2 vCPUs.
 PRIME_INDEX_CEILING = 10_500_000
 
 _SEG_ODDS = 1 << 20

@@ -81,61 +81,79 @@ def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
     return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
 
 
+# The most primes in a block of the pass, so its one workspace is 2.6 MB
+# however long a stream chunk is: bounds --hi 10000001 peaks near 40 MB on
+# 2 vCPUs.  2^15 measured the same peak RSS and more wall time.
+_BLOCK = 1 << 16
+
+
 def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
-    """The one ordered pass over the first n_max primes, a chunk at a time:
-    yields (first, primes, logs, rl, theta_start, theta_cum, r_start, stats),
-    the chunk's first index, its primes, log p and log1p(1/p) as floats,
-    theta before the chunk and its prefix sums on it, R before the chunk,
-    and the PrimorialStats at the sorted cuts in it.  The theta and R lanes
-    are exact int totals (chunk_sum_dd), so a checkpoint (dd_pair) is
-    correctly rounded however the stream is chunked and cut.  The arrays
-    are rows of one buffer that the next chunk overwrites: fresh ones,
-    still held by the caller, cost bounds 2.5x the page faults.
+    """The one ordered pass over the first n_max primes, a block of at most
+    _BLOCK primes of a stream chunk at a time: yields (first, primes, logs,
+    rl, theta_start, theta_cum, r_cum, stats), the block's first index, its
+    primes, log p and log1p(1/p) as floats, theta before the chunk, the
+    prefix sums of theta and of R on the block, and the PrimorialStats at
+    the sorted cuts in it.  The theta and R lanes are exact int totals
+    (chunk_sum_dd), so a checkpoint (dd_pair) is correctly rounded however
+    the stream is chunked, blocked and cut.  The prefix sums are one float
+    cumsum per chunk, carried across its blocks, plus the chunk's float
+    start: their bits do not depend on _BLOCK.  The arrays are rows of one
+    workspace that the next block overwrites; the carries are taken before
+    the yield, so a consumer may overwrite the rows but must not keep them.
     """
     import numpy as np
     theta = r = 0
     count = ci = 0
-    buf = np.empty((4, 0))
+    buf = np.empty((5, 1))
     for chunk in iter_prime_chunks(n_max):
-        if buf.shape[1] < len(chunk):
-            buf = np.empty((4, len(chunk)))
-        pf, logs, rl, theta_cum = buf[:, :len(chunk)]
-        pf[:] = chunk
-        np.log(pf, out=logs)
-        np.divide(1.0, pf, out=rl)
-        np.log1p(rl, out=rl)
+        if buf.shape[1] <= min(_BLOCK, len(chunk)):
+            buf = np.empty((5, min(_BLOCK, len(chunk)) + 1))
         theta_start, r_start = dd_pair(theta)[0], dd_pair(r)[0]
-        np.cumsum(logs, out=theta_cum)
-        theta_cum += theta_start
-        stats = []
-        pos = 0
-        while pos < len(chunk):  # up to the next cut or the chunk's end
-            at_cut = ci < len(cuts) and cuts[ci] <= count + len(chunk)
-            end = cuts[ci] - count if at_cut else len(chunk)
-            theta += chunk_sum_dd(logs[pos:end])
-            r += chunk_sum_dd(rl[pos:end])
-            if at_cut:
-                stats.append(PrimorialStats(cuts[ci], int(chunk[end - 1]),
-                                            *dd_pair(theta), *dd_pair(r)))
-                ci += 1
-            pos = end
-        yield count + 1, pf, logs, rl, theta_start, theta_cum, r_start, stats
-        count += len(chunk)
+        buf[1:3, 0] = 0.0  # column 0: the chunk's theta and R cumsums so far
+        for lo in range(0, len(chunk), _BLOCK):
+            piece = chunk[lo:lo + _BLOCK]
+            rows = buf[:, :len(piece) + 1]
+            pf, logs, rl, theta_cum, r_cum = rows[:, 1:]
+            pf[:] = piece
+            np.log(pf, out=logs)
+            np.divide(1.0, pf, out=rl)
+            np.log1p(rl, out=rl)
+            # 1-d and out of place, so numpy lets the sieve threads run
+            np.cumsum(rows[1], out=rows[3])  # carry, fl(carry + x_0), ...
+            np.cumsum(rows[2], out=rows[4])
+            rows[1:3, 0] = rows[3:, -1]  # the next block's carries
+            theta_cum += theta_start
+            r_cum += r_start
+            stats = []
+            pos = 0
+            while pos < len(piece):  # up to the next cut or the block's end
+                at_cut = ci < len(cuts) and cuts[ci] <= count + len(piece)
+                end = cuts[ci] - count if at_cut else len(piece)
+                theta += chunk_sum_dd(logs[pos:end])
+                r += chunk_sum_dd(rl[pos:end])
+                if at_cut:
+                    stats.append(PrimorialStats(cuts[ci], int(piece[end - 1]),
+                                                *dd_pair(theta), *dd_pair(r)))
+                    ci += 1
+                pos = end
+            yield count + 1, pf, logs, rl, theta_start, theta_cum, r_cum, stats
+            count += len(piece)
 
 
 def full_scan(n_max: int, report_indices: Iterable[int] = ()
               ) -> dict[int, PrimorialStats]:
     """PrimorialStats at each requested index, by index, from one pass
     (_pass) over the first n_max primes that also checks theta rises at
-    every prime (across chunk joins too) and stays below it; a chunk where
-    it does not raises RuntimeError naming the chunk's index range."""
+    every prime (across block and chunk joins too) and stays below it; a
+    block where it does not raises RuntimeError naming the block's index
+    range."""
     check_n_max(n_max)
     cuts = sorted({i for i in report_indices if 1 <= i <= n_max})
     stats: dict[int, PrimorialStats] = {}
-    last_theta = -math.inf  # the previous chunk's last float theta
+    last_theta = -math.inf  # the previous block's last float theta
     for first, pf, _, _, theta_start, theta_cum, _, at_cuts in _pass(n_max, cuts):
         # the first step must rise above both the float theta the chunk
-        # starts from and the previous chunk's last float value
+        # starts from and the previous block's last float value
         rises = (theta_cum[0] > max(theta_start, last_theta)
                  and (theta_cum[1:] > theta_cum[:-1]).all())
         if not rises or not (theta_cum < pf).all():
@@ -193,25 +211,25 @@ def check_primorial_bounds(last: int, first: int | None = None
         raise DomainError("prime index must be >= 1")
     count = 0
     worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
-    for c_first, pf, logs, rl, _, theta_cum, r_start, _ in _pass(last):
+    for c_first, pf, logs, _, _, theta_cum, r_cum, _ in _pass(last):
         count = c_first + len(pf) - 1
         if count < first:
             continue
         start = max(first - c_first, 0)
-        # p_first < 20000 means first <= 2262: always in the first chunk
+        # the block that holds first starts the check; later primes are larger
         if pf[start] < BOUND_PRIME_THRESHOLD:
             raise DomainError(
                 f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
                 f"p_{first} = {int(pf[start])}")
-        # the two margins in place, each op rounded as in the formulas
-        logp = logs[start:]
-        llgn = np.log(theta_cum[start:])
-        m = np.divide(LOGLOG_BOUND_OFFSET, logp)
+        # the two margins in the block's rows, each op rounded as in the
+        # formulas: theta_cum becomes loglog N, r_cum f and pf the margin
+        logp, llgn = logs[start:], theta_cum[start:]
+        f, m = r_cum[start:], pf[start:]
+        np.log(llgn, out=llgn)
+        np.divide(LOGLOG_BOUND_OFFSET, logp, out=m)
         np.subtract(logp, m, out=m)
         np.subtract(llgn, m, out=m)  # loglog N - (log p - c / log p)
         worst_m1 = _lower(worst_m1, m, c_first + start)
-        f = np.cumsum(rl)[start:]
-        f += r_start
         np.exp(f, out=f)
         llgn *= CONSTANTS.e_gamma
         f -= llgn  # f(N_n) = exp(R_n) - e^gamma loglog N

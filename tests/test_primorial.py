@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import psirh
-from psirh import primorial
+from psirh import prime_engine, primorial
 from psirh.champions import first_primes
 from psirh.criteria import CONSTANTS, BoundCheckResult
 from psirh.errors import CacheParseError, DomainError, ResourceLimitError
@@ -189,6 +189,113 @@ class TestExactLanes:
                 s.theta_hi, s.theta_lo, s.psi_ratio_log_hi, s.psi_ratio_log_lo))
                 for s in stats if s.index in common})
         assert bits[0] == bits[1]
+
+
+def stream_chunks(monkeypatch, values, sizes):
+    """Serve the pass the given values, in chunks of the given sizes."""
+    chunks = np.split(np.asarray(values, dtype=np.int64), np.cumsum(sizes)[:-1])
+    monkeypatch.setattr(primorial, "iter_prime_chunks",
+                        lambda limit: iter(chunks))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBlocks:
+    """The pass works a block of at most _BLOCK primes at a time.  The
+    float prefix sums are one cumsum per chunk, carried across its blocks,
+    so the rows, checkpoints and bound results have the same bits at any
+    _BLOCK; a fault names the block it is in."""
+
+    SIZES = (700, 1, 900, 1399)  # 3,000 primes, past p_2347, in four chunks
+
+    @staticmethod
+    def outputs(last, cuts):
+        """The theta and R prefix sums of the pass to last, read by a
+        consumer that then overwrites every row; the checkpoint bits at
+        the cuts; and both bound results over [2263, last]."""
+        sums = ([], [])
+        for _, *rows, _, theta_cum, r_cum, _ in primorial._pass(last):
+            sums[0].extend(hexes(theta_cum))
+            sums[1].extend(hexes(r_cum))
+            for row in (*rows, theta_cum, r_cum):
+                row[:] = math.nan
+        stats = psirh.full_scan(last, cuts).values()
+        points = [hexes((s.theta_hi, s.theta_lo, s.psi_ratio_log_hi,
+                         s.psi_ratio_log_lo)) for s in stats]
+        return sums, points, psirh.check_primorial_bounds(last, 2263)
+
+    @staticmethod
+    def chunk_sums(chunks):
+        """The prefix sums as whole chunks give them: the float cumsum of
+        the chunk's lane, plus the correctly rounded sum before it."""
+        sums, before = ([], []), ([], [])
+        for chunk in chunks:
+            pf = np.asarray(chunk, dtype=float)
+            for lane, out, prev in zip((np.log(pf), np.log1p(1.0 / pf)),
+                                       sums, before):
+                out.extend(hexes(np.cumsum(lane) + math.fsum(prev)))
+                prev.extend(lane.tolist())
+        return sums
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_same_bits_at_any_block(self, monkeypatch, block):
+        values = np.array(first_primes(3000))
+        stream_chunks(monkeypatch, values, self.SIZES)
+        want = self.outputs(3000, range(1, 3001))
+        assert want[0] == self.chunk_sums(
+            np.split(values, np.cumsum(self.SIZES)[:-1]))
+        assert want[2][0].witness == 2347
+        monkeypatch.setattr(primorial, "_BLOCK", block)
+        assert self.outputs(3000, range(1, 3001)) == want
+
+    def test_same_bits_across_the_first_segment_join(self, monkeypatch):
+        # p_155611 is the last prime of the first 2^21-value segment
+        cuts = sorted({*range(1, 300001, 4093), 155611, 155612, 300000})
+        want = self.outputs(300000, cuts)
+        assert want[0] == self.chunk_sums(prime_engine.iter_prime_chunks(300000))
+        monkeypatch.setattr(primorial, "_BLOCK", 4096)
+        assert self.outputs(300000, cuts) == want
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("at, value, fault", [
+        (4, 1, "does not rise"), (20, 1, "does not rise"),
+        (16, 1, "does not rise"), (33, 3, ">= p_n")])
+    def test_a_fault_names_its_block(self, monkeypatch, block, at, value,
+                                     fault):
+        # log 1 = 0 stalls theta at n = at; 3 after the 32nd prime puts
+        # theta(p_33) far above 3
+        values = np.array(first_primes(40))
+        values[at - 1] = value
+        sizes = (15, 25)  # chunks [1, 15] and [16, 40]
+        block = block or primorial._BLOCK
+        monkeypatch.setattr(primorial, "_BLOCK", block)
+        stream_chunks(monkeypatch, values, sizes)
+        chunk_first = 1 if at <= 15 else 16
+        lo = chunk_first + (at - chunk_first) // block * block
+        hi = min(lo + block - 1, 15 if at <= 15 else 40)
+        with pytest.raises(RuntimeError,
+                           match=rf"{fault} for n in \[{lo}, {hi}\]"):
+            psirh.full_scan(40)
+
+    def test_one_workspace(self, monkeypatch):
+        stream_chunks(monkeypatch, np.array(first_primes(200000)), [200000])
+        blocks = []
+        for _, *rows, _, theta_cum, r_cum, _ in primorial._pass(200000):
+            rows += [theta_cum, r_cum]
+            assert max(map(len, rows)) <= primorial._BLOCK
+            blocks.append(rows)
+        assert len(blocks) == -(-200000 // primorial._BLOCK)
+        for rows in blocks:
+            assert all(map(np.shares_memory, rows, blocks[0]))
+
+    def test_a_short_pass_holds_its_length(self):
+        (_, *rows, _, theta_cum, r_cum, _), = primorial._pass(2263)
+        rows += [theta_cum, r_cum]
+        assert [len(row) for row in rows] == [2263] * 5
+        # five rows, and one column for the carries
+        assert rows[0].base.shape == (5, 2264)
 
 
 def same_bits(got, want):
