@@ -30,11 +30,11 @@ import math
 
 import numpy as np
 
+from . import prime_engine
 from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
                         Record)
 from .errors import DomainError, ResourceLimitError
-from .prime_engine import _ordered
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
 ESCALATION_BAND = 1e-9
@@ -188,15 +188,17 @@ def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
     each chunk's kernel fetching its own base primes.  A non-empty range
     past arith.KERNEL_CEILING raises at the call, before any chunk is cut.
 
-    Only fn runs ahead on prime_engine._ordered's workers; mpmath and
+    Only fn runs ahead, on WORKERS threads of prime_engine._ordered (the
+    caller mostly waits on them, so walks keep every core); mpmath and
     factorize stay in the caller's thread.  Each chunk's values depend only
     on its bounds, so results do not depend on the worker count.
     """
     if lo < hi and hi > KERNEL_CEILING:
         raise ResourceLimitError(f"range [{lo}, {hi}) passes the exact "
                                  f"kernel's ceiling {KERNEL_CEILING}")
-    return _ordered(fn, [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
-                         for c_lo in range(lo, hi, DEFAULT_CHUNK)])
+    jobs = [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
+            for c_lo in range(lo, hi, DEFAULT_CHUNK)]
+    return prime_engine._ordered(fn, jobs, prime_engine.WORKERS)
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:

@@ -1,9 +1,10 @@
 """Segmented prime sieve and exact Chebyshev theta accumulation.
 
 Primes come, the first n at a time, from a segmented sieve of Eratosthenes
-over an odd-number bitmap (2**20 entries per segment, start offsets in
-numpy), later segments sieved ahead on a thread pool (_ordered); it also
-grows the one small-prime list.
+over an odd-number bitmap (2**20 entries per segment, presieved by the
+wheel of 3, 5, 7, 11 and 13, start offsets in numpy), later segments sieved
+ahead on WORKERS - 1 pool threads (_ordered), so the pass that reads them
+keeps a core of its own; it also grows the one small-prime list.
 Theta, the running sum of log p, is summed exactly: repeated extraction
 (chunk_sum_dd) makes each chunk's sum a Python int counting units of
 2**-1074, totals add with +, and dd_pair reads one out as an unevaluated
@@ -27,25 +28,29 @@ from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLim
 
 # The one ceiling of the prime stream, a count of primes: headroom above 10**7
 # so the n = 10**7 table column plus one successor prime is always reachable.
-# At the ceiling, table2 --indices 10500000 takes about 0.6-0.7 s and 39 MB
+# At the ceiling, table2 --indices 10500000 takes about 0.6-0.85 s and 37 MB
 # peak RSS on 2 vCPUs.
 PRIME_INDEX_CEILING = 10_500_000
 
 _SEG_ODDS = 1 << 20
 _SEG_SPAN = _SEG_ODDS * 2
+_WHEEL = (3, 5, 7, 11, 13)  # presieved: no segment strikes them
+_WHEEL_ODDS = math.prod(_WHEEL)  # 15015 odd values, a period of 30030
 
 # The CPUs this process may run on; _ordered reads it at call time.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-def _ordered(fn, jobs):
+def _ordered(fn, jobs, threads):
     """Yield (job[0], fn(*job)) for each argument tuple in jobs, in order.
 
     With WORKERS > 1 and more than one job, up to WORKERS calls of fn run
-    ahead on a thread pool (fn's numpy loops release the GIL) while the
-    caller, in its own thread, consumes the result before them.  Otherwise
-    the loop is serial and starts no thread.
+    ahead on a pool of `threads` threads (fn's numpy loops release the GIL)
+    while the caller, in its own thread, consumes the result before them:
+    a walk passes WORKERS, the prime stream WORKERS - 1, leaving a core to
+    the pass that reads it.  Otherwise the loop is serial and starts no
+    thread.
     """
     workers = WORKERS
     if workers == 1 or len(jobs) <= 1:
@@ -53,7 +58,7 @@ def _ordered(fn, jobs):
             yield job[0], fn(*job)
         return
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(threads) as pool:
         pending = deque()
         try:
             for job in jobs:
@@ -168,10 +173,20 @@ def _segment_primes(lo: int, hi: int, base):
     lo_odd = lo | 1
     if lo_odd >= hi:
         return np.array([2] if lo <= 2 < hi else [], dtype=np.int64)
-    mask = np.ones((hi - lo_odd + 1) // 2, dtype=bool)
+    # the odd values coprime to 3*5*7*11*13 repeat every _WHEEL_ODDS bits:
+    # the bitmap starts as that pattern at lo_odd's phase, wheel primes set
+    # back, so the strike loop starts at 17
+    wheel = np.ones(_WHEEL_ODDS, dtype=bool)  # the odd values 1, 3, ...
+    for p in _WHEEL:
+        wheel[p >> 1::p] = False
+    phase = (lo_odd >> 1) % _WHEEL_ODDS
+    mask = np.resize(np.roll(wheel, -phase), (hi - lo_odd + 1) // 2)
+    for p in _WHEEL:
+        if lo_odd <= p < hi:
+            mask[(p - lo_odd) >> 1] = True
     if lo_odd == 1:
         mask[0] = False
-    odd = base[base.searchsorted(3):
+    odd = base[base.searchsorted(_WHEEL[-1] + 1):
                base.searchsorted(math.isqrt(hi - 1), "right")]
     # first odd multiple of p that is >= max(p * p, lo_odd), as an offset
     # into the bitmap; one past the end makes an empty slice
@@ -208,9 +223,10 @@ def _nth_prime_value_bound(n: int) -> int:
 
 def iter_prime_chunks(n: int) -> Iterator:
     """The first n primes, from 2, as consecutive int64 arrays: one chunk per
-    2**21-value segment, the next ones sieved ahead (_ordered), the last cut
-    at p_n.  n is checked (check_n_max) at the call, and n = 0 is the empty
-    stream; a stream that ends short of p_n raises RuntimeError."""
+    2**21-value segment, the next WORKERS sieved ahead on WORKERS - 1
+    threads (_ordered), the last cut at p_n.  n is checked (check_n_max) at
+    the call, and n = 0 is the empty stream; a stream that ends short of p_n
+    raises RuntimeError."""
     if n == 0:
         return iter(())
     check_n_max(n)
@@ -222,7 +238,7 @@ def _first_primes(n: int) -> Iterator:
     base = _simple_sieve(math.isqrt(limit - 1))
     for _, primes in _ordered(_segment_primes, [
             (lo, min(lo + _SEG_SPAN, limit), base)
-            for lo in range(0, limit, _SEG_SPAN)]):
+            for lo in range(0, limit, _SEG_SPAN)], WORKERS - 1):
         yield primes[:n]
         n -= len(primes)
         if n <= 0:

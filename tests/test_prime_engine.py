@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -78,9 +79,20 @@ class TestSieveRange:
             assert got == trial_division_primes(lo, lo + 100)
 
 
+# the wheel's period in values: the odd multiples of 3, 5, 7, 11 and 13
+# repeat every 15015 odd values
+WHEEL_PERIOD = 30030
+
+
+def reference_window(lo, hi):
+    primes = sieve_reference(hi - 1)
+    return primes[primes >= lo].tolist()
+
+
 class TestSegmentPrimes:
-    """_segment_primes, with every start offset computed in numpy, against
-    trial division."""
+    """_segment_primes, with every start offset computed in numpy and its
+    bitmap started from the wheel of 3, 5, 7, 11 and 13 at the window's
+    phase, against trial division and the reference sieve."""
 
     @staticmethod
     def segment(lo, hi):
@@ -104,9 +116,32 @@ class TestSegmentPrimes:
         lo = k * 2**21 - 60
         assert self.segment(lo, lo + 120) == trial_division_primes(lo, lo + 120)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 35, 100])
+    def test_windows_straddling_a_wheel_period(self, k):
+        for lo, hi in ((k * WHEEL_PERIOD - 97, k * WHEEL_PERIOD + 131),
+                       (k * WHEEL_PERIOD - 1, k * WHEEL_PERIOD + 2)):
+            assert self.segment(lo, hi) == reference_window(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 1000), (17, 30000), (12345, 12345 + 29999),
+        (0, WHEEL_PERIOD), (12345, 12345 + WHEEL_PERIOD),
+        (3 * WHEEL_PERIOD + 11, 4 * WHEEL_PERIOD + 11)])
+    def test_windows_up_to_one_wheel_period(self, lo, hi):
+        assert self.segment(lo, hi) == reference_window(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi, primes", [
+        (1, 3, [2]), (3, 4, [3]), (11, 17, [11, 13]), (13, 14, [13]),
+        (0, 17, [2, 3, 5, 7, 11, 13]), (4, 11, [5, 7]), (5, 6, [5]),
+        (7, 8, [7]), (14, 17, [])])
+    def test_wheel_primes_at_the_edges(self, lo, hi, primes):
+        assert self.segment(lo, hi) == primes
+
     def test_whole_segments_match_one_sieve(self):
+        # at wheel phases (lo | 1) // 2 mod 15015 of 0, 12541, 7593, then
+        # 0 again from a multiple of 30030, 12540 and 1224
         primes = sieve_reference(2**23)
-        for lo in (0, 2**21, 3 * 2**21):
+        for lo in (0, 2**21, 3 * 2**21, 70 * WHEEL_PERIOD, 2**21 + 30029,
+                   2**22 + 12345):
             hi = lo + 2**21
             want = primes[(primes >= lo) & (primes < hi)]
             got = prime_engine._segment_primes(
@@ -278,6 +313,46 @@ class TestPrimeStreamPipeline:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert len(list(iter_prime_chunks(n))) == segments
         assert psirh.full_scan(10**5, [10**5])[10**5].prime == 1299709
+
+
+class TestThreadBudget:
+    """The prime stream sieves on WORKERS - 1 pool threads, leaving a core
+    to the pass that reads it; a range walk runs on WORKERS.  Every job
+    sleeps, so each submit finds the threads before it busy."""
+
+    @staticmethod
+    def threads_started(chunks):
+        before = threading.active_count()
+        peak = before
+        for _ in chunks:
+            peak = max(peak, threading.active_count())
+        assert threading.active_count() == before
+        return peak - before
+
+    @staticmethod
+    def slow(fn):
+        def run(*args):
+            time.sleep(0.05)
+            return fn(*args)
+        return run
+
+    @pytest.mark.parametrize("workers, threads", [(1, 0), (2, 1), (3, 2)])
+    def test_stream_leaves_the_reader_a_core(self, set_workers, monkeypatch,
+                                             workers, threads):
+        set_workers(workers)
+        monkeypatch.setattr(prime_engine, "_segment_primes",
+                            self.slow(prime_engine._segment_primes))
+        # p_300000 = 4256233 is in the last of 3 segments
+        assert self.threads_started(iter_prime_chunks(300_000)) == threads
+
+    @pytest.mark.parametrize("workers, threads", [(1, 0), (2, 2), (3, 3)])
+    def test_walk_keeps_every_core(self, set_workers, monkeypatch, workers,
+                                   threads):
+        set_workers(workers)
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
+        chunks = criteria._chunks(self.slow(criteria._chunk_values), 2, 30,
+                                  criteria.CriterionKind.DEDEKIND_F)
+        assert self.threads_started(chunks) == threads
 
 
 class TestNthPrime:
