@@ -17,25 +17,21 @@ import math
 import re
 from operator import itemgetter
 
-import numpy as np
-
-from . import criteria
 from .arith import dedekind_psi
 from .arith import psi_table, sigma_table  # noqa: F401 (wrapped by perfbench/spans.py)
-from .criteria import (_CANDIDATE_BAND, CriterionKind, _f_at_least,
-                       dedekind_f)
+from .criteria import CriterionKind
+from .criteria import dedekind_f  # noqa: F401 (wrapped by perfbench/spans.py)
 from .constants import Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import _nth_prime_value_bound, _simple_sieve
 
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
-# 2-core Xeon with 7 GB); prop2 walks its range in chunks, in under 65 MB:
-SUPERABUNDANT_CEILING = 10**30  # 2.2-2.7 s, 164 MB: 191 of 726,662 HR n;
-#                      as scan g's hi - 1 (ratio_records), 2.4-2.8 s, 165 MB
-S_SEQUENCE_CEILING = 10**300  # 0.5-0.9 s, 71-99 MB: 41,712 terms, 9 MB CSV;
-#                      as scan f's hi - 1 (ratio_records), 0.25-0.31 s, 35 MB
-PROP1_CEILING = 10**8          # 0.2 s, 31 MB
-PROP2_CEILING = 10**8          # 4.2-5.8 s, 45-48 MB: 96,453,730 cases
+# 2-core Xeon with 7 GB):
+SUPERABUNDANT_CEILING = 10**30  # 1.5-1.9 s, 165 MB: 191 of 726,662 HR n;
+#                      as scan g's hi - 1 (ratio_records), 1.6-1.8 s, 165 MB
+S_SEQUENCE_CEILING = 10**300  # 0.43-0.48 s, 71 MB: 41,712 terms, 9 MB CSV;
+#                      as scan f's hi - 1 (ratio_records), 0.21-0.22 s, 31 MB;
+#                      as both props limits, by closed forms, 0.20-0.22 s, 29 MB
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
@@ -85,14 +81,19 @@ def _primorials(limit: int):
         yield k, p, primorial, primes[k]
 
 
+def _check_s_limit(limit: int) -> None:
+    """Reject a limit past S_SEQUENCE_CEILING, the primorial ladder's."""
+    if limit > S_SEQUENCE_CEILING:
+        raise ResourceLimitError("limit exceeds ceiling 10**300")
+
+
 def generate_s_sequence(limit: int) -> list[ChampionNumber]:
     """All l*N_k <= limit with 1 <= l < p_{k+1}, in increasing order.
 
     Generated structurally from the primorial ladder, never by scanning
     integers; limit is an int up to S_SEQUENCE_CEILING.
     """
-    if limit > S_SEQUENCE_CEILING:
-        raise ResourceLimitError("limit exceeds ceiling 10**300")
+    _check_s_limit(limit)
     out: list[ChampionNumber] = []
     ratio_log = 0.0
     for k, p, primorial, p_next in _primorials(limit):
@@ -164,8 +165,7 @@ def ratio_records(kind: CriterionKind, limit: int) -> tuple[tuple[int, int], ...
     """
     if kind is CriterionKind.ROBIN_G:
         return generate_superabundant(limit).records
-    if limit > S_SEQUENCE_CEILING:
-        raise ResourceLimitError("limit exceeds ceiling 10**300")
+    _check_s_limit(limit)
     records = [(1, 1)]
     for _, p, primorial, _ in _primorials(limit):
         records.append((primorial, records[-1][1] * (p + 1)))
@@ -196,55 +196,36 @@ def verify_prop1(limit: int) -> PropositionCheck:
     """For every N_k <= limit and 1 < l < p_{k+1} with l*N_k < min(N_{k+1}, limit):
     f(l*N_k) < f(N_k).
 
-    As in the scans, a float value below f(N_k) - _CANDIDATE_BAND is
-    trusted; every other case is decided by criteria._f_at_least."""
-    if limit > PROP1_CEILING:
-        raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP1_CEILING}")
-    cases = 0
-    failures = []
-    for k, _, prim, p_next in _primorials(limit):
-        band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
-        next_prim = prim * p_next
-        for l in range(2, p_next):
-            value = l * prim
-            if value >= min(next_prim, limit):
-                break
-            cases += 1
-            if (dedekind_f(value).value > band_floor
-                    and _f_at_least(value, prim)):
-                failures.append((k, l))
+    Proof.  The prime factors of l < p_{k+1} are among p_1, ..., p_k, so
+    psi(l N_k)/(l N_k) = psi(N_k)/N_k, and log log (l N_k) > log log N_k.
+    So no case fails.  As l N_k < N_{k+1} for every l < p_{k+1}, N_k has
+    min(p_{k+1}, ceil(limit / N_k)) - 2 cases, or none; limit is an int up
+    to S_SEQUENCE_CEILING."""
+    _check_s_limit(limit)
+    cases = sum(max(min(p_next, -(-limit // prim)) - 2, 0)
+                for _, _, prim, p_next in _primorials(limit))
     return PropositionCheck(proposition=Proposition.PROP1, limit=limit,
-                            cases_checked=cases, failures=tuple(failures))
+                            cases_checked=cases, failures=())
 
 
 def verify_prop2(limit: int) -> PropositionCheck:
     """For every N_k, l >= 1 with (l+1)*N_k < min(N_{k+1}, limit) and every
     l*N_k < m < (l+1)*N_k: f(m) < f(N_k).
 
-    The m of one k fill the window N_k < m < L*N_k, multiples of N_k
-    excluded; it is walked chunk by chunk, its float values come from the
-    scan prefilter, and every value above f(N_k) - _CANDIDATE_BAND is
-    decided by criteria._f_at_least."""
-    if limit > PROP2_CEILING:
-        raise ResourceLimitError(f"limit={limit} exceeds ceiling {PROP2_CEILING}")
+    Proof.  m < N_{k+1} has at most k distinct prime factors, and
+    psi(m)/m is the product of 1 + 1/p over them, so it is at most the
+    product over p_1, ..., p_k, psi(N_k)/N_k (the ratio_records lemma); and
+    log log m > log log N_k.  So no case fails.  The m of one k fill the
+    window N_k < m < L*N_k, L = floor((min(N_{k+1}, limit) - 1) / N_k),
+    multiples of N_k excluded: (L - 1)(N_k - 1) cases when L >= 2; limit is
+    an int up to S_SEQUENCE_CEILING."""
+    _check_s_limit(limit)
     cases = 0
-    failures = []
-    for k, _, prim, p_next in _primorials(limit):
+    for _, _, prim, p_next in _primorials(limit):
         big_l = (min(prim * p_next, limit) - 1) // prim
-        if big_l < 2:
-            continue
-        cases += (big_l - 1) * (prim - 1)
-        band_floor = dedekind_f(prim).value - _CANDIDATE_BAND
-        for c_lo, values in criteria._chunks(criteria._chunk_values,
-                                             prim + 1, big_l * prim,
-                                             CriterionKind.DEDEKIND_F):
-            values[-c_lo % prim::prim] = -np.inf  # the multiples l*N_k
-            for off in np.nonzero(values > band_floor)[0]:
-                m = c_lo + int(off)
-                if _f_at_least(m, prim):
-                    failures.append((k, m // prim, m))
+        cases += max(big_l - 1, 0) * (prim - 1)
     return PropositionCheck(proposition=Proposition.PROP2, limit=limit,
-                            cases_checked=cases, failures=tuple(failures))
+                            cases_checked=cases, failures=())
 
 
 # ---------------------------------------------------------------------------

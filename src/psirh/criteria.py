@@ -8,15 +8,17 @@ from the exact integer function value, the threshold is evaluated with one
 rounding per step (log n, then log of that, then multiply), and any value
 within the 1e-9 escalation band is re-evaluated at 30 significant digits
 with mpmath before its sign is trusted.  The same 30-digit evaluator gives
-the sigma-bound margin at its witness and settles the proposition cases
-the float pass leaves within _CANDIDATE_BAND.
+the sigma-bound margin at its witness.
 
-Robin's unconditional bound sigma(n)/n <= e^gamma L + c / L, L = log log n,
-is checked by structure: its right side does not decrease from n0(c) on
+Robin's unconditional bound sigma(n)/n <= B(n) = e^gamma L + c / L,
+L = log log n, is checked by structure: B does not decrease from n0(c) on
 (n0 = 7 at the default c), and between consecutive superabundant numbers
 s <= n < s' the ratio sigma(n)/n is at most sigma(s)/s.  So past the first
 superabundant number s* >= max(lo, n0) the least margin lies at a
-superabundant number, and only the head [lo, s*) is walked n by n.
+superabundant number.  On a chunk [a, b) of the head [lo, s*) the margin is
+at least B at the clamp of B's minimum into [a, b - 1], less the ratio of
+the last superabundant number <= b - 1: chunks are walked in the order of
+that bound, and only until it clears the least margin found.
 
 The scans use the same records (N_k for psi, superabundant for sigma): a
 scan walks only the prefix [lo, X) they leave open (X = 47 for f, 5583 for
@@ -30,7 +32,6 @@ import math
 
 import numpy as np
 
-from . import prime_engine
 from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
                         Record)
@@ -45,15 +46,14 @@ _CANDIDATE_BAND = 1e-6
 
 # The sigma bound's ceiling alone, a budget measured there (the whole
 # command, on a 2-core Xeon): bounds --lo 2263 --hi 2263 --sigma-hi takes
-# 0.13-0.20 s in 34 MB at the default c, which walks only [3, 12); a c
-# whose n0 lies past it (--c 1e6) walks all of it, 5.2-5.9 s in 52 MB.
+# 0.16-0.25 s in 33 MB at the default c, which computes no chunk of its
+# head [3, 12); a c whose n0 lies past it computes some of the 382 chunks
+# of [3, 10^8): --c 1e6 one, 0.19-0.26 s in 36 MB, --c 50 102 of them,
+# 1.2-1.6 s in 41 MB.
 SCAN_CEILING = 10**8
-# A range walk holds WORKERS + 1 = 3 live chunks on two cores (README).
-# Only Proposition 2 and the sigma head at a large c still walk far.  On a
-# 2-core Xeon, two workers against one: verify_prop2(10^8) 3.9-4.4 s in
-# 47 MB against 3.6-5.1 s in 37 MB; the sigma head to 10^8 at c = 1e6
-# 5.0-5.4 s in 51 MB against 5.5-6.9 s in 40 MB.  2^19 chunks ran both walks
-# a sixth faster, in 18 MB more.
+# A range walk holds one chunk at a time, in its caller's thread; only the
+# sigma head at a large c walks more than a scan's prefix (at most 5,581 n).
+# At --c 50, 2^17 chunks took 1.4-2.0 s in 36 MB and 2^19 1.1-1.5 s in 49 MB.
 DEFAULT_CHUNK = 1 << 18
 
 
@@ -92,21 +92,14 @@ def _exact_value(n: int, numer: int):
     """numer/n - e^gamma log log n to ESCALATION_DPS significant digits.
 
     The one evaluator behind every sign decision the float pass leaves
-    open: the escalated criterion value, the sigma-bound margin at its
-    witness and the proposition tie-breaks.  The mpf keeps its 30 digits
+    open: the escalated criterion value and the sigma-bound margin at its
+    witness.  The mpf keeps its 30 digits
     after the context closes; callers that combine it with more arithmetic
     do so under mp.workdps(ESCALATION_DPS) and round to float once.
     """
     import mpmath as mp
     with mp.workdps(ESCALATION_DPS):
         return mp.mpf(numer) / n - mp_e_gamma() * mp.log(mp.log(n))
-
-
-def _f_at_least(m: int, ref: int) -> bool:
-    """f(m) >= f(ref), decided on the 30-digit values (an exact mpf
-    comparison), so a tie counts against m."""
-    return (_exact_value(m, dedekind_psi(m))
-            >= _exact_value(ref, dedekind_psi(ref)))
 
 
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
@@ -180,25 +173,19 @@ def _loglog_root(level: float) -> float:
         return math.inf
 
 
-def _chunks(fn, lo: int, hi: int, kind: CriterionKind):
-    """Yield (c_lo, fn(c_lo, c_hi, kind)) for the consecutive chunks
-    [c_lo, c_hi) of [lo, hi) in order, cut from lo in steps of
-    DEFAULT_CHUNK (read at call time), fn being _chunk_values or
-    _chunk_ratios: the one walk of every range caller, in O(chunk) memory,
-    each chunk's kernel fetching its own base primes.  A non-empty range
+def _chunks(lo: int, hi: int):
+    """The consecutive chunks (c_lo, c_hi) of [lo, hi), in order, cut from
+    lo in steps of DEFAULT_CHUNK (read at call time): the one splitter of
+    every range walk.  Each caller computes a chunk's values in its own
+    thread, one chunk at a time, and its kernel fetches its own base
+    primes; a chunk's values depend only on its bounds.  A non-empty range
     past arith.KERNEL_CEILING raises at the call, before any chunk is cut.
-
-    Only fn runs ahead, on WORKERS threads of prime_engine._ordered (the
-    caller mostly waits on them, so walks keep every core); mpmath and
-    factorize stay in the caller's thread.  Each chunk's values depend only
-    on its bounds, so results do not depend on the worker count.
     """
     if lo < hi and hi > KERNEL_CEILING:
         raise ResourceLimitError(f"range [{lo}, {hi}) passes the exact "
                                  f"kernel's ceiling {KERNEL_CEILING}")
-    jobs = [(c_lo, min(c_lo + DEFAULT_CHUNK, hi), kind)
-            for c_lo in range(lo, hi, DEFAULT_CHUNK)]
-    return prime_engine._ordered(fn, jobs, prime_engine.WORKERS)
+    step = DEFAULT_CHUNK
+    return ((c_lo, min(c_lo + step, hi)) for c_lo in range(lo, hi, step))
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
@@ -236,7 +223,8 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
             x_end = math.ceil(min(nxt, x_r))
     found = []
     escalations = 0
-    for c_lo, values in _chunks(_chunk_values, lo, x_end, kind):
+    for c_lo, c_hi in _chunks(lo, x_end):
+        values = _chunk_values(c_lo, c_hi, kind)
         for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
@@ -265,51 +253,70 @@ def check_sigma_bound_args(lo: int, hi: int, c: float) -> None:
 def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
                             ) -> BoundCheckResult:
     """Verify sigma(n)/n <= B(n) = e^gamma L + c / L, L = log log n, on
-    [lo, hi) (Robin 1984), by structure and a short head walk.
+    [lo, hi) (Robin 1984), by structure and a branch and bound on the head.
 
-    Lemma.  dB/dL = e^gamma - c / L^2, so B does not decrease once
-    L >= L0 = sqrt(max(c, 0) / e^gamma), that is for n >= n0(c), the
-    least integer >= max(_loglog_root(L0), 3): 7 at the default c = 0.6483,
-    3 for every c <= 0.  For consecutive superabundant numbers s <= n < s',
-    sigma(n)/n <= sigma(s)/s: the largest ratio up to n is first reached at
-    a superabundant number, and s is the last one up to n.  So for s >= n0
-    the margin B(n) - sigma(n)/n on [s, s') is least at s.
+    Lemma.  dB/dL = e^gamma - c / L^2, and L > 0 for n >= 3, so B falls
+    until L = L0 = sqrt(max(c, 0) / e^gamma), at x0 = _loglog_root(L0), and
+    rises after it: B does not decrease for n >= n0(c), the least integer
+    >= max(x0, 3), 7 at the default c = 0.6483 and 3 for every c <= 0.  For
+    consecutive superabundant numbers s <= n < s', sigma(n)/n <= sigma(s)/s:
+    the largest ratio up to n is first reached at a superabundant number,
+    and s is the last one up to n.  So for s >= n0 the margin
+    B(n) - sigma(n)/n on [s, s') is least at s.  And on any [a, b) the
+    margin is at least B(clamp(x0, a, b - 1)) - sigma(s)/s, s the last
+    superabundant number <= b - 1.  (x0 lies 1e-12 relative past B's real
+    minimum, which moves B at the clamp by a second-order amount far below
+    the slack.)
 
-    Let s* be the first superabundant number >= max(lo, n0).  The float
-    margin is walked, chunk by chunk, only on the head [lo, s*), and past
-    it taken at each superabundant number in [s*, hi); with no such number
-    below hi (a large c puts n0 past the range) the head is all of [lo, hi).
-    Both parts use _sigma_margin, so each margin taken is the float a walk
-    of the whole range takes at that n, and the witness is the first n of
-    least float margin among them (the same n as that walk's on every case
-    the tests compare).  The margin reported, and the pass/fail decision,
-    come from mpmath at the witness.
+    Let s* be the first superabundant number >= max(lo, n0), or hi if
+    there is none below hi (a large c puts n0 past the range).  The margin
+    is taken first at each superabundant number in [s*, hi).  The head
+    [lo, s*) is cut into the chunks of _chunks, which are walked in
+    increasing order of their bound, until the bound less
+    SLACK = 1e-11 (1 + |c|) exceeds the least float margin found.  Every
+    margin and bound comes from _sigma_margin, and the witness is the
+    least (float margin, n): the first n of least float margin that a walk
+    of every chunk finds.
+
+    Slack.  Below 10^8, L lies in [0.094, 2.92], so each float term of a
+    margin or a bound is at most 6 + 11 |c|: e^gamma L, c / L, and a ratio
+    at most 4.98, that of 73513440.  Each term is within 1e-14 of exact,
+    relative, since L comes from two logs each within a few ulps.  With
+    its two roundings more, each float margin and bound lies within
+    4e-13 (1 + |c|) of exact, so a float margin in a chunk is at least the
+    chunk's float bound less 8e-13 (1 + |c|).  A chunk skipped therefore
+    holds no float margin at or below the least one found, and the skip
+    leaves the witness as it is.  The margin reported, and the pass/fail
+    decision, come from mpmath at the witness.
     """
     check_sigma_bound_args(lo, hi, c)
     from . import champions  # not at import time: champions imports criteria
-    start = max(lo, _loglog_root(math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma)))
-    sa = [r for r in champions.ratio_records(CriterionKind.ROBIN_G, hi - 1)
-          if r[0] >= start]
-
-    def margins():
-        """(the n of each margin, the margins), in increasing n."""
-        for c_lo, ratios in _chunks(_chunk_ratios, lo, sa[0][0] if sa else hi,
-                                    CriterionKind.ROBIN_G):
-            n = np.arange(c_lo, c_lo + len(ratios), dtype=np.float64)
-            yield range(c_lo, c_lo + len(ratios)), _sigma_margin(n, ratios, c)
-        if sa:
-            ns, sigmas = zip(*sa)
-            n = np.array(ns, dtype=np.float64)
-            ratios = np.array(sigmas, dtype=np.float64) / n
-            yield ns, _sigma_margin(n, ratios, c)
-
-    worst = math.inf
-    witness = lo
-    for ns, margin in margins():
+    x0 = _loglog_root(math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma))
+    ns, sigmas = map(np.array, zip(*champions.ratio_records(
+        CriterionKind.ROBIN_G, hi - 1)))
+    ratios = sigmas / ns
+    first = int(np.searchsorted(ns, max(lo, x0)))
+    worst, witness, head_end = math.inf, lo, hi
+    if first < len(ns):
+        head_end = int(ns[first])
+        margin = _sigma_margin(ns[first:].astype(np.float64), ratios[first:],
+                               c)
         i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst = float(margin[i])
-            witness = ns[i]
+        worst, witness = float(margin[i]), int(ns[first + i])
+    chunks = np.array([*_chunks(lo, head_end)], dtype=np.int64).reshape(-1, 2)
+    last = chunks[:, 1] - 1
+    bounds = _sigma_margin(np.clip(x0, chunks[:, 0], last).astype(np.float64),
+                           ratios[np.searchsorted(ns, last, "right") - 1], c)
+    bounds -= 1e-11 * (1 + abs(c))
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] > worst:
+            break
+        a, b = map(int, chunks[j])
+        margin = _sigma_margin(np.arange(a, b, dtype=np.float64),
+                               _chunk_ratios(a, b, CriterionKind.ROBIN_G), c)
+        i = int(np.argmin(margin))
+        if (margin[i], a + i) < (worst, witness):
+            worst, witness = float(margin[i]), a + i
     import mpmath as mp
     with mp.workdps(ESCALATION_DPS):
         exact = float(mp.mpf(c) / mp.log(mp.log(witness))

@@ -42,36 +42,34 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-def _ordered(fn, jobs, threads):
-    """Yield (job[0], fn(*job)) for each argument tuple in jobs, in order.
+def _ordered(fn, jobs):
+    """Yield fn(*job) for each argument tuple in jobs, in order: the prime
+    stream's pipeline.
 
     With WORKERS > 1 and more than one job, up to WORKERS calls of fn run
-    ahead on a pool of `threads` threads (fn's numpy loops release the GIL)
-    while the caller, in its own thread, consumes the result before them:
-    a walk passes WORKERS, the prime stream WORKERS - 1, leaving a core to
-    the pass that reads it.  Otherwise the loop is serial and starts no
-    thread.
+    ahead on WORKERS - 1 pool threads (fn's numpy loops release the GIL)
+    while the caller, in its own thread, consumes the result before them,
+    so the pass that reads the stream keeps a core.  Otherwise the loop is
+    serial and starts no thread.
     """
     workers = WORKERS
     if workers == 1 or len(jobs) <= 1:
         for job in jobs:
-            yield job[0], fn(*job)
+            yield fn(*job)
         return
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(workers - 1) as pool:
         pending = deque()
         try:
             for job in jobs:
                 if len(pending) == workers:
-                    key, future = pending.popleft()
-                    yield key, future.result()
-                pending.append((job[0], pool.submit(fn, *job)))
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *job))
             while pending:
-                key, future = pending.popleft()
-                yield key, future.result()
+                yield pending.popleft().result()
         finally:
             # a closed or failed stream drops the jobs not started yet
-            for _, future in pending:
+            for future in pending:
                 future.cancel()
 
 
@@ -141,7 +139,8 @@ _prime_list = (None, 0)  # (primes, hi): every prime below hi, in an int64 array
 
 def _primes_below(limit: int):
     """The shared list, grown if short to hold every prime below limit >= 1.
-    It starts empty and is replaced, never mutated: threads see whole lists."""
+    It starts empty and is replaced, never mutated: a prefix handed out
+    stays whole."""
     global _prime_list
     primes, hi = _prime_list
     if hi < limit:  # the base first, then [hi, max(2 hi, limit))
@@ -149,7 +148,7 @@ def _primes_below(limit: int):
         top = max(2 * hi, limit)
         root = math.isqrt(top - 1) + 1  # above every p with p * p < top
         base = _primes_below(root) if root < top else np.empty(0, np.int64)
-        # _SEG_SPAN values at a time, in a plain loop: it may run on a worker
+        # _SEG_SPAN values at a time, so a bitmap stays at 1 MB
         pieces = [primes] if hi else []
         for lo in range(hi, top, _SEG_SPAN):
             pieces.append(_segment_primes(lo, min(lo + _SEG_SPAN, top), base))
@@ -236,9 +235,9 @@ def iter_prime_chunks(n: int) -> Iterator:
 def _first_primes(n: int) -> Iterator:
     limit = _nth_prime_value_bound(n)
     base = _simple_sieve(math.isqrt(limit - 1))
-    for _, primes in _ordered(_segment_primes, [
+    for primes in _ordered(_segment_primes, [
             (lo, min(lo + _SEG_SPAN, limit), base)
-            for lo in range(0, limit, _SEG_SPAN)], WORKERS - 1):
+            for lo in range(0, limit, _SEG_SPAN)]):
         yield primes[:n]
         n -= len(primes)
         if n <= 0:

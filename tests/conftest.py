@@ -39,7 +39,7 @@ def full_scan_elapsed(timed_full_scan):
 @pytest.fixture
 def set_workers(monkeypatch):
     """Set prime_engine.WORKERS, the thread count of the ordered pipeline
-    behind the prime stream and the range driver, for one test."""
+    behind the prime stream, for one test."""
     def set_(workers):
         monkeypatch.setattr(prime_engine, "WORKERS", workers)
     return set_

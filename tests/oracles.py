@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 
+from psirh import champions, criteria
+from psirh.arith import dedekind_psi
+from psirh.criteria import CriterionKind
+
 
 def record_reference(table, start, keep_ties):
     """The whole-table exact record loop: every n >= start whose table[n]/n
@@ -37,3 +41,55 @@ def sieve_reference(limit):
         if mask[p]:
             mask[p * p:: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def f_at_least(m, ref):
+    """f(m) >= f(ref), decided on the 30-digit values (an exact mpf
+    comparison), so a tie counts against m."""
+    return (criteria._exact_value(m, dedekind_psi(m))
+            >= criteria._exact_value(ref, dedekind_psi(ref)))
+
+
+def prop1_walk(limit):
+    """Proposition 1 checked case by case, (cases_checked, failures): each
+    f(l N_k) against f(N_k), a float value below f(N_k) - _CANDIDATE_BAND
+    trusted and every other decided by f_at_least."""
+    cases = 0
+    failures = []
+    for k, _, prim, p_next in champions._primorials(limit):
+        band_floor = criteria.dedekind_f(prim).value - criteria._CANDIDATE_BAND
+        for l in range(2, p_next):
+            value = l * prim
+            if value >= min(prim * p_next, limit):
+                break
+            cases += 1
+            if (criteria.dedekind_f(value).value > band_floor
+                    and f_at_least(value, prim)):
+                failures.append((k, l))
+    return cases, tuple(failures)
+
+
+def prop2_walk(limit):
+    """Proposition 2 checked m by m, the numeric check of the lemma behind
+    it and so of the kernel: (cases_checked, failures), each failure
+    (k, l, m).  The m of one k fill the window N_k < m < L*N_k, multiples of
+    N_k excluded, counted as they are walked; the window is walked chunk by
+    chunk (criteria._chunks), its float values come from the scan
+    prefilter (criteria._chunk_values), and every value above
+    f(N_k) - _CANDIDATE_BAND is decided by f_at_least."""
+    cases = 0
+    failures = []
+    for k, _, prim, p_next in champions._primorials(limit):
+        big_l = (min(prim * p_next, limit) - 1) // prim
+        band_floor = criteria.dedekind_f(prim).value - criteria._CANDIDATE_BAND
+        for c_lo, c_hi in criteria._chunks(prim + 1, big_l * prim):
+            values = criteria._chunk_values(c_lo, c_hi,
+                                            CriterionKind.DEDEKIND_F)
+            multiples = values[-c_lo % prim::prim]
+            cases += len(values) - len(multiples)
+            multiples[:] = -np.inf
+            for off in np.nonzero(values > band_floor)[0]:
+                m = c_lo + int(off)
+                if f_at_least(m, prim):
+                    failures.append((k, m // prim, m))
+    return cases, tuple(failures)

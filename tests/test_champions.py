@@ -14,7 +14,8 @@ from psirh.cli import OEIS_S_LIMIT
 from psirh.criteria import CriterionKind
 from psirh.errors import BFileParseError, ResourceLimitError
 
-from oracles import record_reference
+import oracles
+from oracles import prop1_walk, prop2_walk, record_reference
 
 # OEIS A004394, every term up to 10^6
 A004394_TO_1E6 = [1, 2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720,
@@ -240,8 +241,9 @@ class TestProp2:
 
 
 def prop2_reference(limit):
-    """The per-m float loop verify_prop2 used before it shared the scan
-    prefilter: (cases_checked, failures)."""
+    """The per-m float loop the Proposition 2 walk used before it shared the
+    scan prefilter: (cases_checked, failures), the oracle of prop2_walk at
+    small limits (it holds a psi table of the whole range)."""
     primes = first_primes(int(limit).bit_length() + 1)
     psi = psi_table(max(limit, 2)).tolist()
     e_gamma = criteria.CONSTANTS.e_gamma
@@ -281,31 +283,43 @@ def every_m_a_candidate(monkeypatch):
 
 
 class TestDecisionPath:
+    """The propositions are decided by their proof; the walks of
+    tests/oracles.py check them numerically, and their counts check the
+    closed forms."""
+
     def test_prop2_matches_reference_loop(self):
         for limit in [*range(2, 3001), 10**4]:
-            chk = psirh.verify_prop2(limit)
-            assert (chk.cases_checked, chk.failures) == \
-                prop2_reference(limit), limit
+            walked = prop2_walk(limit)
+            assert walked == prop2_reference(limit), limit
+            assert psirh.verify_prop2(limit) == champions.PropositionCheck(
+                Proposition.PROP2, limit, walked[0], ()), limit
+
+    def test_prop1_matches_the_walk(self):
+        for limit in [*range(2, 3001), 10**4, 10**6]:
+            cases, failures = prop1_walk(limit)
+            assert failures == ()
+            assert psirh.verify_prop1(limit) == champions.PropositionCheck(
+                Proposition.PROP1, limit, cases, ()), limit
 
     def test_prop2_every_m_a_candidate(self, every_m_a_candidate):
-        chk = psirh.verify_prop2(2000)
-        assert chk.failures == ()
-        assert chk.cases_checked == prop2_reference(2000)[0] > 0
+        cases, failures = prop2_walk(2000)
+        assert failures == ()
+        assert cases == prop2_reference(2000)[0] > 0
 
     def test_failures_name_k_l_m(self, every_m_a_candidate, monkeypatch):
-        monkeypatch.setattr(psirh.champions, "_f_at_least", lambda m, ref: True)
-        chk = psirh.verify_prop2(1000)
-        assert len(chk.failures) == chk.cases_checked
-        for k, l, m in chk.failures:
+        monkeypatch.setattr(oracles, "f_at_least", lambda m, ref: True)
+        cases, failures = prop2_walk(1000)
+        assert len(failures) == cases
+        for k, l, m in failures:
             n_k = math.prod(first_primes(k))
             assert l * n_k < m < (l + 1) * n_k
 
     def test_tie_counts_as_failure(self):
         for k in range(1, 8):
             n_k = math.prod(first_primes(k))
-            assert criteria._f_at_least(n_k, n_k)
-        assert not criteria._f_at_least(60, 30)
-        assert criteria._f_at_least(30, 60)
+            assert oracles.f_at_least(n_k, n_k)
+        assert not oracles.f_at_least(60, 30)
+        assert oracles.f_at_least(30, 60)
 
 
 DRIVER_LIMIT = 3000
@@ -351,8 +365,8 @@ def check_scans(hi):
 
 SIGMA_BOUND_LOS = (3, 4, 6, 7, 11, 12, 13, 2520, 2521)
 # the default c (n0 = 7), the paper's, two with n0 = 3, n0 = 18 and 209,
-# and n0 past every float
-SIGMA_BOUND_CS = (0.6483, 0.6482, 0.0, -1.0, 2.0, 5.0, 1e6)
+# n0 near e^200 and n0 past every float
+SIGMA_BOUND_CS = (0.6483, 0.6482, 0.0, -1.0, 2.0, 5.0, 50.0, 1e6)
 
 
 def check_sigma_bound(hi, los=SIGMA_BOUND_LOS, cs=SIGMA_BOUND_CS):
@@ -376,8 +390,7 @@ def check_sigma_bound(hi, los=SIGMA_BOUND_LOS, cs=SIGMA_BOUND_CS):
 
 
 def check_prop2(limit):
-    chk = psirh.verify_prop2(limit)
-    assert (chk.cases_checked, chk.failures) == prop2_reference(limit)
+    assert prop2_walk(limit) == prop2_reference(limit)
 
 
 def check_every_caller(limit):
@@ -416,7 +429,7 @@ class TestChunkDriver:
                 criteria, name, lambda lo, hi, *rest, fn=fn:
                 spans.append((lo, hi)) or fn(lo, hi, *rest))
         callers = (
-            lambda: psirh.verify_prop2(DRIVER_LIMIT),
+            lambda: prop2_walk(DRIVER_LIMIT),
             lambda: criteria.scan_exceptions(CriterionKind.ROBIN_G, 2,
                                              DRIVER_LIMIT),
             # the sigma bound walks only its head, here [2521, 3000)
@@ -426,17 +439,37 @@ class TestChunkDriver:
             caller()
             assert max(hi - lo for lo, hi in spans) == chunk_size
         # past n0 = 7 the first superabundant number is 12: the head is
-        # [3, 12) even at the scan ceiling
+        # [3, 12) even at the scan ceiling, and the bound of each of its
+        # chunks clears the margin at 12, so none is computed
         spans.clear()
         criteria.check_sigma_upper_bound(3, 10**8)
-        assert sorted(spans) == [(lo, min(lo + chunk_size, 12))
-                                 for lo in range(3, 12, chunk_size)]
+        assert spans == []
+        # at c = 1e6 the head is all of [3, 3000); B falls across it, and
+        # only the last chunk's bound lies below the margin found there
+        spans.clear()
+        criteria.check_sigma_upper_bound(3, DRIVER_LIMIT, 1e6)
+        last = 3 + (DRIVER_LIMIT - 4) // chunk_size * chunk_size
+        assert spans == [(last, DRIVER_LIMIT)]
         # the record sequences are built by structure and walk no range
         for caller in (psirh.generate_s_sequence,
                        psirh.generate_superabundant):
             spans.clear()
             caller(DRIVER_LIMIT)
             assert spans == []
+
+    @pytest.mark.parametrize("c, witness, chunks", [
+        (1e6, 99999900, 1), (50.0, 73513440, 102)])
+    def test_sigma_head_walks_only_the_open_chunks(self, monkeypatch, c,
+                                                  witness, chunks):
+        # n0 lies past the scan ceiling: the head is all of [3, 10^8), 382
+        # chunks of 2^18, and branch and bound computes only these
+        spans = []
+        fn = criteria._chunk_ratios
+        monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
+                            spans.append((lo, hi)) or fn(lo, hi, k))
+        res = criteria.check_sigma_upper_bound(3, 10**8, c)
+        assert (res.witness, res.passed, len(spans)) == (witness, True, chunks)
+        assert any(lo <= witness < hi for lo, hi in spans)
 
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind,

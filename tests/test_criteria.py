@@ -260,18 +260,12 @@ class TestRecordWindows:
         assert spans == [(2, hi)]
 
     def test_empty_range_past_the_kernel_walks_nothing(self):
-        calls = []
         for lo, hi in ((2**60, 2**60), (10**20, 47)):
-            assert list(criteria._chunks(lambda *job: calls.append(job), lo,
-                                         hi, CriterionKind.ROBIN_G)) == []
-        assert calls == []
+            assert list(criteria._chunks(lo, hi)) == []
 
     def test_window_past_the_kernel_raises_before_any_chunk(self):
-        calls = []
         with pytest.raises(ResourceLimitError, match="kernel's ceiling"):
-            criteria._chunks(lambda *job: calls.append(job), 2**53 - 5,
-                             2**53 + 1, CriterionKind.ROBIN_G)
-        assert calls == []
+            criteria._chunks(2**53 - 5, 2**53 + 1)
 
 
 class TestSigmaUpperBound:
@@ -323,6 +317,38 @@ class TestSigmaUpperBound:
         assert (res.passed, res.witness, res.worst_margin) == \
             (True, 999, 8.7968957316259156e+307)
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 1 << 18])
+    def test_ties_go_to_the_first_n(self, monkeypatch, size):
+        # below 13 every margin is inf at this c: the witness is lo
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
+        for lo in (3, 5):
+            assert check_sigma_upper_bound(lo, 13, 1.7e308).witness == lo
+
+    def test_stop_keeps_its_slack(self, monkeypatch):
+        # On [7, 13) at a c near -0.06 the head is [7, 12), its chunks of 1
+        # all bounded with sigma(6)/6, and the margin at 12 is the least.
+        # c puts the bound of [8, 9) half the slack above that margin: the
+        # chunk is still walked, as a float error that size could hide a
+        # margin below the one found.
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+        spans = []
+        fn = criteria._chunk_ratios
+        monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
+                            spans.append((lo, hi)) or fn(lo, hi, k))
+
+        def gap(c):
+            """The bound of [8, 9) less the margin at 12."""
+            n = np.array([8.0, 12.0])
+            bound, at_12 = criteria._sigma_margin(n, np.array([2.0, 28 / 12]), c)
+            return bound - at_12
+
+        slope = 1 / math.log(math.log(8)) - 1 / math.log(math.log(12))
+        c = -gap(0.0) / slope
+        c += (1e-11 * (1 + abs(c)) / 2 - gap(c)) / slope
+        assert 0 < gap(c) < 1e-11 * (1 + abs(c))
+        assert check_sigma_upper_bound(7, 13, c).witness == 12
+        assert spans == [(7, 8), (8, 9)]
+
     def test_lo_validation(self):
         with pytest.raises(DomainError):
             check_sigma_upper_bound(2, 100)
@@ -334,10 +360,16 @@ class TestSigmaUpperBound:
 
 
 def walk(fn=criteria._chunk_values, lo=2, hi=1000):
-    return criteria._chunks(fn, lo, hi, CriterionKind.DEDEKIND_F)
+    """A range walk as its callers run it: (c_lo, the chunk's values), each
+    chunk computed in the caller's thread when it is reached."""
+    for c_lo, c_hi in criteria._chunks(lo, hi):
+        yield c_lo, fn(c_lo, c_hi, CriterionKind.DEDEKIND_F)
 
 
 class TestChunkPipeline:
+    """A range walk runs in its caller's thread, whatever the worker count:
+    it starts no worker, and a kernel's error reaches the caller as it is."""
+
     @pytest.fixture(autouse=True)
     def chunks_of_7(self, monkeypatch):
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
@@ -347,7 +379,7 @@ class TestChunkPipeline:
         before = threading.active_count()
         chunks = walk()
         assert [next(chunks)[0], next(chunks)[0]] == [2, 9]
-        assert threading.active_count() > before
+        assert threading.active_count() == before
         chunks.close()
         assert threading.active_count() == before
 
@@ -371,13 +403,13 @@ class TestChunkPipeline:
             for c_lo, _ in walk(fn):
                 seen.append(c_lo)
         assert seen == list(range(2, 100, 7))
-        assert threading.get_ident() not in callers
+        assert callers == {threading.get_ident()}
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9)])
+    @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9), (2, 1000),
+                                             (3, 1000)])
     def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
                                           workers, hi):
-        # one worker, or a range of one chunk, stays on the serial loop
         set_workers(workers)
 
         def refuse(self):

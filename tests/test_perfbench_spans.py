@@ -26,8 +26,9 @@ def test_span_install_resolves_every_layer():
     run_with_spans("")
 
 
-def test_prop2_float_pass_is_a_prefilter_span():
+def test_scan_float_pass_is_a_prefilter_span():
     out = run_with_spans(
-        "from psirh import champions; champions.verify_prop2(10**4)\n"
+        "from psirh import criteria\n"
+        "criteria.scan_exceptions(criteria.CriterionKind.ROBIN_G, 2, 10**4)\n"
         "print(sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
     assert int(out) > 0

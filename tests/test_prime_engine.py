@@ -209,8 +209,8 @@ class TestPrimeList:
 
     def test_cold_list_grown_by_two_workers(self, cold_primes, set_workers,
                                             monkeypatch):
-        # a 2-worker scan grows the empty list from its worker threads,
-        # one base-prime bound per chunk, and reports what a serial one does
+        # a scan at 2 workers grows the empty list, one base-prime bound per
+        # chunk, and reports what one at 1 worker does
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1 << 12)
         runs = []
         for workers in (2, 1):
@@ -317,7 +317,7 @@ class TestPrimeStreamPipeline:
 
 class TestThreadBudget:
     """The prime stream sieves on WORKERS - 1 pool threads, leaving a core
-    to the pass that reads it; a range walk runs on WORKERS.  Every job
+    to the pass that reads it; a range walk starts no thread.  Every job
     sleeps, so each submit finds the threads before it busy."""
 
     @staticmethod
@@ -345,14 +345,23 @@ class TestThreadBudget:
         # p_300000 = 4256233 is in the last of 3 segments
         assert self.threads_started(iter_prime_chunks(300_000)) == threads
 
-    @pytest.mark.parametrize("workers, threads", [(1, 0), (2, 2), (3, 3)])
-    def test_walk_keeps_every_core(self, set_workers, monkeypatch, workers,
-                                   threads):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_walk_starts_no_thread(self, set_workers, monkeypatch, workers):
+        # a scan's prefix, [2, 22), and the sigma head on [3, 30) at
+        # c = 1e6, in chunks of 7: every kernel runs in the caller's thread,
+        # with no other thread alive
         set_workers(workers)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
-        chunks = criteria._chunks(self.slow(criteria._chunk_values), 2, 30,
-                                  criteria.CriterionKind.DEDEKIND_F)
-        assert self.threads_started(chunks) == threads
+        before = threading.active_count()
+        seen = []
+        for name in ("_chunk_values", "_chunk_ratios"):
+            fn = getattr(criteria, name)
+            monkeypatch.setattr(criteria, name, lambda *args, fn=fn: seen.append(
+                (threading.get_ident(), threading.active_count())) or fn(*args))
+        criteria.scan_exceptions(criteria.CriterionKind.DEDEKIND_F, 2, 30)
+        criteria.check_sigma_upper_bound(3, 30, 1e6)
+        assert seen
+        assert set(seen) == {(threading.get_ident(), before)}
 
 
 class TestNthPrime:

@@ -342,11 +342,13 @@ class TestRangeErrors:
         assert "domain error" in err
 
     def test_prop2_limit_above_ceiling_exit_3(self, capsys):
-        code, out, err = run_cli(capsys, "props", "--limit", "1000",
-                                 "--prop2-limit", str(10**8 + 1))
-        assert code == 3
-        assert out == ""
-        assert "ceiling" in err
+        # both limits share the primorial ladder's ceiling, 10^300
+        for argv in (("--limit", "1000", "--prop2-limit", str(10**300 + 1)),
+                     ("--limit", str(10**300 + 1))):
+            code, out, err = run_cli(capsys, "props", *argv)
+            assert code == 3
+            assert out == ""
+            assert "ceiling" in err
 
 
 class TestOeisCheck:
