@@ -189,12 +189,17 @@ _BLOCK = 1 << 15  # the last pass works in cache-sized blocks
 @lru_cache(maxsize=2)
 def _pattern(want_sigma: bool) -> tuple[np.ndarray, np.ndarray]:
     """(values, part) over one period: part[r] = gcd(r, _PERIOD) and
-    values[r] its psi, or its sigma when want_sigma."""
-    part = np.gcd(np.arange(_PERIOD, dtype=np.int64), _PERIOD)
+    values[r] its psi, or its sigma when want_sigma.  The p-part of part[r]
+    is gcd(r, p^cap), whose period p^cap divides _PERIOD: each prime's
+    factors are built over one p^cap and multiplied into every row of the
+    period viewed as rows of p^cap."""
+    part = np.ones(_PERIOD, dtype=np.int64)
     values = np.ones(_PERIOD, dtype=np.int64)
     for p, cap in _PATTERN.items():
-        pe = np.gcd(part, p**cap)  # p^e, e the exponent of p in part
-        values *= (pe * p - 1) // (p - 1) if want_sigma else pe + pe // p
+        pe = np.gcd(np.arange(p**cap, dtype=np.int64), p**cap)  # p^e
+        for out, factor in ((part, pe), (values, (pe * p - 1) // (p - 1)
+                                         if want_sigma else pe + pe // p)):
+            out.reshape(-1, p**cap)[...] *= factor
     values.flags.writeable = part.flags.writeable = False  # shared by the cache
     return values, part
 

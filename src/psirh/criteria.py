@@ -7,8 +7,10 @@ Membership of n in an exception set is a sign decision, so the ratio comes
 from the exact integer function value, the threshold is evaluated with one
 rounding per step (log n, then log of that, then multiply), and any value
 within the 1e-9 escalation band is re-evaluated at 30 significant digits
-with mpmath before its sign is trusted.  The same 30-digit evaluator gives
-the sigma-bound margin at its witness.
+in the stdlib's decimal, whose correctly rounded ln and four operations
+give that value a stated error bound (_exact_value), before its sign is
+trusted.  The same 30-digit evaluator gives the sigma-bound margin at its
+witness.
 
 Robin's unconditional bound sigma(n)/n <= B(n) = e^gamma L + c / L,
 L = log log n, is checked by structure: B does not decrease from n0(c) on
@@ -28,6 +30,7 @@ g), and they settle everything past X.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -45,11 +48,11 @@ ESCALATION_DPS = 30
 _CANDIDATE_BAND = 1e-6
 
 # The sigma bound's ceiling alone, a budget measured there (the whole
-# command, on a 2-core Xeon): bounds --lo 2263 --hi 2263 --sigma-hi takes
-# 0.16-0.25 s in 33 MB at the default c, which computes no chunk of its
-# head [3, 12); a c whose n0 lies past it computes some of the 382 chunks
-# of [3, 10^8): --c 1e6 one, 0.19-0.26 s in 36 MB, --c 50 102 of them,
-# 1.2-1.6 s in 41 MB.
+# command, on a 2-core Xeon, 4 fresh runs each): bounds --lo 2263 --hi 2263
+# --sigma-hi takes 0.26-0.27 s in 30 MB at the default c, which computes
+# no chunk of its head [3, 12); a c whose n0 lies past it computes some of
+# the 382 chunks of [3, 10^8): --c 1e6 one, 0.28 s in 34 MB, --c 50 102 of
+# them, 1.2-1.7 s in 41 MB.
 SCAN_CEILING = 10**8
 # A range walk holds one chunk at a time, in its caller's thread; only the
 # sigma head at a large c walks more than a scan's prefix (at most 5,581 n).
@@ -57,11 +60,20 @@ SCAN_CEILING = 10**8
 DEFAULT_CHUNK = 1 << 18
 
 
-# mpmath is imported where a 30-digit value is needed: a command that makes
-# no such decision never pays for loading it.
-def mp_e_gamma():
-    import mpmath as mp
-    return mp.exp(mp.euler)
+# e^gamma to 50 significant digits, within 1e-49 (a test checks it against
+# exp(euler) at 60 digits)
+E_GAMMA_DIGITS = "1.7810724179901979852365041031071795491696452143034"
+
+
+@functools.cache
+def _decimal_context():
+    """The ESCALATION_DPS-digit context, rounding half even, and e^gamma,
+    made on first use: a command that makes no 30-digit decision never
+    loads decimal."""
+    import decimal
+    return (decimal.Context(prec=ESCALATION_DPS,
+                            rounding=decimal.ROUND_HALF_EVEN),
+            decimal.Decimal(E_GAMMA_DIGITS))
 
 
 class CriterionKind(enum.Enum):
@@ -88,18 +100,31 @@ def threshold(n: int) -> float:
     return CONSTANTS.e_gamma * math.log(math.log(n))
 
 
-def _exact_value(n: int, numer: int):
-    """numer/n - e^gamma log log n to ESCALATION_DPS significant digits.
+def _exact_value(n: int, numer: int, c: float = 0.0):
+    """numer/n - e^gamma L - c / L, L = log log n, as a decimal.Decimal of
+    ESCALATION_DPS = 30 significant digits: the one evaluator behind every
+    sign decision the float pass leaves open, the escalated criterion
+    value (c = 0, no last term) and, negated, the sigma-bound margin at
+    its witness.  The caller rounds it to float once.
 
-    The one evaluator behind every sign decision the float pass leaves
-    open: the escalated criterion value and the sigma-bound margin at its
-    witness.  The mpf keeps its 30 digits
-    after the context closes; callers that combine it with more arithmetic
-    do so under mp.workdps(ESCALATION_DPS) and round to float once.
+    Error bound.  The context rounds each of numer/n, ln n, ln of that,
+    the product, the quotient and the differences correctly (decimal's ln
+    always does), so each is within u = 5e-30 of its exact value,
+    relative; n, numer and c (converted from its float exactly) are exact,
+    and e^gamma is within 1e-49.  With R = numer/n, ln ln n moves by at
+    most u (1 + |L|) and a little more, so the value moves by at most
+    1e-29 (R + 1 + 3 |L|) at c = 0, and 1e-29 (2 R + 1 + 4 |L| +
+    (2 + 1/|L|) |c| / |L|) otherwise.  For 2 <= n < 2^53, where R < 7 and
+    |L| < 3.7, the first is below 3e-28, so the sign is right wherever
+    the exact value lies farther from 0.
     """
-    import mpmath as mp
-    with mp.workdps(ESCALATION_DPS):
-        return mp.mpf(numer) / n - mp_e_gamma() * mp.log(mp.log(n))
+    ctx, e_gamma = _decimal_context()
+    llg = ctx.ln(ctx.ln(n))
+    value = ctx.subtract(ctx.divide(numer, n), ctx.multiply(e_gamma, llg))
+    if c:
+        from decimal import Decimal
+        value = ctx.subtract(value, ctx.divide(Decimal(c), llg))
+    return value
 
 
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
@@ -287,7 +312,9 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     chunk's float bound less 8e-13 (1 + |c|).  A chunk skipped therefore
     holds no float margin at or below the least one found, and the skip
     leaves the witness as it is.  The margin reported, and the pass/fail
-    decision, come from mpmath at the witness.
+    decision, come from the 30-digit evaluator at the witness,
+    -_exact_value(witness, sigma(witness), c), within the bound stated
+    there.
     """
     check_sigma_bound_args(lo, hi, c)
     from . import champions  # not at import time: champions imports criteria
@@ -317,10 +344,8 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
         i = int(np.argmin(margin))
         if (margin[i], a + i) < (worst, witness):
             worst, witness = float(margin[i]), a + i
-    import mpmath as mp
-    with mp.workdps(ESCALATION_DPS):
-        exact = float(mp.mpf(c) / mp.log(mp.log(witness))
-                      - _exact_value(witness, sigma(witness)))
+    # 0.0 - keeps a zero margin +0.0, as c / L - value would give it
+    exact = 0.0 - float(_exact_value(witness, sigma(witness), c))
     return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
                             passed=exact > 0, worst_margin=exact,
                             witness=witness)

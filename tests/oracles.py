@@ -2,11 +2,42 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 
-from psirh import champions, criteria
+from psirh import arith, champions, criteria
 from psirh.arith import dedekind_psi
 from psirh.criteria import CriterionKind
+
+# the default c (n0 = 7), the paper's, two with n0 = 3, n0 = 18 and 209,
+# n0 near e^200 and n0 past every float
+SIGMA_BOUND_CS = (0.6483, 0.6482, 0.0, -1.0, 2.0, 5.0, 50.0, 1e6)
+
+
+def mp_e_gamma():
+    """e^gamma at mpmath's working precision."""
+    return mp.exp(mp.euler)
+
+
+def mp_value(n, numer, c=0.0, dps=30):
+    """numer/n - e^gamma L - c / L, L = log log n, at dps digits in mpmath:
+    the oracle of criteria._exact_value (c = 0), and with c the negated
+    sigma-bound margin, from no psirh arithmetic."""
+    with mp.workdps(dps):
+        llg = mp.log(mp.log(n))
+        return mp.mpf(numer) / n - mp_e_gamma() * llg - mp.mpf(c) / llg
+
+
+def pattern_reference(want_sigma):
+    """arith._pattern by six gcd passes over the whole period: part[r] =
+    gcd(r, _PERIOD), and the exponent of each pattern prime p in it from
+    gcd(part, p^cap)."""
+    part = np.gcd(np.arange(arith._PERIOD, dtype=np.int64), arith._PERIOD)
+    values = np.ones(arith._PERIOD, dtype=np.int64)
+    for p, cap in arith._PATTERN.items():
+        pe = np.gcd(part, p**cap)  # p^e, e the exponent of p in part
+        values *= (pe * p - 1) // (p - 1) if want_sigma else pe + pe // p
+    return values, part
 
 
 def record_reference(table, start, keep_ties):
@@ -44,10 +75,10 @@ def sieve_reference(limit):
 
 
 def f_at_least(m, ref):
-    """f(m) >= f(ref), decided on the 30-digit values (an exact mpf
+    """f(m) >= f(ref), decided on the 30-digit mpmath values (an exact mpf
     comparison), so a tie counts against m."""
-    return (criteria._exact_value(m, dedekind_psi(m))
-            >= criteria._exact_value(ref, dedekind_psi(ref)))
+    return (mp_value(m, dedekind_psi(m))
+            >= mp_value(ref, dedekind_psi(ref)))
 
 
 def prop1_walk(limit):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psirh
-from oracles import sieve_reference
+from oracles import pattern_reference, sieve_reference
 from psirh import arith, prime_engine
 from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_range,
                          psi_table, sigma_table)
@@ -410,6 +410,12 @@ class TestKernelPattern:
             values, part = arith._pattern(want_sigma)
             assert part[0] == PERIOD and values[0] == fn(PERIOD)
             assert values[2**4 * 7] == fn(2**4 * 7)
+
+    @pytest.mark.parametrize("want_sigma", [False, True])
+    def test_pattern_matches_the_gcd_build(self, want_sigma):
+        got = arith._pattern(want_sigma)
+        for a, b in zip(got, pattern_reference(want_sigma)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [1, 2, 37, 1803])  # 1803 * PERIOD < 10^8
     def test_windows_straddling_the_period(self, k):

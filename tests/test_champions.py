@@ -15,7 +15,8 @@ from psirh.criteria import CriterionKind
 from psirh.errors import BFileParseError, ResourceLimitError
 
 import oracles
-from oracles import prop1_walk, prop2_walk, record_reference
+from oracles import (SIGMA_BOUND_CS, mp_value, prop1_walk, prop2_walk,
+                     record_reference)
 
 # OEIS A004394, every term up to 10^6
 A004394_TO_1E6 = [1, 2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720,
@@ -248,10 +249,6 @@ def prop2_reference(limit):
     psi = psi_table(max(limit, 2)).tolist()
     e_gamma = criteria.CONSTANTS.e_gamma
 
-    def f_mp(n):
-        ratio = mp.mpf(psi[n]) / n
-        return ratio - criteria.mp_e_gamma() * mp.log(mp.log(n))
-
     cases = 0
     failures = []
     prim = 1
@@ -268,7 +265,8 @@ def prop2_reference(limit):
                 diff = psi[m] / m - e_gamma * math.log(math.log(m)) - f_prim
                 if abs(diff) < 1e-9:
                     with mp.workdps(30):
-                        diff = float(f_mp(m) - f_mp(prim))
+                        diff = float(mp_value(m, psi[m])
+                                     - mp_value(prim, psi[prim]))
                 if diff >= 0:
                     failures.append((k, l, m))
             l += 1
@@ -364,15 +362,12 @@ def check_scans(hi):
 
 
 SIGMA_BOUND_LOS = (3, 4, 6, 7, 11, 12, 13, 2520, 2521)
-# the default c (n0 = 7), the paper's, two with n0 = 3, n0 = 18 and 209,
-# n0 near e^200 and n0 past every float
-SIGMA_BOUND_CS = (0.6483, 0.6482, 0.0, -1.0, 2.0, 5.0, 50.0, 1e6)
 
 
 def check_sigma_bound(hi, los=SIGMA_BOUND_LOS, cs=SIGMA_BOUND_CS):
     """The witness is the first whole-table argmin of the float margin, and
-    the margin reported is the 30-digit one there: the brute force over
-    every n of the range, at every c."""
+    the margin reported is the 30-digit mpmath one there: the brute force
+    over every n of the range, at every c."""
     sig = sigma_table(hi - 1)
     for lo in los:
         n = np.arange(lo, hi, dtype=np.float64)
@@ -380,10 +375,7 @@ def check_sigma_bound(hi, los=SIGMA_BOUND_LOS, cs=SIGMA_BOUND_CS):
         for c in cs:
             margin = criteria.CONSTANTS.e_gamma * llg + c / llg - sig[lo:] / n
             witness = lo + int(np.argmin(margin))
-            with mp.workdps(criteria.ESCALATION_DPS):
-                exact = float(
-                    mp.mpf(c) / mp.log(mp.log(witness))
-                    - criteria._exact_value(witness, int(sig[witness])))
+            exact = -float(mp_value(witness, int(sig[witness]), c))
             res = criteria.check_sigma_upper_bound(lo, hi, c)
             assert (res.witness, res.worst_margin, res.passed) == \
                 (witness, exact, exact > 0), (lo, c)
@@ -512,11 +504,13 @@ class TestChunkDriver:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    # no range walk reads prime_engine.WORKERS (the prime stream is its
+    # one reader), so each caller is checked once per chunk size, at a
+    # WORKERS that would put a walk that read it on three threads
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_every_caller_matches_reference(self, monkeypatch, set_workers,
-                                            workers, size):
-        set_workers(workers)
+                                            size):
+        set_workers(4)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
         check_every_caller(DRIVER_LIMIT)
 

@@ -1,6 +1,7 @@
 import bisect
 import functools
 import math
+import random
 import threading
 import warnings
 
@@ -10,10 +11,12 @@ import pytest
 
 import psirh
 from psirh import champions, criteria
-from psirh.arith import multiplicative_range
+from psirh.arith import dedekind_psi, multiplicative_range, sigma
 from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
-                            mp_e_gamma, scan_exceptions)
+                            scan_exceptions)
 from psirh.errors import DomainError, ResourceLimitError
+
+from oracles import SIGMA_BOUND_CS, mp_e_gamma, mp_value
 
 SET_A = (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 20, 24, 30, 36, 48, 60, 72, 84,
          120, 180, 240, 360, 720, 840, 2520, 5040)
@@ -28,6 +31,54 @@ class TestConstants:
             assert CONSTANTS.e_gamma == float(mp_e_gamma())
             assert CONSTANTS.zeta2 == float(zeta2)
             assert CONSTANTS.e_gamma_over_zeta2 == float(mp_e_gamma() / zeta2)
+
+    def test_e_gamma_digits(self):
+        # the 30-digit evaluator's e^gamma, against exp(euler) at 60 digits
+        digits = criteria.E_GAMMA_DIGITS
+        assert len(digits) > 40
+        with mp.workdps(60):
+            assert abs(mp.mpf(digits) - mp_e_gamma()) < mp.mpf(10) ** -49
+
+
+class TestExactValue:
+    """The decimal evaluator rounds to the float that a 30-digit mpmath
+    oracle (oracles.mp_value, no psirh arithmetic) rounds to."""
+
+    @pytest.mark.parametrize("fn", [dedekind_psi, sigma])
+    def test_matches_mpmath(self, fn):
+        # every n below 6000, and a seeded sample up to 10^12
+        rng = random.Random(32)
+        for n in [*range(3, 6000), *(rng.randrange(6000, 10**12)
+                                     for _ in range(200))]:
+            numer = fn(n)
+            assert (float(criteria._exact_value(n, numer))
+                    == float(mp_value(n, numer))), n
+
+    def test_within_the_stated_bound(self):
+        # the bound of the _exact_value docstring, against 60 digits, from
+        # n = 2 (L < 0) to 2^53 - 1, at c = 0 and at every c of the sigma
+        # bound's brute force
+        rng = random.Random(53)
+        for n in [2, 3, 4, 12, 5040, 2**53 - 1,
+                  *(rng.randrange(5, 10**12) for _ in range(100))]:
+            for fn in (dedekind_psi, sigma):
+                numer = fn(n)
+                with mp.workdps(60):
+                    r, llg = mp.mpf(numer) / n, abs(mp.log(mp.log(n)))
+                    for c in (0.0, *SIGMA_BOUND_CS):
+                        got = mp.mpf(str(criteria._exact_value(n, numer, c)))
+                        err = abs(got - mp_value(n, numer, c, dps=60))
+                        bound = 1e-29 * (
+                            r + 1 + 3 * llg if not c else
+                            2 * r + 1 + 4 * llg + (2 + 1 / llg) * abs(c) / llg)
+                        assert err <= bound, (n, c)
+
+    @pytest.mark.parametrize("c", SIGMA_BOUND_CS)
+    def test_sigma_margin_matches_mpmath(self, c):
+        # at every witness the brute force of test_champions can name
+        for w in [*range(3, 3000), 5040, 55440, 720720]:
+            assert (float(criteria._exact_value(w, sigma(w), c))
+                    == float(mp_value(w, sigma(w), c))), w
 
 
 class TestRobinG:

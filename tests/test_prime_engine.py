@@ -207,16 +207,12 @@ class TestPrimeList:
             prime_engine._primes_below(100)[-1] = 4
         assert prime_engine._simple_sieve(100)[0] == 2
 
-    def test_cold_list_grown_by_two_workers(self, cold_primes, set_workers,
-                                            monkeypatch):
-        # a scan at 2 workers grows the empty list, one base-prime bound per
-        # chunk, and reports what one at 1 worker does
+    def test_cold_list_grown_by_a_scan(self, cold_primes, monkeypatch):
+        # a scan grows the empty list, one base-prime bound per chunk, and
+        # reports what the same scan on the grown list does
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1 << 12)
         runs = []
-        for workers in (2, 1):
-            set_workers(workers)
-            monkeypatch.setattr(prime_engine, "_prime_list", (None, 0))
-            prime_engine._simple_sieve.cache_clear()
+        for _ in ("cold", "warm"):
             for kind in (criteria.CriterionKind.DEDEKIND_F,
                          criteria.CriterionKind.ROBIN_G):
                 runs.append(criteria.scan_exceptions(kind, 2, 10**5))

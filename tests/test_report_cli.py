@@ -499,14 +499,15 @@ def run_python(code, *flags):
 
 
 def test_cli_import_loads_no_thread_pool():
-    # range walks and the prime stream import concurrent.futures on first
-    # use, and 30-digit decisions import mpmath, so a command that needs
-    # neither never pays for them at start-up; numpy is imported by the
-    # modules that make arrays, on first use
+    # the prime stream imports concurrent.futures on first use, and
+    # 30-digit decisions import decimal, so a command that needs neither
+    # never pays for them at start-up; numpy is imported by the modules
+    # that make arrays, on first use, and no module imports mpmath
     out = run_python("import sys, psirh.cli; "
                      "print('concurrent.futures' in sys.modules, "
+                     "'decimal' in sys.modules, "
                      "'mpmath' in sys.modules, 'numpy' in sys.modules)")
-    assert out == "False False False\n"
+    assert out == "False False False False\n"
 
 
 def test_table2_loads_no_mpmath():
@@ -518,10 +519,12 @@ def test_table2_loads_no_mpmath():
     assert out == "0 False\n"
 
 
-def run_fresh(*argv):
-    """psirh.cli.main(argv) in a fresh interpreter: (exit code, stdout,
-    stderr, the names of the modules it loaded)."""
+def run_fresh(*argv, prelude=""):
+    """psirh.cli.main(argv) in a fresh interpreter, after the statements of
+    prelude: (exit code, stdout, stderr, the names of the modules it
+    loaded)."""
     out = run_python(
+        prelude +
         "import contextlib, io, sys\n"
         "from psirh.cli import main\n"
         "out, err = io.StringIO(), io.StringIO()\n"
@@ -539,7 +542,8 @@ def run_fresh(*argv):
 SCAN_MODULES = {"psirh.criteria", "psirh.arith", "psirh.champions"}
 # the value records need no dataclasses, only the theta-cache trailer
 # (table1 --cache) needs hashlib, and the printed table cells are rounded
-# without decimal
+# without decimal, which only a 30-digit decision loads (bounds' sigma
+# margin, an escalated criterion value); no command loads mpmath
 STDLIB_NOT_NEEDED = {"dataclasses", "hashlib", "decimal"}
 
 
@@ -553,7 +557,8 @@ class TestStartUp:
         assert code == warm_code == 0
         assert "numpy" in cold_modules and "numpy" not in warm_modules
         assert "hashlib" in cold_modules and "hashlib" in warm_modules
-        assert not (cold_modules | warm_modules) & {"dataclasses", "decimal"}
+        assert not (cold_modules | warm_modules) & {"dataclasses", "decimal",
+                                                    "mpmath"}
         assert not cold_modules & SCAN_MODULES
         assert strip_runtime(warm) == strip_runtime(cold)
         assert cache.read_bytes() == written
@@ -589,7 +594,19 @@ class TestStartUp:
     def test_commands_load_no_dataclasses_or_hashlib(self, argv):
         code, _, _, modules = run_fresh(*argv)
         assert code == 0
-        assert not modules & STDLIB_NOT_NEEDED
+        assert "mpmath" not in modules
+        # bounds decides the sigma margin at its witness in 30 digits
+        assert modules & STDLIB_NOT_NEEDED == (
+            {"decimal"} if argv[0] == "bounds" else set())
+
+    def test_sigma_bound_runs_without_mpmath(self):
+        # an import of mpmath would raise: None in sys.modules
+        code, out, _, _ = run_fresh(
+            "bounds", "--lo", "2263", "--hi", "2263", "--sigma-hi", "10000000",
+            prelude="import sys; sys.modules['mpmath'] = None\n")
+        assert code == 0
+        row = next(r for r in parse_csv(out) if r["bound"] == "sigma_upper")
+        assert row["witness"] == "12"
 
     def test_constants_digest_is_sha256_of_constants(self):
         digest = hashlib.sha256(repr(CONSTANTS).encode()).hexdigest()[:12]
@@ -600,7 +617,7 @@ class TestStartUp:
         code, _, _, modules = run_fresh(*argv)
         assert code == 0
         assert not modules & SCAN_MODULES
-        assert not modules & STDLIB_NOT_NEEDED
+        assert not modules & (STDLIB_NOT_NEEDED | {"mpmath"})
 
     @pytest.mark.parametrize("argv, expected", [
         (["--help"], 0), (["table1", "--bogus"], 2), ([], 2)])
@@ -608,7 +625,7 @@ class TestStartUp:
         code, _, _, modules = run_fresh(*argv)
         assert code == expected
         assert "numpy" not in modules
-        assert not modules & STDLIB_NOT_NEEDED
+        assert not modules & (STDLIB_NOT_NEEDED | {"mpmath"})
 
     def test_bad_cache_rejected_without_numpy(self, tmp_path):
         # the cache hit is numpy-free, and so is every check on the file
