@@ -11,7 +11,9 @@ trial division by the primes below 2^27, with one deterministic
 Miller-Rabin proof per cofactor, so every n < 2^54 factors completely;
 psi, sigma, d and squarefreeness share the last two factorizations, so a
 query for f(n) and g(n) factors n once.  Both read their primes from
-prime_engine's one grown list.
+prime_engine's one grown list.  numpy is imported by the functions that
+make (unannotated) arrays, so a command that factors nothing and builds no
+table, such as one whose ratio records settle it, runs without it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .constants import Record
 from .errors import DomainError, ResourceLimitError
@@ -187,12 +187,13 @@ _BLOCK = 1 << 15  # the last pass works in cache-sized blocks
 
 
 @lru_cache(maxsize=2)
-def _pattern(want_sigma: bool) -> tuple[np.ndarray, np.ndarray]:
+def _pattern(want_sigma: bool):
     """(values, part) over one period: part[r] = gcd(r, _PERIOD) and
     values[r] its psi, or its sigma when want_sigma.  The p-part of part[r]
     is gcd(r, p^cap), whose period p^cap divides _PERIOD: each prime's
     factors are built over one p^cap and multiplied into every row of the
     period viewed as rows of p^cap."""
+    import numpy as np
     part = np.ones(_PERIOD, dtype=np.int64)
     values = np.ones(_PERIOD, dtype=np.int64)
     for p, cap in _PATTERN.items():
@@ -204,7 +205,7 @@ def _pattern(want_sigma: bool) -> tuple[np.ndarray, np.ndarray]:
     return values, part
 
 
-def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
+def multiplicative_range(lo: int, hi: int, want_sigma: bool):
     """Exact psi(n), or sigma(n) when want_sigma, for lo <= n < hi as int64
     (the entry for n = 0 is 0), for hi <= KERNEL_CEILING = 2^53.
 
@@ -224,6 +225,7 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
         raise DomainError(f"need 0 <= lo < hi, got lo={lo} hi={hi}")
     if hi > KERNEL_CEILING:
         raise DomainError(f"hi={hi} is above the exact kernel's 2^53")
+    import numpy as np
     size = hi - lo
     val = np.empty(size, dtype=np.int64)
     part = np.empty(size, dtype=np.int64)
@@ -255,14 +257,14 @@ def multiplicative_range(lo: int, hi: int, want_sigma: bool) -> np.ndarray:
     return val
 
 
-def psi_table(limit: int) -> np.ndarray:
+def psi_table(limit: int):
     """Exact psi(n) for 0 <= n <= limit as an int64 array (psi(0) set to 0)."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
     return multiplicative_range(0, limit + 1, False)
 
 
-def sigma_table(limit: int) -> np.ndarray:
+def sigma_table(limit: int):
     """Exact sigma(n) for 0 <= n <= limit as an int64 array (sigma(0) set to 0)."""
     if limit < 1:
         raise DomainError("limit must be >= 1")

@@ -7,7 +7,9 @@ Robin's inequality fails first if at all (Akbary & Friggstad 2009), are
 the strict records among the Hardy-Ramanujan integers (A025487): their
 exponents do not increase (Alaoglu & Erdos 1944), and moving any m's
 exponents onto the smallest primes gives a Hardy-Ramanujan m' <= m with
-at least its ratio.  Exact, to 10^30 in about 2.5 s and 165 MB.
+at least its ratio.  Exact, to 10^30 in about 1.5 s and 151 MB.  Both
+ladders take their primes from first_primes, a stdlib sieve, and are
+pure Python: a command that they settle loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from itertools import compress, islice
 from operator import itemgetter
 
 from .arith import dedekind_psi
@@ -23,15 +26,17 @@ from .criteria import CriterionKind
 from .criteria import dedekind_f  # noqa: F401 (wrapped by perfbench/spans.py)
 from .constants import Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
-from .prime_engine import _nth_prime_value_bound, _simple_sieve
+from .prime_engine import _nth_prime_value_bound
+from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
-# 2-core Xeon with 7 GB):
-SUPERABUNDANT_CEILING = 10**30  # 1.5-1.9 s, 165 MB: 191 of 726,662 HR n;
-#                      as scan g's hi - 1 (ratio_records), 1.6-1.8 s, 165 MB
-S_SEQUENCE_CEILING = 10**300  # 0.43-0.48 s, 71 MB: 41,712 terms, 9 MB CSV;
-#                      as scan f's hi - 1 (ratio_records), 0.21-0.22 s, 31 MB;
-#                      as both props limits, by closed forms, 0.20-0.22 s, 29 MB
+# 2-core Xeon with 7 GB, 3 fresh runs each).  Only a scan's walk of [2, X)
+# and props' identity check load numpy here:
+SUPERABUNDANT_CEILING = 10**30  # 1.2-1.4 s, 151 MB: 191 of 726,662 HR n;
+#                      as scan g's hi - 1 (ratio_records), 1.3-1.9 s, 151 MB
+S_SEQUENCE_CEILING = 10**300  # 0.25-0.36 s, 57 MB: 41,712 terms, 9 MB CSV;
+#                      as scan f's hi - 1 (ratio_records), 0.19-0.26 s, 29 MB;
+#                      as both props limits, by closed forms, 0.21-0.22 s, 28 MB
 IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
 
 
@@ -61,8 +66,17 @@ class PropositionCheck(Record):
 
 
 def first_primes(k: int) -> list[int]:
-    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k."""
-    return _simple_sieve(_nth_prime_value_bound(k))[:k].tolist()
+    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k, by
+    a byte-per-integer sieve of Eratosthenes up to _nth_prime_value_bound(k)
+    in a bytearray.  The ladders take at most 998 primes (at 10^300), so
+    they need no numpy and not the shared prime list."""
+    limit = _nth_prime_value_bound(k)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(islice(compress(range(limit + 1), sieve), k))
 
 
 def _primorials(limit: int):

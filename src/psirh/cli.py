@@ -19,8 +19,8 @@ from .errors import (BFileParseError, CacheParseError, DomainError,
 from .prime_engine import check_n_max
 from .report import RenderedReport
 
-# criteria and champions (and with them numpy and arith) are imported by the
-# handlers that use them: a table1 served from the theta cache loads neither.
+# criteria and champions (and with them arith) are imported by the handlers
+# that use them: a table1 served from the theta cache loads none of them.
 
 OEIS_S_LIMIT = 10**41  # 1,240 terms
 OEIS_SUPERABUNDANT_LIMIT = 10**20  # 123 terms, about 0.14 s

@@ -9,8 +9,9 @@ rounding per step (log n, then log of that, then multiply), and any value
 within the 1e-9 escalation band is re-evaluated at 30 significant digits
 in the stdlib's decimal, whose correctly rounded ln and four operations
 give that value a stated error bound (_exact_value), before its sign is
-trusted.  The same 30-digit evaluator gives the sigma-bound margin at its
-witness.
+trusted; a 30-digit value within that bound of 0 raises ResourceLimitError
+(_decided_value).  The same 30-digit evaluator gives the sigma-bound
+margin at its witness.
 
 Robin's unconditional bound sigma(n)/n <= B(n) = e^gamma L + c / L,
 L = log log n, is checked by structure: B does not decrease from n0(c) on
@@ -24,7 +25,9 @@ that bound, and only until it clears the least margin found.
 
 The scans use the same records (N_k for psi, superabundant for sigma): a
 scan walks only the prefix [lo, X) they leave open (X = 47 for f, 5583 for
-g), and they settle everything past X.
+g), and they settle everything past X.  numpy is imported by the functions
+that make (unannotated) arrays, so a scan with lo >= X, which the records
+settle alone, runs without it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-
-import numpy as np
 
 from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
@@ -105,7 +106,7 @@ def _exact_value(n: int, numer: int, c: float = 0.0):
     ESCALATION_DPS = 30 significant digits: the one evaluator behind every
     sign decision the float pass leaves open, the escalated criterion
     value (c = 0, no last term) and, negated, the sigma-bound margin at
-    its witness.  The caller rounds it to float once.
+    its witness.  Its callers read it through _decided_value.
 
     Error bound.  The context rounds each of numer/n, ln n, ln of that,
     the product, the quotient and the differences correctly (decimal's ln
@@ -127,6 +128,23 @@ def _exact_value(n: int, numer: int, c: float = 0.0):
     return value
 
 
+def _decided_value(n: int, numer: int, c: float = 0.0) -> float:
+    """_exact_value(n, numer, c) rounded to float once, if its sign is
+    decided: a value within the error bound stated there of 0 raises
+    ResourceLimitError naming n, as its sign is not to be trusted.  The
+    bound is evaluated in floats, within 1e-15 of itself, relative."""
+    value = _exact_value(n, numer, c)
+    r, llg = numer / n, abs(math.log(math.log(n)))
+    # c's term scaled first, so a c near the float maximum stays finite
+    bound = (1e-29 * (2 * r + 1 + 4 * llg if c else r + 1 + 3 * llg)
+             + 1e-29 * abs(c) / llg * (2 + 1 / llg))
+    if value.copy_abs() <= bound:
+        raise ResourceLimitError(
+            f"n={n}: the {ESCALATION_DPS}-digit value {value} lies within "
+            f"its error bound {bound:.1e} of 0, so its sign is undecided")
+    return float(value)
+
+
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     if n <= 1:
         raise DomainError(f"log log n undefined for n={n}")
@@ -136,7 +154,7 @@ def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     value = ratio - thr
     escalated = abs(value) < ESCALATION_BAND
     if escalated:
-        value = float(_exact_value(n, numer))
+        value = _decided_value(n, numer)
     return CriterionValue(n=n, kind=kind, ratio=ratio, threshold=thr,
                           value=value, precision_escalated=escalated)
 
@@ -152,23 +170,26 @@ def dedekind_f(n: int) -> CriterionValue:
 # ---------------------------------------------------------------------------
 # chunked float ratio scan
 
-def _chunk_ratios(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
+def _chunk_ratios(lo: int, hi: int, kind: CriterionKind):
     """Float psi(n)/n or sigma(n)/n for n in [lo, hi): the exact kernel
     value divided by n, so each ratio is correctly rounded and does not
     depend on chunk boundaries."""
+    import numpy as np
     exact = multiplicative_range(lo, hi, kind is CriterionKind.ROBIN_G)
     n = np.arange(lo, hi, dtype=np.float64)
     return np.divide(exact, n, out=n)
 
 
-def _loglog(n: np.ndarray) -> np.ndarray:
+def _loglog(n):
     """log log n, one rounding per step, computed in n's float64 buffer."""
+    import numpy as np
     np.log(n, out=n)
     return np.log(n, out=n)
 
 
-def _chunk_values(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
+def _chunk_values(lo: int, hi: int, kind: CriterionKind):
     """The ratios minus e^gamma log log n, rounded as written."""
+    import numpy as np
     values = _chunk_ratios(lo, hi, kind)
     thr = _loglog(np.arange(lo, hi, dtype=np.float64))
     thr *= CONSTANTS.e_gamma
@@ -176,10 +197,11 @@ def _chunk_values(lo: int, hi: int, kind: CriterionKind) -> np.ndarray:
     return values
 
 
-def _sigma_margin(n: np.ndarray, ratios: np.ndarray, c: float) -> np.ndarray:
+def _sigma_margin(n, ratios, c: float):
     """e^gamma llg + c / llg - ratios, llg = log log n computed in n's
     float64 buffer: the one margin of the sigma bound's head walk and of
     its superabundant numbers, rounded as written."""
+    import numpy as np
     llg = _loglog(n)
     margin = CONSTANTS.e_gamma * llg
     with np.errstate(over="ignore"):  # a c near the float maximum: inf
@@ -250,7 +272,7 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     escalations = 0
     for c_lo, c_hi in _chunks(lo, x_end):
         values = _chunk_values(c_lo, c_hi, kind)
-        for off in np.nonzero(values > -_CANDIDATE_BAND)[0]:
+        for off in (values > -_CANDIDATE_BAND).nonzero()[0]:
             cv = _criterion(c_lo + int(off), kind)
             if cv.precision_escalated:
                 escalations += 1
@@ -313,10 +335,11 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     holds no float margin at or below the least one found, and the skip
     leaves the witness as it is.  The margin reported, and the pass/fail
     decision, come from the 30-digit evaluator at the witness,
-    -_exact_value(witness, sigma(witness), c), within the bound stated
-    there.
+    -_decided_value(witness, sigma(witness), c), within the bound stated
+    there; a value within that bound of 0 raises ResourceLimitError.
     """
     check_sigma_bound_args(lo, hi, c)
+    import numpy as np
     from . import champions  # not at import time: champions imports criteria
     x0 = _loglog_root(math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma))
     ns, sigmas = map(np.array, zip(*champions.ratio_records(
@@ -344,8 +367,7 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
         i = int(np.argmin(margin))
         if (margin[i], a + i) < (worst, witness):
             worst, witness = float(margin[i]), a + i
-    # 0.0 - keeps a zero margin +0.0, as c / L - value would give it
-    exact = 0.0 - float(_exact_value(witness, sigma(witness), c))
+    exact = -_decided_value(witness, sigma(witness), c)
     return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
                             passed=exact > 0, worst_margin=exact,
                             witness=witness)

@@ -44,6 +44,23 @@ PAPER_S_LISTING = [2, 4, 6, 12, 18, 24, 30, 60, 90, 120, 150, 180, 210, 420,
                    6930, 9240]
 
 
+class TestFirstPrimes:
+    def test_matches_the_reference_sieve(self):
+        # every k <= 1200, k < 6 in _nth_prime_value_bound's fixed branch
+        reference = oracles.sieve_reference(10**4).tolist()  # p_1229 = 9973
+        assert {champions._nth_prime_value_bound(k) for k in range(6)} == {15}
+        for k in range(1201):
+            assert first_primes(k) == reference[:k], k
+        # the most a ladder takes, first_primes(limit.bit_length() + 1), at
+        # the ceilings 10^30 and 10^300
+        for limit, k in ((champions.SUPERABUNDANT_CEILING, 101),
+                         (champions.S_SEQUENCE_CEILING, 998)):
+            assert limit.bit_length() + 1 == k
+            primes = first_primes(k)
+            assert primes == reference[:k]
+            assert all(type(p) is int for p in primes)
+
+
 class TestSSequence:
     def test_listing_up_to_1e4(self):
         assert [c.value for c in psirh.generate_s_sequence(10**4)] == PAPER_S_LISTING

@@ -4,16 +4,18 @@ import math
 import random
 import threading
 import warnings
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import psirh
+import psirh.cli
 from psirh import champions, criteria
 from psirh.arith import dedekind_psi, multiplicative_range, sigma
-from psirh.criteria import (CONSTANTS, CriterionKind, check_sigma_upper_bound,
-                            scan_exceptions)
+from psirh.criteria import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, CriterionKind,
+                            check_sigma_upper_bound, scan_exceptions)
 from psirh.errors import DomainError, ResourceLimitError
 
 from oracles import SIGMA_BOUND_CS, mp_e_gamma, mp_value
@@ -72,6 +74,36 @@ class TestExactValue:
                             r + 1 + 3 * llg if not c else
                             2 * r + 1 + 4 * llg + (2 + 1 / llg) * abs(c) / llg)
                         assert err <= bound, (n, c)
+
+    def test_a_value_within_the_bound_is_refused(self, monkeypatch, capsys):
+        # no real value comes near the bound, so one is injected, on each
+        # side of it and of each sign: the criterion value of 31, escalated
+        # whatever its float value, and the sigma margin at its witness 12
+        monkeypatch.setattr(criteria, "ESCALATION_BAND", math.inf)
+        for n, c, run in (
+                (31, 0.0, lambda: psirh.dedekind_f(31)),
+                (12, DEFAULT_SIGMA_BOUND_C,
+                 lambda: check_sigma_upper_bound(3, 1000))):
+            r, llg = sigma(n) / n, abs(math.log(math.log(n)))
+            bound = 1e-29 * (2 * r + 1 + 4 * llg + (2 + 1 / llg) * c / llg
+                             if c else r + 1 + 3 * llg)
+            for scale in (0.0, 0.99, -0.99, 1.01, -1.01):
+                value = Decimal(bound * scale)
+                monkeypatch.setattr(criteria, "_exact_value",
+                                    lambda *args: value)
+                if abs(scale) > 1:
+                    run()  # the sign is trusted
+                    continue
+                with pytest.raises(ResourceLimitError,
+                                   match=f"^n={n}: .* sign is undecided$"):
+                    run()
+        # through the command line, a resource-limit exit naming n
+        monkeypatch.setattr(criteria, "_exact_value",
+                            lambda *args: Decimal(0))
+        code = psirh.cli.main(["scan", "--criterion", "f", "--hi", "100"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("psirh: resource limit: n=")
 
     @pytest.mark.parametrize("c", SIGMA_BOUND_CS)
     def test_sigma_margin_matches_mpmath(self, c):

@@ -608,6 +608,48 @@ class TestStartUp:
         row = next(r for r in parse_csv(out) if r["bound"] == "sigma_upper")
         assert row["witness"] == "12"
 
+    # the commands the ratio records settle alone: no walk, no factoring and
+    # no array, so no numpy
+    @pytest.mark.parametrize("argv", [
+        ["superabundant"], ["champions"],
+        ["oeis-check", "--sequence", "A060735"],
+        ["oeis-check", "--sequence", "A004394"],
+        ["scan", "--criterion", "f", "--lo", "100", "--hi", str(10**300)],
+        ["scan", "--criterion", "g", "--lo", "5583", "--hi", str(10**30)]],
+        ids=["superabundant", "champions", "oeis-check-A060735",
+             "oeis-check-A004394", "scan-f-past-47", "scan-g-past-5583"])
+    def test_record_commands_load_no_numpy(self, argv, tmp_path):
+        if argv[0] == "oeis-check":
+            bfile = tmp_path / "b.txt"
+            bfile.write_text({"A060735": "1 2\n2 4\n3 6\n",
+                              "A004394": "1 1\n2 2\n3 4\n"}[argv[2]])
+            argv = [*argv, "--count", "3", "--bfile", str(bfile)]
+        code, out, _, modules = run_fresh(*argv)
+        assert code == 0
+        assert "numpy" not in modules
+        if argv[0] == "scan":
+            assert "# exceptions=0\n" in out
+        elif argv[0] == "oeis-check":
+            assert "# first_mismatch=\n" in out
+
+    def test_records_run_with_numpy_unimportable(self):
+        # an import of numpy would raise: None in sys.modules
+        argv = ["superabundant", "--limit", "1000000"]
+        code, out, _, _ = run_fresh(
+            *argv, prelude="import sys; sys.modules['numpy'] = None\n")
+        assert code == 0
+        assert strip_runtime(out) == strip_runtime(run_fresh(*argv)[1])
+
+    def test_walks_and_factoring_load_numpy_at_first_use(self):
+        for argv in (["scan", "--criterion", "f", "--hi", "100"], ["props"]):
+            code, _, _, modules = run_fresh(*argv)
+            assert code == 0 and "numpy" in modules
+        out = run_python("import sys, psirh.criteria, psirh.champions\n"
+                         "before = 'numpy' in sys.modules\n"
+                         "cv = psirh.champions.dedekind_f(10**11 + 3)\n"
+                         "print(before, 'numpy' in sys.modules, cv.value < 0)")
+        assert out == "False True True\n"
+
     def test_constants_digest_is_sha256_of_constants(self):
         digest = hashlib.sha256(repr(CONSTANTS).encode()).hexdigest()[:12]
         assert report.constants_digest() == digest == "e93c3dc12841"
