@@ -6,14 +6,17 @@ range come from one segmented sieve kernel (multiplicative_range) that
 returns exact int64 psi or sigma below 2^53: each n starts from a cached
 periodic pattern of 2^4, 3^2, 5, 7 and 11, one loop per prime power
 multiplies the others in by strided slices, and the one prime left over is
-found by dividing n by the smooth part.  Single queries use vectorized
-trial division by the primes below 2^27, with one deterministic
-Miller-Rabin proof per cofactor, so every n < 2^54 factors completely;
-psi, sigma, d and squarefreeness share the last two factorizations, so a
-query for f(n) and g(n) factors n once.  Both read their primes from
-prime_engine's one grown list.  numpy is imported by the functions that
-make (unannotated) arrays, so a command that factors nothing and builds no
-table, such as one whose ratio records settle it, runs without it.
+found by dividing n by the smooth part.  Single queries use trial
+division by the primes below 2^27, those below 256 as Python ints and the
+rest vectorized, with one deterministic Miller-Rabin proof per cofactor,
+so every n < 2^54 factors completely; psi, sigma, d and squarefreeness
+share the last two factorizations, so a query for f(n) and g(n) factors n
+once.  The vectorized blocks and the kernel read their primes from
+prime_engine's one grown list, the first block from its stdlib sieve
+first_primes.  numpy is imported by the functions that make (unannotated)
+arrays, so a command that builds no table and whose every n factors by
+the first block (a cofactor then below 2^16 or proven prime), such as a
+scan or props, runs without it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from .constants import Record
 from .errors import DomainError, ResourceLimitError
 from . import prime_engine
-from .prime_engine import _simple_sieve
+from .prime_engine import _simple_sieve, first_primes
 
 
 class Factorization(Record):
@@ -54,6 +57,10 @@ _MR_LIMIT = _MR_PSI[-1]
 # 170-171 MB (123-127 ms warm).  The grown list, the 7.6M primes below 2^27
 # (about 58 MB), is kept for the life of the process.
 FACTORIZE_TRIAL_CEILING = 1 << 27
+# The first trial block, the 54 primes below 256 (p_55 = 257), is tried in
+# Python ints.
+_SMALL_END = 256
+_SMALL_PRIMES = tuple(first_primes(54))
 
 
 def _is_prime(m: int) -> bool:
@@ -93,11 +100,14 @@ def _residues(m: int, block):
 def factorize(n: int) -> Factorization:
     """Exact prime-power decomposition of n >= 1.
 
-    Trial division runs over blocks of the shared prime list, the primes
-    below 256 and then those in [hi, 2 hi) for doubling hi, with int64
+    Trial division runs over blocks of primes: the primes below 256 as
+    Python ints (m % p, those up to sqrt(n) only), then the blocks
+    [hi, 2 hi) of the shared prime list for doubling hi, with int64
     remainders whatever the size of the cofactor m (_residues).  It stops
     once a block passes sqrt(m) or m is 1 or proven prime, with one
-    Miller-Rabin per value of m.  Once the primes below
+    Miller-Rabin per value of m.  So an n whose cofactor after the first
+    block is below 2^16 or proven prime, such as every n < 2^16 and every
+    256-smooth n, factors without numpy.  Once the primes below
     FACTORIZE_TRIAL_CEILING = 2^27 are tried, an m not proven prime raises
     ResourceLimitError, so every n < 2^54 factors completely.  The blocks
     come from prime_engine._primes_below, not from the 8-slot _simple_sieve
@@ -110,15 +120,15 @@ def factorize(n: int) -> Factorization:
         raise DomainError("cannot factorize n < 1")
     m = n
     factors = []
-    hi = 256
-    i = 0  # index of the first prime not yet tried
+    # the first block stops at sqrt(n): below 2^16 a cofactor with no
+    # prime factor up to sqrt(n) is 1 or prime, and from 2^16 on every
+    # prime below 256 is tried
+    small = _SMALL_PRIMES[:bisect.bisect_right(_SMALL_PRIMES, math.isqrt(n))]
+    divisors = [p for p in small if m % p == 0]
+    hi, j = _SMALL_END, len(_SMALL_PRIMES)
     tested = None  # the last cofactor Miller-Rabin rejected
     while True:
-        hi = min(hi, math.isqrt(m) + 1)
-        primes = prime_engine._primes_below(hi)
-        j = int(primes.searchsorted(hi))
-        block = primes[i:j]
-        for p in block[_residues(m, block) == 0].tolist():
+        for p in divisors:
             e = 0
             while m % p == 0:
                 m //= p
@@ -133,7 +143,11 @@ def factorize(n: int) -> Factorization:
             raise ResourceLimitError(
                 f"cofactor {m} of {n} has no prime factor below {hi} and "
                 f"is not proven prime")
-        hi, i = 2 * hi, j
+        hi, i = min(2 * hi, math.isqrt(m) + 1), j
+        primes = prime_engine._primes_below(hi)
+        j = int(primes.searchsorted(hi))
+        block = primes[i:j]
+        divisors = block[_residues(m, block) == 0].tolist()
     if m > 1:
         factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))

@@ -8,8 +8,10 @@ the strict records among the Hardy-Ramanujan integers (A025487): their
 exponents do not increase (Alaoglu & Erdos 1944), and moving any m's
 exponents onto the smallest primes gives a Hardy-Ramanujan m' <= m with
 at least its ratio.  Exact, to 10^30 in about 1.5 s and 151 MB.  Both
-ladders take their primes from first_primes, a stdlib sieve, and are
-pure Python: a command that they settle loads no numpy.
+ladders take their primes from prime_engine.first_primes, a stdlib sieve,
+and are pure Python, and the identity check's l N_k are 43-smooth, which
+arith.factorize splits in Python ints: a command that they settle, props
+included, loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from itertools import compress, islice
 from operator import itemgetter
 
 from .arith import dedekind_psi
@@ -26,18 +27,21 @@ from .criteria import CriterionKind
 from .criteria import dedekind_f  # noqa: F401 (wrapped by perfbench/spans.py)
 from .constants import Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
-from .prime_engine import _nth_prime_value_bound
+from .prime_engine import first_primes
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
-# 2-core Xeon with 7 GB, 3 fresh runs each).  Only a scan's walk of [2, X)
-# and props' identity check load numpy here:
+# 2-core Xeon with 7 GB, 3 fresh runs each).  No command here loads numpy:
+# a scan factors the n of [2, X) and props the l N_k of its identity check
+# by the primes below 256 in Python ints.
 SUPERABUNDANT_CEILING = 10**30  # 1.2-1.4 s, 151 MB: 191 of 726,662 HR n;
-#                      as scan g's hi - 1 (ratio_records), 1.3-1.9 s, 151 MB
+#                      as scan g's hi - 1 (ratio_records), 1.3-1.5 s, 151 MB
 S_SEQUENCE_CEILING = 10**300  # 0.25-0.36 s, 57 MB: 41,712 terms, 9 MB CSV;
-#                      as scan f's hi - 1 (ratio_records), 0.19-0.26 s, 29 MB;
-#                      as both props limits, by closed forms, 0.21-0.22 s, 28 MB
-IDENTITY_KMAX = 14  # N_14 * p_15 still fits exact 64-bit-scale evaluation
+#                      as scan f's hi - 1 (ratio_records), 0.07 s, 15 MB;
+#                      as both props limits, by closed forms, 0.07 s, 15 MB
+IDENTITY_KMAX = 14  # props at it, both limits 10^300: 0.07 s, 15 MB; the
+#                     check itself, 312 l N_k, all 43-smooth and below 2^60,
+#                     3 ms in-process
 
 
 class ChampionNumber(Record):
@@ -63,20 +67,6 @@ class PropositionCheck(Record):
     __slots__ = {"proposition": "Proposition", "limit": "int",
                  "cases_checked": "int",
                  "failures": "tuple[tuple[int, ...], ...]"}
-
-
-def first_primes(k: int) -> list[int]:
-    """p_1, ..., p_k (p_1 = 2), the prime factors of the primorial N_k, by
-    a byte-per-integer sieve of Eratosthenes up to _nth_prime_value_bound(k)
-    in a bytearray.  The ladders take at most 998 primes (at 10^300), so
-    they need no numpy and not the shared prime list."""
-    limit = _nth_prime_value_bound(k)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(islice(compress(range(limit + 1), sieve), k))
 
 
 def _primorials(limit: int):

@@ -9,9 +9,10 @@ rounding per step (log n, then log of that, then multiply), and any value
 within the 1e-9 escalation band is re-evaluated at 30 significant digits
 in the stdlib's decimal, whose correctly rounded ln and four operations
 give that value a stated error bound (_exact_value), before its sign is
-trusted; a 30-digit value within that bound of 0 raises ResourceLimitError
-(_decided_value).  The same 30-digit evaluator gives the sigma-bound
-margin at its witness.
+trusted; a value within that bound of 0 is evaluated again at 60 and then
+120 digits, and raises ResourceLimitError if still undecided there
+(_decided_value).  The same evaluator gives the sigma-bound margin at its
+witness.
 
 Robin's unconditional bound sigma(n)/n <= B(n) = e^gamma L + c / L,
 L = log log n, is checked by structure: B does not decrease from n0(c) on
@@ -24,10 +25,11 @@ the last superabundant number <= b - 1: chunks are walked in the order of
 that bound, and only until it clears the least margin found.
 
 The scans use the same records (N_k for psi, superabundant for sigma): a
-scan walks only the prefix [lo, X) they leave open (X = 47 for f, 5583 for
-g), and they settle everything past X.  numpy is imported by the functions
-that make (unannotated) arrays, so a scan with lo >= X, which the records
-settle alone, runs without it.
+scan decides n by n, through _criterion, only the prefix [lo, X) they
+leave open (X = 47 for f, 5583 for g), and they settle everything past X.
+numpy is imported by the functions that make (unannotated) arrays, which
+only the sigma bound calls, so a scan runs without it: factorize tries
+the primes below 256 in Python ints, which factor every n below 2^16.
 """
 
 from __future__ import annotations
@@ -43,9 +45,14 @@ from .errors import DomainError, ResourceLimitError
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
 ESCALATION_BAND = 1e-9
+# A value within its error bound of 0 at ESCALATION_DPS digits is evaluated
+# again at twice the digits, up to the cap, and raises there.
 ESCALATION_DPS = 30
-# Float chunk scans round the ratio once and the threshold once per step;
-# anything this close to the threshold gets the exact treatment.
+ESCALATION_DPS_CAP = 120
+# A float value, its ratio and threshold each rounded once per step, lies
+# far closer than this to exact: a ratio record's window stays open until
+# the exact threshold clears the record's ratio by this band, so no float
+# value past it lies above -_CANDIDATE_BAND.
 _CANDIDATE_BAND = 1e-6
 
 # The sigma bound's ceiling alone, a budget measured there (the whole
@@ -55,25 +62,27 @@ _CANDIDATE_BAND = 1e-6
 # the 382 chunks of [3, 10^8): --c 1e6 one, 0.28 s in 34 MB, --c 50 102 of
 # them, 1.2-1.7 s in 41 MB.
 SCAN_CEILING = 10**8
-# A range walk holds one chunk at a time, in its caller's thread; only the
-# sigma head at a large c walks more than a scan's prefix (at most 5,581 n).
-# At --c 50, 2^17 chunks took 1.4-2.0 s in 36 MB and 2^19 1.1-1.5 s in 49 MB.
+# The sigma head, the one range walk left (a scan decides its prefix n by
+# n), holds one chunk at a time, in its caller's thread.  At --c 50, 2^17
+# chunks took 1.4-2.0 s in 36 MB and 2^19 1.1-1.5 s in 49 MB.
 DEFAULT_CHUNK = 1 << 18
 
 
-# e^gamma to 50 significant digits, within 1e-49 (a test checks it against
-# exp(euler) at 60 digits)
-E_GAMMA_DIGITS = "1.7810724179901979852365041031071795491696452143034"
+# e^gamma to 141 significant digits, within 1e-140, far inside the error
+# bound at the cap (a test checks it against exp(euler) at 160 digits)
+E_GAMMA_DIGITS = (
+    "1.78107241799019798523650410310717954916964521430343020535766587651284"
+    "1076813588293707574216488418280334822245225145742001055794574248196500"
+    "88")
 
 
 @functools.cache
-def _decimal_context():
-    """The ESCALATION_DPS-digit context, rounding half even, and e^gamma,
-    made on first use: a command that makes no 30-digit decision never
-    loads decimal."""
+def _decimal_context(dps: int):
+    """The dps-digit context, rounding half even, and e^gamma, made on
+    first use: a command that makes no 30-digit decision never loads
+    decimal."""
     import decimal
-    return (decimal.Context(prec=ESCALATION_DPS,
-                            rounding=decimal.ROUND_HALF_EVEN),
+    return (decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN),
             decimal.Decimal(E_GAMMA_DIGITS))
 
 
@@ -101,25 +110,28 @@ def threshold(n: int) -> float:
     return CONSTANTS.e_gamma * math.log(math.log(n))
 
 
-def _exact_value(n: int, numer: int, c: float = 0.0):
+def _exact_value(n: int, numer: int, c: float = 0.0,
+                 dps: int = ESCALATION_DPS):
     """numer/n - e^gamma L - c / L, L = log log n, as a decimal.Decimal of
-    ESCALATION_DPS = 30 significant digits: the one evaluator behind every
-    sign decision the float pass leaves open, the escalated criterion
-    value (c = 0, no last term) and, negated, the sigma-bound margin at
-    its witness.  Its callers read it through _decided_value.
+    dps significant digits, ESCALATION_DPS = 30 unless retried: the one
+    evaluator behind every sign decision the float pass leaves open, the
+    escalated criterion value (c = 0, no last term) and, negated, the
+    sigma-bound margin at its witness.  Its callers read it through
+    _decided_value.
 
     Error bound.  The context rounds each of numer/n, ln n, ln of that,
     the product, the quotient and the differences correctly (decimal's ln
-    always does), so each is within u = 5e-30 of its exact value,
+    always does), so each is within u = 5 * 10^-dps of its exact value,
     relative; n, numer and c (converted from its float exactly) are exact,
-    and e^gamma is within 1e-49.  With R = numer/n, ln ln n moves by at
+    and e^gamma is within 1e-140.  With R = numer/n, ln ln n moves by at
     most u (1 + |L|) and a little more, so the value moves by at most
-    1e-29 (R + 1 + 3 |L|) at c = 0, and 1e-29 (2 R + 1 + 4 |L| +
-    (2 + 1/|L|) |c| / |L|) otherwise.  For 2 <= n < 2^53, where R < 7 and
-    |L| < 3.7, the first is below 3e-28, so the sign is right wherever
-    the exact value lies farther from 0.
+    2u (R + 1 + 3 |L|) at c = 0, and 2u (2 R + 1 + 4 |L| +
+    (2 + 1/|L|) |c| / |L|) otherwise, 2u = 10^(1 - dps): 1e-29, 1e-59 and
+    1e-119 at 30, 60 and 120 digits.  For 2 <= n < 2^53, where R < 7 and
+    |L| < 3.7, the first is below 3e-28 at 30 digits, so the sign is right
+    wherever the exact value lies farther from 0.
     """
-    ctx, e_gamma = _decimal_context()
+    ctx, e_gamma = _decimal_context(dps)
     llg = ctx.ln(ctx.ln(n))
     value = ctx.subtract(ctx.divide(numer, n), ctx.multiply(e_gamma, llg))
     if c:
@@ -129,20 +141,27 @@ def _exact_value(n: int, numer: int, c: float = 0.0):
 
 
 def _decided_value(n: int, numer: int, c: float = 0.0) -> float:
-    """_exact_value(n, numer, c) rounded to float once, if its sign is
-    decided: a value within the error bound stated there of 0 raises
-    ResourceLimitError naming n, as its sign is not to be trusted.  The
-    bound is evaluated in floats, within 1e-15 of itself, relative."""
-    value = _exact_value(n, numer, c)
+    """_exact_value(n, numer, c) rounded to float once, at the first of 30,
+    60 and 120 (ESCALATION_DPS_CAP) digits where its sign is decided: a
+    value within the error bound stated there of 0 is evaluated again at
+    twice the digits, and at the cap it raises ResourceLimitError naming
+    n, as its sign is not to be trusted.  The bound is evaluated in
+    floats, within 1e-15 of itself, relative."""
     r, llg = numer / n, abs(math.log(math.log(n)))
-    # c's term scaled first, so a c near the float maximum stays finite
-    bound = (1e-29 * (2 * r + 1 + 4 * llg if c else r + 1 + 3 * llg)
-             + 1e-29 * abs(c) / llg * (2 + 1 / llg))
-    if value.copy_abs() <= bound:
-        raise ResourceLimitError(
-            f"n={n}: the {ESCALATION_DPS}-digit value {value} lies within "
-            f"its error bound {bound:.1e} of 0, so its sign is undecided")
-    return float(value)
+    dps = ESCALATION_DPS
+    while True:
+        value = _exact_value(n, numer, c, dps)
+        unit = 10.0 ** (1 - dps)
+        # c's term scaled first, so a c near the float maximum stays finite
+        bound = (unit * (2 * r + 1 + 4 * llg if c else r + 1 + 3 * llg)
+                 + unit * abs(c) / llg * (2 + 1 / llg))
+        if value.copy_abs() > bound:
+            return float(value)
+        if dps >= ESCALATION_DPS_CAP:
+            raise ResourceLimitError(
+                f"n={n}: the {dps}-digit value {value} lies within its "
+                f"error bound {bound:.1e} of 0, so its sign is undecided")
+        dps *= 2
 
 
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
@@ -168,7 +187,9 @@ def dedekind_f(n: int) -> CriterionValue:
 
 
 # ---------------------------------------------------------------------------
-# chunked float ratio scan
+# chunked float ratios: the sigma head's kernel.  _chunk_values, the float
+# criterion values of a chunk, is the bulk kernel of the test oracles, and
+# perfbench/spans.py wraps it by name.
 
 def _chunk_ratios(lo: int, hi: int, kind: CriterionKind):
     """Float psi(n)/n or sigma(n)/n for n in [lo, hi): the exact kernel
@@ -222,11 +243,12 @@ def _loglog_root(level: float) -> float:
 
 def _chunks(lo: int, hi: int):
     """The consecutive chunks (c_lo, c_hi) of [lo, hi), in order, cut from
-    lo in steps of DEFAULT_CHUNK (read at call time): the one splitter of
-    every range walk.  Each caller computes a chunk's values in its own
-    thread, one chunk at a time, and its kernel fetches its own base
-    primes; a chunk's values depend only on its bounds.  A non-empty range
-    past arith.KERNEL_CEILING raises at the call, before any chunk is cut.
+    lo in steps of DEFAULT_CHUNK (read at call time): the splitter of the
+    sigma head, the one range walk left.  Its caller computes a chunk's
+    values in its own thread, one chunk at a time, and the kernel fetches
+    its own base primes; a chunk's values depend only on its bounds.  A
+    non-empty range past arith.KERNEL_CEILING raises at the call, before
+    any chunk is cut.
     """
     if lo < hi and hi > KERNEL_CEILING:
         raise ResourceLimitError(f"range [{lo}, {hi}) passes the exact "
@@ -236,9 +258,9 @@ def _chunks(lo: int, hi: int):
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
-    """All n in [lo, hi) with criterion value >= 0, by float prefilter plus
-    exact confirmation of every near-threshold candidate on the prefix
-    [lo, X) the ratio records leave open, up to the records' ceilings.
+    """All n in [lo, hi) with criterion value >= 0, each n of the prefix
+    [lo, X) the ratio records leave open decided by _criterion, the one
+    exact decision path, up to the records' ceilings.
 
     Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
     record <= x: the largest ratio on [1, x] is first reached at a record.
@@ -247,16 +269,18 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     window [r, min(r', x_r)), r' the next record or hi, x_r = _loglog_root(
     (ratio(r) (1 + 1e-12) + _CANDIDATE_BAND) / e^gamma).  X is the end of
     the last non-empty window, at most hi.  Why no n outside the windows
-    (past X, or in a gap below it) is an exception or a candidate.  For
-    records r <= n < r' and n >= x_r, the exact threshold(n) exceeds the
-    exact ratio(r) + _CANDIDATE_BAND, as the 1e-12 slacks of x_r and its
-    level cover their roundings, and that is at least ratio(n) + the band
-    by the lemma: past 2^53, where n is no float, this rests on exact
-    values alone.  Below it the kernel's float ratio and np.log's threshold
-    are each within a few ulps of exact, far inside the slack, so no float
-    value there is above -_CANDIDATE_BAND: nothing is escalated, and the
-    report is that of a walk of every chunk.  The least margin at a record
-    past 10^6, 1.36 for f and 0.141 for g, is far above the slack.
+    (past X, or in a gap below it) is an exception.  For records
+    r <= n < r' and n >= x_r, the exact threshold(n) exceeds the exact
+    ratio(r) + _CANDIDATE_BAND, as the 1e-12 slacks of x_r and its level
+    cover their roundings, and that is at least ratio(n) + the band by the
+    lemma: past 2^53, where n is no float, this rests on exact values
+    alone.  Below it _criterion's float ratio and threshold are each
+    within a few ulps of exact, far inside the slack, so its value at such
+    an n is below -_CANDIDATE_BAND: none would be escalated, and the report
+    is that of _criterion at every n of [lo, hi).  The least margin at a
+    record past 10^6, 1.36 for f and 0.141 for g, is far above the slack.
+    X is 47 for f and 5583 for g at every hi past them, so a scan decides
+    at most 5,581 n, each factored in Python ints (arith.factorize).
     """
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
@@ -270,14 +294,11 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
             x_end = math.ceil(min(nxt, x_r))
     found = []
     escalations = 0
-    for c_lo, c_hi in _chunks(lo, x_end):
-        values = _chunk_values(c_lo, c_hi, kind)
-        for off in (values > -_CANDIDATE_BAND).nonzero()[0]:
-            cv = _criterion(c_lo + int(off), kind)
-            if cv.precision_escalated:
-                escalations += 1
-            if cv.value >= 0:
-                found.append(cv)
+    for n in range(lo, x_end):
+        cv = _criterion(n, kind)
+        escalations += cv.precision_escalated
+        if cv.value >= 0:
+            found.append(cv)
     exceptions = tuple(cv.n for cv in found)
     return ExceptionReport(kind=kind, lo=lo, hi=hi, exceptions=exceptions,
                            values=tuple(found),

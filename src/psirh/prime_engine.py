@@ -19,6 +19,7 @@ import os
 from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import compress, islice
 
 from .constants import Record
 from .errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
@@ -218,6 +219,20 @@ def _nth_prime_value_bound(n: int) -> int:
         return 15
     ln = math.log(n)
     return int(n * (ln + math.log(ln))) + 1
+
+
+def first_primes(k: int) -> list[int]:
+    """p_1, ..., p_k (p_1 = 2) as Python ints, by a byte-per-integer sieve
+    of Eratosthenes up to _nth_prime_value_bound(k) in a bytearray: no
+    numpy and not the shared list.  The record ladders take at most 998
+    primes (at 10^300), and arith.factorize the 54 below 256."""
+    limit = _nth_prime_value_bound(k)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(islice(compress(range(limit + 1), sieve), k))
 
 
 def iter_prime_chunks(n: int) -> Iterator:

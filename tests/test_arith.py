@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,25 @@ from psirh.prime_engine import _simple_sieve, iter_prime_chunks
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def trial_factors(n, primes):
+    """n's (prime, exponent) pairs by trial division by the increasing
+    primes, each while its square is at most the cofactor; what is left
+    is 1 or prime when primes holds every prime up to sqrt of it."""
+    factors, m = [], n
+    for p in primes:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
 
 
 class TestFactorize:
@@ -141,8 +161,9 @@ class TestFactorize:
             psirh.factorize(n)
 
     def test_a_query_factors_n_once(self, monkeypatch, cold_primes):
-        # f(n) then g(n) share one factorization of 13 blocks up to 2^20,
-        # and n, the cofactor through the first 12, gets one Miller-Rabin
+        # f(n) then g(n) share one factorization: the primes below 256 in
+        # Python ints, then 12 numpy blocks up to 2^20, and n, the cofactor
+        # through the first 11 of them, gets one Miller-Rabin
         calls = []
         for name in ("_residues", "_is_prime"):
             fn = getattr(arith, name)
@@ -151,7 +172,27 @@ class TestFactorize:
         n = 591_287 * 1_250_083
         psirh.dedekind_f(n)
         psirh.robin_g(n)
-        assert (calls.count("_residues"), calls.count("_is_prime")) == (13, 1)
+        assert (calls.count("_residues"), calls.count("_is_prime")) == (12, 1)
+
+    def test_first_block_factors_without_numpy(self, monkeypatch,
+                                               cold_primes):
+        # every n < 2^16 and seeded 256-smooth n up to 10^30 factor by the
+        # primes below 256 alone, in Python ints: numpy is unimportable,
+        # and the shared prime list stays empty
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        primes = [p for p in range(2, 256)
+                  if all(p % q for q in range(2, p))]
+        assert arith._SMALL_PRIMES == tuple(primes)
+        rng = random.Random(256)
+        smooth = []
+        for _ in range(3000):
+            n = 1
+            while (n2 := n * rng.choice(primes) ** rng.randint(1, 5)) <= 10**30:
+                n = n2
+            smooth.append(n)
+        for n in [*range(1, 1 << 16), *smooth]:
+            assert psirh.factorize(n).factors == trial_factors(n, primes), n
+        assert prime_engine._prime_list == (None, 0)
 
     def test_a_rejection_raises_on_every_call(self, monkeypatch):
         # no exception is cached; each call tries every block to 2^27 and

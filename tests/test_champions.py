@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import psirh
-from psirh import champions, criteria
+from psirh import champions, criteria, prime_engine
 from psirh.arith import psi_table, sigma_table
 from psirh.champions import Proposition, first_primes, read_bfile
 from psirh.cli import OEIS_S_LIMIT
@@ -48,7 +48,7 @@ class TestFirstPrimes:
     def test_matches_the_reference_sieve(self):
         # every k <= 1200, k < 6 in _nth_prime_value_bound's fixed branch
         reference = oracles.sieve_reference(10**4).tolist()  # p_1229 = 9973
-        assert {champions._nth_prime_value_bound(k) for k in range(6)} == {15}
+        assert {prime_engine._nth_prime_value_bound(k) for k in range(6)} == {15}
         for k in range(1201):
             assert first_primes(k) == reference[:k], k
         # the most a ladder takes, first_primes(limit.bit_length() + 1), at
@@ -439,8 +439,6 @@ class TestChunkDriver:
                 spans.append((lo, hi)) or fn(lo, hi, *rest))
         callers = (
             lambda: prop2_walk(DRIVER_LIMIT),
-            lambda: criteria.scan_exceptions(CriterionKind.ROBIN_G, 2,
-                                             DRIVER_LIMIT),
             # the sigma bound walks only its head, here [2521, 3000)
             lambda: criteria.check_sigma_upper_bound(2521, DRIVER_LIMIT))
         for caller in callers:
@@ -459,9 +457,12 @@ class TestChunkDriver:
         criteria.check_sigma_upper_bound(3, DRIVER_LIMIT, 1e6)
         last = 3 + (DRIVER_LIMIT - 4) // chunk_size * chunk_size
         assert spans == [(last, DRIVER_LIMIT)]
-        # the record sequences are built by structure and walk no range
-        for caller in (psirh.generate_s_sequence,
-                       psirh.generate_superabundant):
+        # a scan decides its prefix n by n, and the record sequences are
+        # built by structure: none walks a range
+        for caller in (
+                lambda limit: criteria.scan_exceptions(CriterionKind.ROBIN_G,
+                                                       2, limit),
+                psirh.generate_s_sequence, psirh.generate_superabundant):
             spans.clear()
             caller(DRIVER_LIMIT)
             assert spans == []
@@ -483,23 +484,22 @@ class TestChunkDriver:
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind,
                                              shared_superabundant):
-        spans = []
-        fn = criteria._chunk_values
-        monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
-                            spans.append((lo, hi)) or fn(lo, hi, k))
-        # the record windows leave open only the first chunk, cut to the
-        # windows' span in it, [2, 47) for f and [2, 5583) for g, at 10^8
-        # and at the records' ceiling, and no chunk of [10^7, 1.5 * 10^7)
-        # or of [10^20, 10^20 + 10)
+        walked = []
+        decide = criteria._criterion
+        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
+                            walked.append(n) or decide(n, k))
+        # the record windows leave open only the windows' span, [2, 47) for
+        # f and [2, 5583) for g, at 10^8 and at the records' ceiling, and no
+        # n of [10^7, 1.5 * 10^7) or of [10^20, 10^20 + 10)
         end = {CriterionKind.DEDEKIND_F: 47, CriterionKind.ROBIN_G: 5583}[kind]
         for hi in (10**8, RECORD_CEILING[kind]):
-            spans.clear()
+            walked.clear()
             criteria.scan_exceptions(kind, 2, hi)
-            assert spans == [(2, end)]
+            assert walked == list(range(2, end))
         for lo, hi in ((10**7, 15 * 10**6), (10**20, 10**20 + 10)):
-            spans.clear()
+            walked.clear()
             assert criteria.scan_exceptions(kind, lo, hi).exceptions == ()
-            assert spans == []
+            assert walked == []
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 import random
 import threading
@@ -40,6 +41,9 @@ class TestConstants:
         assert len(digits) > 40
         with mp.workdps(60):
             assert abs(mp.mpf(digits) - mp_e_gamma()) < mp.mpf(10) ** -49
+        # and within 1e-140, far inside the bound at the 120-digit cap
+        with mp.workdps(160):
+            assert abs(mp.mpf(digits) - mp_e_gamma()) < mp.mpf(10) ** -140
 
 
 class TestExactValue:
@@ -75,28 +79,62 @@ class TestExactValue:
                             2 * r + 1 + 4 * llg + (2 + 1 / llg) * abs(c) / llg)
                         assert err <= bound, (n, c)
 
+    @pytest.mark.parametrize("dps", [60, 120])
+    def test_within_the_stated_bound_when_retried(self, dps):
+        # the same bound at the retry precisions, 10^(1 - dps) in place of
+        # 1e-29, against dps + 30 digits
+        rng = random.Random(dps)
+        for n in [2, 3, 12, 5040, 2**53 - 1,
+                  *(rng.randrange(5, 10**12) for _ in range(20))]:
+            for fn in (dedekind_psi, sigma):
+                numer = fn(n)
+                with mp.workdps(dps + 30):
+                    r, llg = mp.mpf(numer) / n, abs(mp.log(mp.log(n)))
+                    for c in (0.0, *SIGMA_BOUND_CS):
+                        got = mp.mpf(str(criteria._exact_value(n, numer, c,
+                                                               dps)))
+                        err = abs(got - mp_value(n, numer, c, dps=dps + 30))
+                        bound = mp.mpf(10) ** (1 - dps) * (
+                            r + 1 + 3 * llg if not c else
+                            2 * r + 1 + 4 * llg + (2 + 1 / llg) * abs(c) / llg)
+                        assert err <= bound, (n, c)
+
+    @staticmethod
+    def bound_at(n, c, dps):
+        """The error bound _decided_value states at n, c and dps digits."""
+        r, llg = sigma(n) / n, abs(math.log(math.log(n)))
+        return 10.0 ** (1 - dps) * (
+            2 * r + 1 + 4 * llg + (2 + 1 / llg) * c / llg
+            if c else r + 1 + 3 * llg)
+
+    # the criterion value of 31, escalated whatever its float value (with
+    # ESCALATION_BAND set to inf), and the sigma margin at its witness 12
+    REFUSAL_CASES = ((31, 0.0, lambda: psirh.dedekind_f(31)),
+                     (12, DEFAULT_SIGMA_BOUND_C,
+                      lambda: check_sigma_upper_bound(3, 1000)))
+
     def test_a_value_within_the_bound_is_refused(self, monkeypatch, capsys):
         # no real value comes near the bound, so one is injected, on each
-        # side of it and of each sign: the criterion value of 31, escalated
-        # whatever its float value, and the sigma margin at its witness 12
+        # side of it and of each sign, at every precision: within it, it is
+        # retried at 60 and 120 digits and raises at the cap
         monkeypatch.setattr(criteria, "ESCALATION_BAND", math.inf)
-        for n, c, run in (
-                (31, 0.0, lambda: psirh.dedekind_f(31)),
-                (12, DEFAULT_SIGMA_BOUND_C,
-                 lambda: check_sigma_upper_bound(3, 1000))):
-            r, llg = sigma(n) / n, abs(math.log(math.log(n)))
-            bound = 1e-29 * (2 * r + 1 + 4 * llg + (2 + 1 / llg) * c / llg
-                             if c else r + 1 + 3 * llg)
+        for n, c, run in self.REFUSAL_CASES:
             for scale in (0.0, 0.99, -0.99, 1.01, -1.01):
-                value = Decimal(bound * scale)
-                monkeypatch.setattr(criteria, "_exact_value",
-                                    lambda *args: value)
+                calls = []
+                monkeypatch.setattr(
+                    criteria, "_exact_value", lambda n, numer, c, dps:
+                    calls.append(dps) or Decimal(self.bound_at(n, c, dps)
+                                                 * scale))
                 if abs(scale) > 1:
                     run()  # the sign is trusted
+                    assert calls == [30]
                     continue
                 with pytest.raises(ResourceLimitError,
-                                   match=f"^n={n}: .* sign is undecided$"):
+                                   match=f"^n={n}: the 120-digit value .* "
+                                         f"sign is undecided$"):
                     run()
+                assert calls == [30, 60, 120]
+                assert criteria.ESCALATION_DPS_CAP == 120
         # through the command line, a resource-limit exit naming n
         monkeypatch.setattr(criteria, "_exact_value",
                             lambda *args: Decimal(0))
@@ -104,6 +142,33 @@ class TestExactValue:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("psirh: resource limit: n=")
+
+    @pytest.mark.parametrize("decided_at", [60, 120])
+    def test_a_value_decided_on_retry_is_trusted(self, monkeypatch,
+                                                 decided_at):
+        # within the bound at each precision below decided_at (half of it,
+        # injected), and at decided_at the real value, or one just past
+        # that precision's bound: that value is the one used
+        monkeypatch.setattr(criteria, "ESCALATION_BAND", math.inf)
+        exact = criteria._exact_value
+        for (n, c, run), tight in itertools.product(self.REFUSAL_CASES,
+                                                    (False, True)):
+            calls = []
+
+            def retried(n, numer, c, dps):
+                calls.append(dps)
+                if dps < decided_at:
+                    return Decimal(self.bound_at(n, c, dps) / 2)
+                if tight:
+                    return Decimal(self.bound_at(n, c, dps) * 1.01)
+                return exact(n, numer, c, dps)
+
+            monkeypatch.setattr(criteria, "_exact_value", retried)
+            got = run()
+            assert calls == [d for d in (30, 60, 120) if d <= decided_at]
+            want = float(retried(n, sigma(n) if c else dedekind_psi(n), c,
+                                 decided_at))
+            assert (got.value if not c else -got.worst_margin) == want
 
     @pytest.mark.parametrize("c", SIGMA_BOUND_CS)
     def test_sigma_margin_matches_mpmath(self, c):
@@ -212,29 +277,25 @@ def range_values(kind, lo, hi):
 
 class TestSkipRule:
     """Every n the ratio records skip holds no value above
-    -_CANDIDATE_BAND, and the report is the one a walk of every chunk
-    gives."""
+    -_CANDIDATE_BAND, and the report is the one the float values of every
+    n give, each candidate decided by _criterion."""
 
     @staticmethod
     def check(monkeypatch, kind, lo, hi, size):
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
         walked = []
-        monkeypatch.setattr(criteria, "_chunk_values", lambda c_lo, c_hi, k:
-                            walked.append((c_lo, c_hi))
-                            or CHUNK_VALUES(c_lo, c_hi, k))
+        decide = criteria._criterion
+        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
+                            walked.append(n) or decide(n, k))
         rep = scan_exceptions(kind, lo, hi)
-        # one span per chunk of the grid from lo, inside that chunk
-        grid = [lo + (c_lo - lo) // size * size for c_lo, _ in walked]
-        assert grid == sorted(set(grid))
-        assert all(c_lo < c_hi <= min(c + size, hi)
-                   for c, (c_lo, c_hi) in zip(grid, walked))
+        # one run of consecutive n from lo, whatever the chunk size
+        assert walked == list(range(lo, lo + len(walked)))
         skipped = np.ones(hi - lo, dtype=bool)
-        for c_lo, c_hi in walked:
-            skipped[c_lo - lo:c_hi - lo] = False
+        skipped[:len(walked)] = False
         assert skipped.any()
         values = range_values(kind, lo, hi)
         assert values[skipped].max() <= -criteria._CANDIDATE_BAND
-        found = [criteria._criterion(lo + int(off), kind)
+        found = [decide(lo + int(off), kind)
                  for off in np.nonzero(values > -criteria._CANDIDATE_BAND)[0]]
         assert (rep.values, rep.escalations) == (
             tuple(cv for cv in found if cv.value >= 0),
@@ -246,7 +307,7 @@ class TestSkipRule:
         (CriterionKind.DEDEKIND_F, 30), (CriterionKind.ROBIN_G, 5040)])
     def test_skipped_chunks_are_clean(self, monkeypatch, kind, largest, size):
         walked = self.check(monkeypatch, kind, 2, 2 * 10**6, size)
-        assert any(c_lo <= largest < c_hi for c_lo, c_hi in walked)
+        assert largest in walked
 
     @pytest.mark.parametrize("kind", CriterionKind)
     def test_seeded_window_below_the_ceiling(self, monkeypatch, kind):
@@ -256,12 +317,13 @@ class TestSkipRule:
 
 
 def walked_n(monkeypatch, kind, lo, hi):
-    """The n scan_exceptions(kind, lo, hi) walks, at chunk 1; every value
-    walked is -1, so no n is a candidate."""
-    monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
+    """The n scan_exceptions(kind, lo, hi) decides, in order; each is given
+    the value -1, so no n is an exception."""
     walked = []
-    monkeypatch.setattr(criteria, "_chunk_values", lambda c_lo, c_hi, k:
-                        walked.append(c_lo) or np.full(c_hi - c_lo, -1.0))
+    monkeypatch.setattr(criteria, "_criterion", lambda n, k: walked.append(n)
+                        or criteria.CriterionValue(
+                            n=n, kind=k, ratio=0.0, threshold=1.0,
+                            value=-1.0, precision_escalated=False))
     scan_exceptions(kind, lo, hi)
     return walked
 
@@ -335,12 +397,12 @@ class TestRecordWindows:
     def test_the_walk_ends_at_hi_inside_the_last_window(self, monkeypatch,
                                                         kind, hi, largest):
         # hi lies inside the last window, [30, 47) for f, [5040, 5583) for g
-        spans = []
-        fn = criteria._chunk_values
-        monkeypatch.setattr(criteria, "_chunk_values", lambda lo, hi, k:
-                            spans.append((lo, hi)) or fn(lo, hi, k))
+        walked = []
+        decide = criteria._criterion
+        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
+                            walked.append(n) or decide(n, k))
         assert scan_exceptions(kind, 2, hi).largest == largest
-        assert spans == [(2, hi)]
+        assert walked == list(range(2, hi))
 
     def test_empty_range_past_the_kernel_walks_nothing(self):
         for lo, hi in ((2**60, 2**60), (10**20, 47)):

@@ -27,8 +27,15 @@ def test_span_install_resolves_every_layer():
 
 
 def test_scan_float_pass_is_a_prefilter_span():
+    # a scan decides each n of its prefix, [2, 5583) for g, through
+    # criteria._criterion: one criteria.criterion span per n, inside the
+    # scan's span, and no criteria.prefilter span
     out = run_with_spans(
         "from psirh import criteria\n"
         "criteria.scan_exceptions(criteria.CriterionKind.ROBIN_G, 2, 10**4)\n"
-        "print(sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
-    assert int(out) > 0
+        "scan = next(i for i, s in enumerate(rec.spans)\n"
+        "            if s[0] == 'criteria.scan')\n"
+        "print(sum(s[0] == 'criteria.criterion' and s[3] == scan\n"
+        "          for s in rec.spans),\n"
+        "      sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
+    assert out.split() == ["5581", "0"]

@@ -208,11 +208,15 @@ class TestPrimeList:
         assert prime_engine._simple_sieve(100)[0] == 2
 
     def test_cold_list_grown_by_a_scan(self, cold_primes, monkeypatch):
-        # a scan grows the empty list, one base-prime bound per chunk, and
-        # reports what the same scan on the grown list does
+        # a scan factors its n by the primes below 256 in Python ints, so
+        # it leaves the empty list empty, and reports what the same scan
+        # does once the list is grown
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1 << 12)
         runs = []
-        for _ in ("cold", "warm"):
+        for state in ("cold", "warm"):
+            if state == "warm":
+                assert prime_engine._prime_list == (None, 0)
+                prime_engine._primes_below(10**5)
             for kind in (criteria.CriterionKind.DEDEKIND_F,
                          criteria.CriterionKind.ROBIN_G):
                 runs.append(criteria.scan_exceptions(kind, 2, 10**5))
@@ -343,9 +347,9 @@ class TestThreadBudget:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_walk_starts_no_thread(self, set_workers, monkeypatch, workers):
-        # a scan's prefix, [2, 22), and the sigma head on [3, 30) at
-        # c = 1e6, in chunks of 7: every kernel runs in the caller's thread,
-        # with no other thread alive
+        # a scan's prefix, [2, 22), decided n by n, and the sigma head on
+        # [3, 30) at c = 1e6, in chunks of 7: every kernel runs in the
+        # caller's thread, with no other thread alive
         set_workers(workers)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
         before = threading.active_count()

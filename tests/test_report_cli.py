@@ -640,13 +640,33 @@ class TestStartUp:
         assert code == 0
         assert strip_runtime(out) == strip_runtime(run_fresh(*argv)[1])
 
+    # a scan decides its prefix n by n, and props' identity check factors
+    # 43-smooth l N_k: every factorization ends at the primes below 256,
+    # tried in Python ints
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--criterion", "f", "--hi", str(10**7)],
+        ["scan", "--criterion", "g", "--hi", str(10**7)],
+        ["props", "--limit", str(10**8), "--prop2-limit", str(10**6)]],
+        ids=["scan-f", "scan-g", "props"])
+    def test_scans_and_props_load_no_numpy(self, argv):
+        code, out, err, modules = run_fresh(*argv)
+        assert code == 0
+        assert "numpy" not in modules
+        # the same report with numpy unimportable (an import would raise)
+        code2, out2, err2, _ = run_fresh(
+            *argv, prelude="import sys; sys.modules['numpy'] = None\n")
+        assert (code2, strip_runtime(out2), err2) == (0, strip_runtime(out),
+                                                      err)
+
     def test_walks_and_factoring_load_numpy_at_first_use(self):
-        for argv in (["scan", "--criterion", "f", "--hi", "100"], ["props"]):
-            code, _, _, modules = run_fresh(*argv)
-            assert code == 0 and "numpy" in modules
+        # bounds, whose prime stream and sigma head make arrays; and a
+        # query whose cofactor past the primes below 256 is composite,
+        # 591,287 * 1,250,083, which the numpy blocks split
+        code, _, _, modules = run_fresh("bounds", "--hi", "3000")
+        assert code == 0 and "numpy" in modules
         out = run_python("import sys, psirh.criteria, psirh.champions\n"
                          "before = 'numpy' in sys.modules\n"
-                         "cv = psirh.champions.dedekind_f(10**11 + 3)\n"
+                         "cv = psirh.champions.dedekind_f(591_287 * 1_250_083)\n"
                          "print(before, 'numpy' in sys.modules, cv.value < 0)")
         assert out == "False True True\n"
 
