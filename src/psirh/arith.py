@@ -113,8 +113,8 @@ def factorize(n: int) -> Factorization:
     come from prime_engine._primes_below, not from the 8-slot _simple_sieve
     lru, which the cycle of about 13 bounds of a query misses.  The last
     two results are cached (a Factorization is frozen), so psi, sigma, d
-    and squarefreeness of one n share one factorization; an exception is
-    raised anew on every call.
+    and squarefreeness of one n share one factorization and its DomainError
+    for n < 1; an exception is raised anew on every call.
     """
     if n < 1:
         raise DomainError("cannot factorize n < 1")
@@ -155,8 +155,6 @@ def factorize(n: int) -> Factorization:
 
 def dedekind_psi(n: int) -> int:
     """psi(n) = n * prod_{p|n} (1 + 1/p), exactly."""
-    if n < 1:
-        raise DomainError("psi undefined for n < 1")
     result = 1
     for p, e in factorize(n).factors:
         result *= p ** (e - 1) * (p + 1)
@@ -165,8 +163,6 @@ def dedekind_psi(n: int) -> int:
 
 def sigma(n: int) -> int:
     """Sum of divisors of n, exactly."""
-    if n < 1:
-        raise DomainError("sigma undefined for n < 1")
     result = 1
     for p, e in factorize(n).factors:
         result *= (p ** (e + 1) - 1) // (p - 1)
@@ -174,8 +170,6 @@ def sigma(n: int) -> int:
 
 
 def num_divisors(n: int) -> int:
-    if n < 1:
-        raise DomainError("d undefined for n < 1")
     result = 1
     for _, e in factorize(n).factors:
         result *= e + 1
@@ -183,8 +177,6 @@ def num_divisors(n: int) -> int:
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        raise DomainError("squarefreeness undefined for n < 1")
     return all(e == 1 for _, e in factorize(n).factors)
 
 

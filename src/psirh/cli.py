@@ -230,12 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_props)
 
     p = sub.add_parser("table1", help="theta / successor / k ratio table")
-    p.add_argument("--indices", default="10,1000,100000,10000000")
+    p.add_argument("--indices", default=",".join(
+        map(str, primorial.TABLE1_DEFAULT_INDICES)))
     p.add_argument("--cache", default=None)
     p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("table2", help="f(N_n) at primorial checkpoints")
-    p.add_argument("--indices", default="3,10,100,1000,10000,100000")
+    p.add_argument("--indices", default=",".join(
+        map(str, primorial.TABLE2_DEFAULT_INDICES)))
     p.set_defaults(fn=_cmd_table2)
 
     p = sub.add_parser("bounds", help="explicit bound checks")

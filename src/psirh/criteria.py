@@ -38,7 +38,7 @@ import enum
 import functools
 import math
 
-from .arith import KERNEL_CEILING, dedekind_psi, multiplicative_range, sigma
+from .arith import dedekind_psi, multiplicative_range, sigma
 from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
                         Record)
 from .errors import DomainError, ResourceLimitError
@@ -241,22 +241,6 @@ def _loglog_root(level: float) -> float:
         return math.inf
 
 
-def _chunks(lo: int, hi: int):
-    """The consecutive chunks (c_lo, c_hi) of [lo, hi), in order, cut from
-    lo in steps of DEFAULT_CHUNK (read at call time): the splitter of the
-    sigma head, the one range walk left.  Its caller computes a chunk's
-    values in its own thread, one chunk at a time, and the kernel fetches
-    its own base primes; a chunk's values depend only on its bounds.  A
-    non-empty range past arith.KERNEL_CEILING raises at the call, before
-    any chunk is cut.
-    """
-    if lo < hi and hi > KERNEL_CEILING:
-        raise ResourceLimitError(f"range [{lo}, {hi}) passes the exact "
-                                 f"kernel's ceiling {KERNEL_CEILING}")
-    step = DEFAULT_CHUNK
-    return ((c_lo, min(c_lo + step, hi)) for c_lo in range(lo, hi, step))
-
-
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     """All n in [lo, hi) with criterion value >= 0, each n of the prefix
     [lo, X) the ratio records leave open decided by _criterion, the one
@@ -339,8 +323,8 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     Let s* be the first superabundant number >= max(lo, n0), or hi if
     there is none below hi (a large c puts n0 past the range).  The margin
     is taken first at each superabundant number in [s*, hi).  The head
-    [lo, s*) is cut into the chunks of _chunks, which are walked in
-    increasing order of their bound, until the bound less
+    [lo, s*) is cut from lo into chunks of DEFAULT_CHUNK, which are walked
+    in increasing order of their bound, until the bound less
     SLACK = 1e-11 (1 + |c|) exceeds the least float margin found.  Every
     margin and bound comes from _sigma_margin, and the witness is the
     least (float margin, n): the first n of least float margin that a walk
@@ -374,15 +358,15 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
                                c)
         i = int(np.argmin(margin))
         worst, witness = float(margin[i]), int(ns[first + i])
-    chunks = np.array([*_chunks(lo, head_end)], dtype=np.int64).reshape(-1, 2)
-    last = chunks[:, 1] - 1
-    bounds = _sigma_margin(np.clip(x0, chunks[:, 0], last).astype(np.float64),
+    starts = np.arange(lo, head_end, DEFAULT_CHUNK)
+    last = np.minimum(starts + DEFAULT_CHUNK, head_end) - 1
+    bounds = _sigma_margin(np.clip(x0, starts, last).astype(np.float64),
                            ratios[np.searchsorted(ns, last, "right") - 1], c)
     bounds -= 1e-11 * (1 + abs(c))
     for j in np.argsort(bounds, kind="stable"):
         if bounds[j] > worst:
             break
-        a, b = map(int, chunks[j])
+        a, b = int(starts[j]), int(last[j]) + 1
         margin = _sigma_margin(np.arange(a, b, dtype=np.float64),
                                _chunk_ratios(a, b, CriterionKind.ROBIN_G), c)
         i = int(np.argmin(margin))

@@ -198,29 +198,27 @@ def check_primorial_bounds(last: int, first: int | None = None
     f(N_n) < -0.698 log p_n + 0.220/log p_n.
 
     They are claimed only for p_n >= 20000; first defaults to the first such
-    index, and a range that starts below it or is empty is rejected.
+    index.  The range is checked before the pass starts: one that is empty,
+    passes the index ceiling or starts below that index is rejected.
     """
     import numpy as np
+    below = prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1)
     if first is None:
-        # one more than the number of primes below the threshold
-        first = 1 + len(prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1))
+        first = len(below) + 1
     if last < first:
         raise DomainError(f"empty index range [{first}, {last}]")
     check_n_max(last)
     if first < 1:
         raise DomainError("prime index must be >= 1")
-    count = 0
+    if first <= len(below):
+        raise DomainError(
+            f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
+            f"p_{first} = {int(below[first - 1])}")
     worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
     for c_first, pf, logs, _, _, theta_cum, r_cum, _ in _pass(last):
-        count = c_first + len(pf) - 1
-        if count < first:
-            continue
         start = max(first - c_first, 0)
-        # the block that holds first starts the check; later primes are larger
-        if pf[start] < BOUND_PRIME_THRESHOLD:
-            raise DomainError(
-                f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
-                f"p_{first} = {int(pf[start])}")
+        if start >= len(pf):
+            continue
         # the two margins in the block's rows, each op rounded as in the
         # formulas: theta_cum becomes loglog N, r_cum f and pf the margin
         logp, llgn = logs[start:], theta_cum[start:]
@@ -238,7 +236,7 @@ def check_primorial_bounds(last: int, first: int | None = None
         m += llgn
         m -= f
         worst_m2 = _lower(worst_m2, m, c_first + start)
-    return tuple(BoundCheckResult(name, first, count, margin > 0, margin, witness)
+    return tuple(BoundCheckResult(name, first, last, margin > 0, margin, witness)
                  for name, (margin, witness) in (("loglogN_lower", worst_m1),
                                                  ("f_primorial_upper", worst_m2)))
 

@@ -58,9 +58,7 @@ class RenderedReport(Record):
 
     def to_markdown(self, digits: int = 6) -> str:
         def disp(x):
-            if isinstance(x, float):
-                return f"{x:.{digits}g}"
-            return str(x)
+            return f"{x:.{digits}g}" if isinstance(x, float) else fmt_number(x)
 
         lines = [f"**{self.command}** "
                  + " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items())),

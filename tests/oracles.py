@@ -104,18 +104,20 @@ def prop2_walk(limit):
     """Proposition 2 checked m by m, the numeric check of the lemma behind
     it and so of the kernel: (cases_checked, failures), each failure
     (k, l, m).  The m of one k fill the window N_k < m < L*N_k, multiples of
-    N_k excluded, counted as they are walked; the window is walked chunk by
-    chunk (criteria._chunks), its float values come from the scan
-    prefilter (criteria._chunk_values), and every value above
-    f(N_k) - _CANDIDATE_BAND is decided by f_at_least."""
+    N_k excluded, counted as they are walked; the window is cut into
+    chunks of criteria.DEFAULT_CHUNK, walked one at a time, its float
+    values come from the bulk kernel (criteria._chunk_values), and every
+    value above f(N_k) - _CANDIDATE_BAND is decided by f_at_least."""
     cases = 0
     failures = []
     for k, _, prim, p_next in champions._primorials(limit):
         big_l = (min(prim * p_next, limit) - 1) // prim
         band_floor = criteria.dedekind_f(prim).value - criteria._CANDIDATE_BAND
-        for c_lo, c_hi in criteria._chunks(prim + 1, big_l * prim):
-            values = criteria._chunk_values(c_lo, c_hi,
-                                            CriterionKind.DEDEKIND_F)
+        end = big_l * prim
+        for c_lo in range(prim + 1, end, criteria.DEFAULT_CHUNK):
+            values = criteria._chunk_values(
+                c_lo, min(c_lo + criteria.DEFAULT_CHUNK, end),
+                CriterionKind.DEDEKIND_F)
             multiples = values[-c_lo % prim::prim]
             cases += len(values) - len(multiples)
             multiples[:] = -np.inf

@@ -404,16 +404,29 @@ class TestRecordWindows:
         assert scan_exceptions(kind, 2, hi).largest == largest
         assert walked == list(range(2, hi))
 
-    def test_empty_range_past_the_kernel_walks_nothing(self):
-        for lo, hi in ((2**60, 2**60), (10**20, 47)):
-            assert list(criteria._chunks(lo, hi)) == []
-
-    def test_window_past_the_kernel_raises_before_any_chunk(self):
-        with pytest.raises(ResourceLimitError, match="kernel's ceiling"):
-            criteria._chunks(2**53 - 5, 2**53 + 1)
-
 
 class TestSigmaUpperBound:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The (lo, hi) of each head chunk whose ratios are computed."""
+        spans = []
+        fn = criteria._chunk_ratios
+        monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
+                            spans.append((lo, hi)) or fn(lo, hi, k))
+        return spans
+
+    def test_empty_head_computes_no_chunk(self, computed):
+        # at the default c, n0 = 7 and 12 is superabundant: the head
+        # [12, 12) is empty and the superabundant numbers decide the range
+        res = check_sigma_upper_bound(12, 100)
+        assert (res.passed, res.witness) == (True, 12)
+        assert computed == []
+
+    def test_range_past_the_kernel_raises_before_any_chunk(self, computed):
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            check_sigma_upper_bound(3, 2**53 + 1)
+        assert computed == []
+
     def test_paper_constant_fails_at_12(self):
         res = check_sigma_upper_bound(3, 100, c=0.6482)
         assert not res.passed
@@ -469,17 +482,13 @@ class TestSigmaUpperBound:
         for lo in (3, 5):
             assert check_sigma_upper_bound(lo, 13, 1.7e308).witness == lo
 
-    def test_stop_keeps_its_slack(self, monkeypatch):
+    def test_stop_keeps_its_slack(self, monkeypatch, computed):
         # On [7, 13) at a c near -0.06 the head is [7, 12), its chunks of 1
         # all bounded with sigma(6)/6, and the margin at 12 is the least.
         # c puts the bound of [8, 9) half the slack above that margin: the
         # chunk is still walked, as a float error that size could hide a
         # margin below the one found.
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 1)
-        spans = []
-        fn = criteria._chunk_ratios
-        monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
-                            spans.append((lo, hi)) or fn(lo, hi, k))
 
         def gap(c):
             """The bound of [8, 9) less the margin at 12."""
@@ -492,7 +501,7 @@ class TestSigmaUpperBound:
         c += (1e-11 * (1 + abs(c)) / 2 - gap(c)) / slope
         assert 0 < gap(c) < 1e-11 * (1 + abs(c))
         assert check_sigma_upper_bound(7, 13, c).witness == 12
-        assert spans == [(7, 8), (8, 9)]
+        assert computed == [(7, 8), (8, 9)]
 
     def test_lo_validation(self):
         with pytest.raises(DomainError):
@@ -505,10 +514,12 @@ class TestSigmaUpperBound:
 
 
 def walk(fn=criteria._chunk_values, lo=2, hi=1000):
-    """A range walk as its callers run it: (c_lo, the chunk's values), each
-    chunk computed in the caller's thread when it is reached."""
-    for c_lo, c_hi in criteria._chunks(lo, hi):
-        yield c_lo, fn(c_lo, c_hi, CriterionKind.DEDEKIND_F)
+    """A range walk as its callers run it: (c_lo, the chunk's values), the
+    chunks cut from lo in steps of DEFAULT_CHUNK, each computed in the
+    caller's thread when it is reached."""
+    step = criteria.DEFAULT_CHUNK
+    for c_lo in range(lo, hi, step):
+        yield c_lo, fn(c_lo, min(c_lo + step, hi), CriterionKind.DEDEKIND_F)
 
 
 class TestChunkPipeline:

@@ -386,9 +386,20 @@ class TestBounds:
             assert (res.first, res.last, res.witness) == (first, last, witness)
             assert res.worst_margin == pytest.approx(margin, abs=1e-12)
 
+    def test_threshold_guard_before_the_pass(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("the pass started")
+        monkeypatch.setattr(primorial, "_pass", no_pass)
+        for first, p in ((100, 541), (2262, 19997)):
+            with pytest.raises(DomainError) as info:
+                psirh.check_primorial_bounds(10**7, first=first)
+            assert str(info.value).endswith(f"p_{first} = {p}")
+        # p_2263 = 20011, the first index the bounds are claimed for
+        with pytest.raises(AssertionError, match="the pass started"):
+            psirh.check_primorial_bounds(10**7, first=2263)
+
     def test_threshold_guard_leaves_no_worker(self, set_workers):
-        # the guard fires on the pass's first chunk, while the next
-        # segments are being sieved ahead
+        # the guard fires before the pass, so no segment is sieved ahead
         set_workers(2)
         before = threading.active_count()
         with pytest.raises(DomainError, match="p_5 = 11"):

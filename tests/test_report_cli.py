@@ -14,7 +14,7 @@ import pytest
 
 import psirh
 from psirh import prime_engine, primorial, report
-from psirh.cli import main
+from psirh.cli import build_parser, main
 from psirh.constants import CONSTANTS
 
 SET_B = [2, 3, 4, 5, 6, 8, 10, 12, 18, 30]
@@ -134,8 +134,29 @@ class TestFormats:
         assert "| n |" in out
         assert any(set(l) <= {"|", "-"} for l in out.splitlines())
 
+    def test_markdown_booleans_as_in_csv_and_json(self, capsys, tmp_path):
+        # a row cell and a footer value, each printed true or false
+        _, out, _ = run_cli(capsys, "--format", "md", "bounds", "--hi", "3000",
+                            "--sigma-hi", "10000")
+        assert "| loglogN_lower | 2263 | 3000 | true | 0.00157003 | 2347 |" \
+            in out.splitlines()
+        bfile = tmp_path / "b060735.txt"
+        bfile.write_text("1 2\n2 4\n3 6\n")
+        _, out, _ = run_cli(capsys, "--format", "md", "oeis-check", "--bfile",
+                            str(bfile), "--sequence", "A060735", "--count", "3")
+        assert "| 1 | 2 | 2 | true |" in out.splitlines()
+        assert out.splitlines()[-1].startswith(
+            "compared=3 truncated=false first_mismatch= runtime_s=")
+
 
 class TestTableCommands:
+    @pytest.mark.parametrize("command, indices", [
+        ("table1", primorial.TABLE1_DEFAULT_INDICES),
+        ("table2", primorial.TABLE2_DEFAULT_INDICES)])
+    def test_default_indices_are_the_constants(self, command, indices):
+        args = build_parser().parse_args([command])
+        assert args.indices == ",".join(map(str, indices))
+
     def test_table2_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--indices", "3,10,100")
         assert code == 0
@@ -292,7 +313,8 @@ class TestOtherCommands:
 
 class TestPrimeWalks:
     """Each primorial command walks the prime stream once, and none looks
-    a prime up by index: the bounds read p_first off their own pass."""
+    a prime up by index: the bounds read the primes below 20000 off the
+    shared list before their pass."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -327,6 +349,15 @@ class TestPrimeWalks:
 
 
 class TestRangeErrors:
+    def test_bounds_below_20000_rejected_before_the_pass(self, capsys,
+                                                         monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("the pass started")
+        monkeypatch.setattr(primorial, "_pass", no_pass)
+        assert run_cli(capsys, "bounds", "--lo", "100", "--hi", "10500000") \
+            == (2, "", "psirh: domain error: bound is only claimed for "
+                       "p_n >= 20000; p_100 = 541\n")
+
     @pytest.mark.parametrize("argv", [
         ("bounds", "--hi", "100"),                # ends below the first index
         ("bounds", "--lo", "5", "--hi", "3000"),  # p_5 = 11 < 20000
