@@ -17,7 +17,7 @@ _EXPORTS = {name: module for module, names in (
     ("champions", "generate_s_sequence generate_superabundant "
                   "psi_multiple_identity_check read_bfile verify_prop1 "
                   "verify_prop2"),
-    ("constants", "CONSTANTS BoundCheckResult"),
+    ("constants", "CONSTANTS Decision"),
     ("criteria", "CriterionKind check_sigma_upper_bound dedekind_f robin_g "
                  "scan_exceptions"),
     ("errors", "BFileParseError CacheParseError CacheVersionError DomainError "

@@ -16,7 +16,6 @@ included, loads no numpy.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from operator import itemgetter
@@ -25,7 +24,7 @@ from .arith import dedekind_psi
 from .arith import psi_table, sigma_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .criteria import CriterionKind
 from .criteria import dedekind_f  # noqa: F401 (wrapped by perfbench/spans.py)
-from .constants import Record
+from .constants import Decision, Record
 from .errors import BFileParseError, DomainError, ResourceLimitError
 from .prime_engine import first_primes
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
@@ -55,18 +54,6 @@ class ChampionNumber(Record):
 class RecordScanResult(Record):
     __slots__ = {"records": "tuple[tuple[int, int], ...]: (n, sigma(n))",
                  "limit": "int"}
-
-
-class Proposition(enum.Enum):
-    PROP1 = "prop1"
-    PROP2 = "prop2"
-    PSI_MULTIPLE_IDENTITY = "psi_multiple_identity"
-
-
-class PropositionCheck(Record):
-    __slots__ = {"proposition": "Proposition", "limit": "int",
-                 "cases_checked": "int",
-                 "failures": "tuple[tuple[int, ...], ...]"}
 
 
 def _primorials(limit: int):
@@ -176,8 +163,9 @@ def ratio_records(kind: CriterionKind, limit: int) -> tuple[tuple[int, int], ...
     return tuple(records)
 
 
-def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
-    """Verify psi(l*N_k) = l*psi(N_k) exactly for 1 <= l < p_{k+1}, k <= k_max."""
+def psi_multiple_identity_check(k_max: int) -> Decision:
+    """Verify psi(l*N_k) = l*psi(N_k) exactly for 1 <= l < p_{k+1} and
+    1 <= k <= k_max; the failures are the (k, l) where it does not hold."""
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if k_max > IDENTITY_KMAX:
@@ -191,12 +179,11 @@ def psi_multiple_identity_check(k_max: int) -> PropositionCheck:
             cases += 1
             if dedekind_psi(l * prim) != l * psi_prim:
                 failures.append((k, l))
-    return PropositionCheck(proposition=Proposition.PSI_MULTIPLE_IDENTITY,
-                            limit=k_max, cases_checked=cases,
-                            failures=tuple(failures))
+    return Decision("psi_multiple_identity", 1, k_max, not failures, cases,
+                    failures=tuple(failures))
 
 
-def verify_prop1(limit: int) -> PropositionCheck:
+def verify_prop1(limit: int) -> Decision:
     """For every N_k <= limit and 1 < l < p_{k+1} with l*N_k < min(N_{k+1}, limit):
     f(l*N_k) < f(N_k).
 
@@ -204,15 +191,14 @@ def verify_prop1(limit: int) -> PropositionCheck:
     psi(l N_k)/(l N_k) = psi(N_k)/N_k, and log log (l N_k) > log log N_k.
     So no case fails.  As l N_k < N_{k+1} for every l < p_{k+1}, N_k has
     min(p_{k+1}, ceil(limit / N_k)) - 2 cases, or none; limit is an int up
-    to S_SEQUENCE_CEILING."""
+    to S_SEQUENCE_CEILING, and the claim covers the n of [2, limit - 1]."""
     _check_s_limit(limit)
     cases = sum(max(min(p_next, -(-limit // prim)) - 2, 0)
                 for _, _, prim, p_next in _primorials(limit))
-    return PropositionCheck(proposition=Proposition.PROP1, limit=limit,
-                            cases_checked=cases, failures=())
+    return Decision("prop1", 2, limit - 1, True, cases)
 
 
-def verify_prop2(limit: int) -> PropositionCheck:
+def verify_prop2(limit: int) -> Decision:
     """For every N_k, l >= 1 with (l+1)*N_k < min(N_{k+1}, limit) and every
     l*N_k < m < (l+1)*N_k: f(m) < f(N_k).
 
@@ -222,14 +208,14 @@ def verify_prop2(limit: int) -> PropositionCheck:
     log log m > log log N_k.  So no case fails.  The m of one k fill the
     window N_k < m < L*N_k, L = floor((min(N_{k+1}, limit) - 1) / N_k),
     multiples of N_k excluded: (L - 1)(N_k - 1) cases when L >= 2; limit is
-    an int up to S_SEQUENCE_CEILING."""
+    an int up to S_SEQUENCE_CEILING, and the claim covers the n of
+    [2, limit - 1]."""
     _check_s_limit(limit)
     cases = 0
     for _, _, prim, p_next in _primorials(limit):
         big_l = (min(prim * p_next, limit) - 1) // prim
         cases += max(big_l - 1, 0) * (prim - 1)
-    return PropositionCheck(proposition=Proposition.PROP2, limit=limit,
-                            cases_checked=cases, failures=())
+    return Decision("prop2", 2, limit - 1, True, cases)
 
 
 # ---------------------------------------------------------------------------

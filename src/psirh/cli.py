@@ -81,22 +81,21 @@ def _cmd_superabundant(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_props(args) -> tuple[RenderedReport, bool]:
     from . import champions
-    p1 = champions.verify_prop1(args.limit)
-    p2 = champions.verify_prop2(args.prop2_limit)
-    ident = champions.psi_multiple_identity_check(args.identity_kmax)
-    rows = []
-    for chk in (p1, p2, ident):
-        rows.append({"proposition": chk.proposition.value, "limit": chk.limit,
-                     "cases_checked": chk.cases_checked,
-                     "failures": len(chk.failures)})
+    # each check with the argument its limit column prints
+    checks = [(champions.verify_prop1(args.limit), args.limit),
+              (champions.verify_prop2(args.prop2_limit), args.prop2_limit),
+              (champions.psi_multiple_identity_check(args.identity_kmax),
+               args.identity_kmax)]
+    rows = [{"proposition": chk.claim, "limit": limit,
+             "cases_checked": chk.cases_checked,
+             "failures": len(chk.failures)} for chk, limit in checks]
     report = RenderedReport(
         command="props",
         parameters={"limit": args.limit, "prop2_limit": args.prop2_limit,
                     "identity_kmax": args.identity_kmax},
         columns=["proposition", "limit", "cases_checked", "failures"],
         rows=rows)
-    dirty = any(chk.failures for chk in (p1, p2, ident))
-    return report, dirty
+    return report, not all(chk.passed for chk, _ in checks)
 
 
 def _cmd_table1(args) -> tuple[RenderedReport, bool]:
@@ -123,23 +122,19 @@ def _cmd_table2(args) -> tuple[RenderedReport, bool]:
 
 def _cmd_bounds(args) -> tuple[RenderedReport, bool]:
     from . import criteria
-    # the sigma bound's arguments are checked before the prime pass
-    criteria.check_sigma_bound_args(3, args.sigma_hi, args.c)
-    loglog, f_bound = primorial.check_primorial_bounds(args.hi, args.lo)
+    # the sigma bound first, so its argument errors come before the prime pass
     sig = criteria.check_sigma_upper_bound(3, args.sigma_hi, c=args.c)
-    rows = []
-    for b in (loglog, f_bound, sig):
-        rows.append({"bound": b.bound, "first": b.first, "last": b.last,
-                     "passed": b.passed, "worst_margin": b.worst_margin,
-                     "witness": b.witness})
+    loglog, f_bound = primorial.check_primorial_bounds(args.hi, args.lo)
+    rows = [{"bound": b.claim, "first": b.first, "last": b.last,
+             "passed": b.passed, "worst_margin": b.worst_margin,
+             "witness": b.witness} for b in (loglog, f_bound, sig)]
     report = RenderedReport(
         command="bounds",
         parameters={"lo": loglog.first, "hi": args.hi,
                     "sigma_hi": args.sigma_hi, "c": args.c},
         columns=["bound", "first", "last", "passed", "worst_margin", "witness"],
         rows=rows)
-    dirty = not all(b.passed for b in (loglog, f_bound, sig))
-    return report, dirty
+    return report, not all(b.passed for b in (loglog, f_bound, sig))
 
 
 def _cmd_mertens(args) -> tuple[RenderedReport, bool]:

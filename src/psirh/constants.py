@@ -87,6 +87,13 @@ class Constants(Record):
 CONSTANTS = Constants()
 
 
-class BoundCheckResult(Record):
-    __slots__ = {"bound": "str", "first": "int", "last": "int",
-                 "passed": "bool", "worst_margin": "float", "witness": "int"}
+class Decision(Record):
+    """One decided claim: whether it holds on every n (or k) of the closed
+    range [first, last], how many cases that took, the least margin and
+    where it lies, and the failing cases."""
+    __slots__ = {"claim": "str", "first": "int", "last": "int",
+                 "passed": "bool", "cases_checked": "int | None",
+                 "worst_margin": "float | None", "witness": "int | None",
+                 "failures": "tuple[tuple[int, ...], ...]"}
+    _defaults = {"cases_checked": None, "worst_margin": None,
+                 "witness": None, "failures": ()}

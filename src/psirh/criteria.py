@@ -39,8 +39,7 @@ import functools
 import math
 
 from .arith import dedekind_psi, multiplicative_range, sigma
-from .constants import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, BoundCheckResult,
-                        Record)
+from .constants import CONSTANTS, DEFAULT_SIGMA_BOUND_C, Decision, Record
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
 
@@ -290,20 +289,8 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
                            escalations=escalations)
 
 
-def check_sigma_bound_args(lo: int, hi: int, c: float) -> None:
-    """Reject what check_sigma_upper_bound would reject, before any pass."""
-    if lo < 3:
-        raise DomainError("bound is stated for n >= 3")
-    if hi <= lo:
-        raise DomainError(f"empty range: hi={hi} <= lo={lo}")
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
-    if hi > SCAN_CEILING:
-        raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
-
-
 def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
-                            ) -> BoundCheckResult:
+                            ) -> Decision:
     """Verify sigma(n)/n <= B(n) = e^gamma L + c / L, L = log log n, on
     [lo, hi) (Robin 1984), by structure and a branch and bound on the head.
 
@@ -343,7 +330,14 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
     -_decided_value(witness, sigma(witness), c), within the bound stated
     there; a value within that bound of 0 raises ResourceLimitError.
     """
-    check_sigma_bound_args(lo, hi, c)
+    if lo < 3:
+        raise DomainError("bound is stated for n >= 3")
+    if hi <= lo:
+        raise DomainError(f"empty range: hi={hi} <= lo={lo}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
+    if hi > SCAN_CEILING:
+        raise ResourceLimitError(f"hi={hi} exceeds scan ceiling {SCAN_CEILING}")
     import numpy as np
     from . import champions  # not at import time: champions imports criteria
     x0 = _loglog_root(math.sqrt(max(c, 0.0) / CONSTANTS.e_gamma))
@@ -373,6 +367,5 @@ def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C
         if (margin[i], a + i) < (worst, witness):
             worst, witness = float(margin[i]), a + i
     exact = -_decided_value(witness, sigma(witness), c)
-    return BoundCheckResult(bound="sigma_upper", first=lo, last=hi - 1,
-                            passed=exact > 0, worst_margin=exact,
-                            witness=witness)
+    return Decision("sigma_upper", lo, hi - 1, exact > 0, worst_margin=exact,
+                    witness=witness)

@@ -12,7 +12,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
 
-from .constants import CONSTANTS, BoundCheckResult
+from .constants import CONSTANTS, Decision
 from .errors import CacheVersionError, DomainError
 from . import prime_engine
 from .prime_engine import (ThetaPoint, cache_load, cache_save, check_n_max,
@@ -192,7 +192,7 @@ def k_ratio(p_n: int, p_next: int) -> float:
 
 
 def check_primorial_bounds(last: int, first: int | None = None
-                           ) -> tuple[BoundCheckResult, BoundCheckResult]:
+                           ) -> tuple[Decision, Decision]:
     """Both explicit bounds over the indices [first, last], in one pass:
     log log N_n > log p_n - 0.123/log p_n and
     f(N_n) < -0.698 log p_n + 0.220/log p_n.
@@ -236,7 +236,8 @@ def check_primorial_bounds(last: int, first: int | None = None
         m += llgn
         m -= f
         worst_m2 = _lower(worst_m2, m, c_first + start)
-    return tuple(BoundCheckResult(name, first, last, margin > 0, margin, witness)
+    return tuple(Decision(name, first, last, margin > 0, worst_margin=margin,
+                          witness=witness)
                  for name, (margin, witness) in (("loglogN_lower", worst_m1),
                                                  ("f_primorial_upper", worst_m2)))
 

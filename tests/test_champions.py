@@ -9,7 +9,7 @@ import pytest
 import psirh
 from psirh import champions, criteria, prime_engine
 from psirh.arith import psi_table, sigma_table
-from psirh.champions import Proposition, first_primes, read_bfile
+from psirh.champions import first_primes, read_bfile
 from psirh.cli import OEIS_S_LIMIT
 from psirh.criteria import CriterionKind
 from psirh.errors import BFileParseError, ResourceLimitError
@@ -218,7 +218,8 @@ class TestPsiMultipleIdentity:
         chk = psirh.psi_multiple_identity_check(8)
         assert chk.failures == ()
         assert chk.cases_checked > 0
-        assert chk.proposition is Proposition.PSI_MULTIPLE_IDENTITY
+        assert (chk.claim, chk.first, chk.last, chk.passed) == \
+            ("psi_multiple_identity", 1, 8, True)
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
@@ -306,15 +307,15 @@ class TestDecisionPath:
         for limit in [*range(2, 3001), 10**4]:
             walked = prop2_walk(limit)
             assert walked == prop2_reference(limit), limit
-            assert psirh.verify_prop2(limit) == champions.PropositionCheck(
-                Proposition.PROP2, limit, walked[0], ()), limit
+            assert psirh.verify_prop2(limit) == psirh.Decision(
+                "prop2", 2, limit - 1, True, walked[0]), limit
 
     def test_prop1_matches_the_walk(self):
         for limit in [*range(2, 3001), 10**4, 10**6]:
             cases, failures = prop1_walk(limit)
             assert failures == ()
-            assert psirh.verify_prop1(limit) == champions.PropositionCheck(
-                Proposition.PROP1, limit, cases, ()), limit
+            assert psirh.verify_prop1(limit) == psirh.Decision(
+                "prop1", 2, limit - 1, True, cases), limit
 
     def test_prop2_every_m_a_candidate(self, every_m_a_candidate):
         cases, failures = prop2_walk(2000)

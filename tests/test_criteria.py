@@ -13,7 +13,7 @@ import pytest
 
 import psirh
 import psirh.cli
-from psirh import champions, criteria
+from psirh import champions, criteria, prime_engine
 from psirh.arith import dedekind_psi, multiplicative_range, sigma
 from psirh.criteria import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, CriterionKind,
                             check_sigma_upper_bound, scan_exceptions)
@@ -405,16 +405,17 @@ class TestRecordWindows:
         assert walked == list(range(2, hi))
 
 
-class TestSigmaUpperBound:
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        """The (lo, hi) of each head chunk whose ratios are computed."""
-        spans = []
-        fn = criteria._chunk_ratios
-        monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
-                            spans.append((lo, hi)) or fn(lo, hi, k))
-        return spans
+@pytest.fixture
+def computed(monkeypatch):
+    """The (lo, hi) of each sigma head chunk whose ratios are computed."""
+    spans = []
+    fn = criteria._chunk_ratios
+    monkeypatch.setattr(criteria, "_chunk_ratios", lambda lo, hi, k:
+                        spans.append((lo, hi)) or fn(lo, hi, k))
+    return spans
 
+
+class TestSigmaUpperBound:
     def test_empty_head_computes_no_chunk(self, computed):
         # at the default c, n0 = 7 and 12 is superabundant: the head
         # [12, 12) is empty and the superabundant numbers decide the range
@@ -513,66 +514,67 @@ class TestSigmaUpperBound:
             check_sigma_upper_bound(3, 100, c=c)
 
 
-def walk(fn=criteria._chunk_values, lo=2, hi=1000):
-    """A range walk as its callers run it: (c_lo, the chunk's values), the
-    chunks cut from lo in steps of DEFAULT_CHUNK, each computed in the
-    caller's thread when it is reached."""
-    step = criteria.DEFAULT_CHUNK
-    for c_lo in range(lo, hi, step):
-        yield c_lo, fn(c_lo, min(c_lo + step, hi), CriterionKind.DEDEKIND_F)
-
-
 class TestChunkPipeline:
-    """A range walk runs in its caller's thread, whatever the worker count:
-    it starts no worker, and a kernel's error reaches the caller as it is."""
+    """The sigma head, the one range walk left, computes each chunk in its
+    caller's thread, whatever the worker count: it starts no thread, and a
+    kernel's error reaches the caller as it is.  The prime stream, which
+    sieves ahead on pool threads, stops them all when closed mid-walk."""
 
     @pytest.fixture(autouse=True)
     def chunks_of_7(self, monkeypatch):
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
 
     def test_close_mid_walk_stops_every_worker(self, set_workers):
-        set_workers(2)
+        # 300,000 primes end in the third of three segments: with three
+        # workers the first read finds the other two sieving ahead
+        set_workers(3)
         before = threading.active_count()
-        chunks = walk()
-        assert [next(chunks)[0], next(chunks)[0]] == [2, 9]
-        assert threading.active_count() == before
-        chunks.close()
+        stream = prime_engine.iter_prime_chunks(300_000)
+        assert int(next(stream)[0]) == 2
+        assert threading.active_count() > before
+        stream.close()
         assert threading.active_count() == before
 
-    def test_worker_error_keeps_its_type(self, set_workers):
+    def test_worker_error_keeps_its_type(self, monkeypatch, set_workers):
+        # at c = 50 the head is all of [3, 1000), and its chunks are walked
+        # from the top, where B is least: the third one computed raises
         set_workers(2)
 
         class Boom(Exception):
             pass
 
-        callers = set()
+        fn = criteria._chunk_ratios
+        callers, seen = set(), []
 
-        def fn(lo, hi, kind):
+        def ratios(lo, hi, kind):
             callers.add(threading.get_ident())
-            if lo >= 100:
+            if len(seen) == 2:
                 raise Boom(lo)
-            return np.zeros(hi - lo)
+            seen.append(lo)
+            return fn(lo, hi, kind)
 
+        monkeypatch.setattr(criteria, "_chunk_ratios", ratios)
         before = threading.active_count()
-        seen = []
-        with pytest.raises(Boom):
-            for c_lo, _ in walk(fn):
-                seen.append(c_lo)
-        assert seen == list(range(2, 100, 7))
+        with pytest.raises(Boom, match="^983$"):
+            check_sigma_upper_bound(3, 1000, 50.0)
+        assert seen == [997, 990]
         assert callers == {threading.get_ident()}
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9), (2, 1000),
                                              (3, 1000)])
     def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
-                                          workers, hi):
+                                          computed, workers, hi):
         set_workers(workers)
 
         def refuse(self):
             raise AssertionError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert [c for c, _ in walk(hi=hi)] == list(range(2, hi, 7))
+        assert check_sigma_upper_bound(3, hi, 50.0).passed
+        # [3, 9) is one chunk; to 1000 the walk stops after 24 of 142
+        assert [lo for lo, _ in computed] == (
+            [3] if hi == 9 else list(range(997, 835, -7)))
 
 
 def same_bits(a, b):

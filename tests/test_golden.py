@@ -67,8 +67,20 @@ GOLDEN = {
     "superabundant": (["superabundant", "--limit", "100000"],
         0, "0efe44e17f02e70ee7f4653c26b47a31f247e202234b69a8eeff32825113ece8",
         ""),
+    "superabundant json": (["--format", "json", "superabundant", "--limit", "100000"],
+        0, "fc75afade93c19adfdc774f0ea90107a80b2f8acbd2c0c023478ee20410ed035",
+        ""),
+    "superabundant md": (["--format", "md", "superabundant", "--limit", "100000"],
+        0, "7b39d6ceda7a182a8c283b0a274c6645d525e265f2ccd56b92cc63e4a98cecb2",
+        ""),
     "props": (["props"],
         0, "01f3d4b03b5a2d3163d6f9639c19e14ecb5d57680d5d59326c70a90b2dcf1cba",
+        ""),
+    "props json": (["--format", "json", "props"],
+        0, "8cb7111c846a51f832f687fd76449470253b51a26a867eabcea95c21f70d3661",
+        ""),
+    "props md": (["--format", "md", "props"],
+        0, "7a30b9f5c97e921f936f28649a6078988e6231ed7a9fafd2399498c7ad572720",
         ""),
     "table2": (["table2"],
         0, "7cc43557fa8a1a27b946f7e7dfa65d54c2f25c823fc314ae791e93769794eef2",
@@ -81,6 +93,12 @@ GOLDEN = {
         "psirh: domain error: mertens ratio defined for n >= 2\n"),
     "bounds": (["bounds", "--hi", "3000", "--sigma-hi", "10000"],
         0, "86493965eaedc49ca1ef9817ef13ca1fd28361e27771aaae796ad087c16bdc22",
+        ""),
+    "bounds json": (["--format", "json", "bounds", "--hi", "3000", "--sigma-hi", "10000"],
+        0, "8f81b39f9dee4dd5fb7a8229356bc43d54406808080818149772046a6f161ce9",
+        ""),
+    "bounds md": (["--format", "md", "bounds", "--hi", "3000", "--sigma-hi", "10000"],
+        0, "6fe92ecccb9761657ae38526c771b8aa3e9d3770d2d1e58c826a9d2bf0741c96",
         ""),
     "bounds below 20000": (["bounds", "--lo", "100"],
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -102,6 +120,16 @@ GOLDEN = {
         3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "psirh: resource limit: n_max=10500001 exceeds configured index "
         "ceiling 10500000\n"),
+    # the sigma bound's argument errors, each before the primorial range's
+    "bounds sigma empty": (["bounds", "--sigma-hi", "3"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: empty range: hi=3 <= lo=3\n"),
+    "bounds c inf below 20000": (["bounds", "--lo", "100", "--c", "inf"],
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: domain error: c must be finite, got inf\n"),
+    "bounds both ceilings": (["bounds", "--hi", "10500001", "--sigma-hi", "100000001"],
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "psirh: resource limit: hi=100000001 exceeds scan ceiling 100000000\n"),
     "oeis S late": (["oeis-check", "--bfile", "late.txt", "--sequence", "A060735", "--count", "1"],
         0, "da25159fdd9efb9a43916bde6824b961e755a914153db19792e3570e137ee02f",
         ""),

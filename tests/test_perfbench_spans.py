@@ -39,3 +39,19 @@ def test_scan_float_pass_is_a_prefilter_span():
         "          for s in rec.spans),\n"
         "      sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
     assert out.split() == ["5581", "0"]
+
+
+def test_record_scan_and_props_attrs():
+    # spans reads len(r.records) of generate_superabundant and
+    # r.cases_checked of each prop check: the 15 superabundant numbers to
+    # 10^3, and the cases of props at these limits
+    out = run_with_spans(
+        "from psirh import champions\n"
+        "champions.generate_superabundant(10**3)\n"
+        "champions.verify_prop1(10**6)\n"
+        "champions.verify_prop2(10**4)\n"
+        "champions.psi_multiple_identity_check(6)\n"
+        "print([s[4] for s in rec.spans\n"
+        "       if s[0] in ('champions.record_scan', 'champions.props')])")
+    assert out == ("[{'records': 15}, {'cases': 44}, {'cases': 8969}, "
+                   "{'cases': 50}]\n")

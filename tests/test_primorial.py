@@ -1,9 +1,12 @@
 import math
+import os
 import random
 import struct
-import threading
+import subprocess
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 import psirh
 from psirh import prime_engine, primorial
 from psirh.champions import first_primes
-from psirh.criteria import CONSTANTS, BoundCheckResult
+from psirh.criteria import CONSTANTS, Decision
 from psirh.errors import CacheParseError, DomainError, ResourceLimitError
 from psirh.primorial import (f_bound_rhs, f_bound_slope_from_constants,
                              round_half_even)
@@ -82,11 +85,11 @@ class TestFullScanGoldenBits:
 
     def test_bound_results(self, bounds_result):
         assert bounds_result == (
-            BoundCheckResult(
-                bound="loglogN_lower", first=2263, last=10000001, passed=True,
+            Decision(
+                claim="loglogN_lower", first=2263, last=10000001, passed=True,
                 worst_margin=0.0015700270492207125, witness=2347),
-            BoundCheckResult(
-                bound="f_primorial_upper", first=2263, last=10000001,
+            Decision(
+                claim="f_primorial_upper", first=2263, last=10000001,
                 passed=True, worst_margin=0.0015466132614552208, witness=2347))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -398,13 +401,26 @@ class TestBounds:
         with pytest.raises(AssertionError, match="the pass started"):
             psirh.check_primorial_bounds(10**7, first=2263)
 
-    def test_threshold_guard_leaves_no_worker(self, set_workers):
-        # the guard fires before the pass, so no segment is sieved ahead
-        set_workers(2)
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="p_5 = 11"):
-            psirh.check_primorial_bounds(10**6, first=5)
-        assert threading.active_count() == before
+    def test_threshold_guard_leaves_no_worker(self):
+        # through the command, in a fresh process with two workers: the
+        # guard fails before the pass, so no segment is sieved ahead, no
+        # thread starts and none is alive at exit
+        code = (
+            "import threading\n"
+            "from psirh import cli, prime_engine\n"
+            "prime_engine.WORKERS = 2\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda t: started.append(t) or start(t)\n"
+            "code = cli.main(['bounds', '--lo', '5', '--hi', '1000000',\n"
+            "                 '--sigma-hi', '100'])\n"
+            "print(code, len(started), threading.active_count())\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(psirh.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.stdout, proc.stderr) == (
+            "2 0 1\n", "psirh: domain error: bound is only claimed for "
+            "p_n >= 20000; p_5 = 11\n")
 
     def test_default_first_is_first_prime_above_20000(self):
         assert psirh.nth_prime(2262) < 20000 <= psirh.nth_prime(2263)

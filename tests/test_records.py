@@ -4,12 +4,13 @@ immutability, as the dataclasses they replace had them."""
 import pytest
 
 from psirh import arith, champions, criteria, prime_engine, primorial, report
-from psirh.constants import CONSTANTS, BoundCheckResult, Constants
+from psirh.constants import CONSTANTS, Constants, Decision
 
 # (record, its fields in order); every record is frozen
 RECORDS = [
     (Constants, "gamma e_gamma zeta2 e_gamma_over_zeta2"),
-    (BoundCheckResult, "bound first last passed worst_margin witness"),
+    (Decision, "claim first last passed cases_checked worst_margin witness "
+               "failures"),
     (prime_engine.ThetaPoint, "index prime theta_hi theta_lo"),
     (primorial.PrimorialStats, "index prime theta_hi theta_lo "
                                "psi_ratio_log_hi psi_ratio_log_lo"),
@@ -22,7 +23,6 @@ RECORDS = [
     (champions.ChampionNumber, "primorial_index multiplier value "
                                "psi_ratio_log"),
     (champions.RecordScanResult, "records limit"),
-    (champions.PropositionCheck, "proposition limit cases_checked failures"),
 ]
 
 
@@ -68,6 +68,11 @@ def test_defaults():
     assert second.footer == {}
     with pytest.raises(TypeError, match="'command'"):
         report.RenderedReport()
+    # a decision has no case count, margin, witness or failure by default
+    assert Decision("prop1", 2, 9, True) == Decision(
+        "prop1", 2, 9, True, None, None, None, ())
+    with pytest.raises(TypeError, match="'passed'"):
+        Decision("prop1", 2, 9)
 
 
 def test_subclass_compares_by_class():

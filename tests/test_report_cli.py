@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import psirh
-from psirh import prime_engine, primorial, report
+from psirh import champions, prime_engine, primorial, report
 from psirh.cli import build_parser, main
 from psirh.constants import CONSTANTS
 
@@ -245,6 +245,27 @@ class TestOtherCommands:
         assert code == 0
         rows = parse_csv(out)
         assert all(int(r["failures"]) == 0 for r in rows)
+
+    def test_bounds_fail_on_exception(self, capsys):
+        # c = 0.6482, as the paper prints it, fails at n = 12
+        argv = ("bounds", "--hi", "3000", "--sigma-hi", "100", "--c", "0.6482")
+        code, out, _ = run_cli(capsys, "--fail-on-exception", *argv)
+        assert code == 1
+        assert "sigma_upper,3,99,false,-1.4995490614737348e-05,12" in \
+            out.splitlines()
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_props_fail_on_exception(self, capsys, monkeypatch):
+        # psi(12) one too large breaks the identity at N_2 = 6, l = 2
+        psi = champions.dedekind_psi
+        monkeypatch.setattr(champions, "dedekind_psi",
+                            lambda n: psi(n) + (n == 12))
+        code, out, _ = run_cli(capsys, "--fail-on-exception", "props",
+                               "--limit", "10000", "--prop2-limit", "1000",
+                               "--identity-kmax", "6")
+        assert code == 1
+        assert {r["proposition"]: r["failures"] for r in parse_csv(out)} == \
+            {"prop1": "0", "prop2": "0", "psi_multiple_identity": "1"}
 
     def test_mertens(self, capsys):
         code, out, _ = run_cli(capsys, "mertens", "--indices", "10,100")
@@ -751,13 +772,13 @@ class TestStartUp:
 
 # every name psirh re-exported when its __init__ imported each submodule,
 # less mertens_ratio, now only the PrimorialStats property, and ThetaCache,
-# now a plain {index: ThetaPoint} dict
+# now a plain {index: ThetaPoint} dict, with Decision for BoundCheckResult
 OLD_EXPORTS = {
     "arith": "dedekind_psi factorize is_squarefree num_divisors sigma",
     "champions": "generate_s_sequence generate_superabundant "
                  "psi_multiple_identity_check read_bfile verify_prop1 "
                  "verify_prop2",
-    "criteria": "CONSTANTS BoundCheckResult CriterionKind "
+    "criteria": "CONSTANTS Decision CriterionKind "
                 "check_sigma_upper_bound dedekind_f robin_g scan_exceptions",
     "errors": "BFileParseError CacheParseError CacheVersionError DomainError "
               "ResourceLimitError",
