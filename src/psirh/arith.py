@@ -6,17 +6,20 @@ range come from one segmented sieve kernel (multiplicative_range) that
 returns exact int64 psi or sigma below 2^53: each n starts from a cached
 periodic pattern of 2^4, 3^2, 5, 7 and 11, one loop per prime power
 multiplies the others in by strided slices, and the one prime left over is
-found by dividing n by the smooth part.  Single queries use trial
-division by the primes below 2^27, those below 256 as Python ints and the
-rest vectorized, with one deterministic Miller-Rabin proof per cofactor,
-so every n < 2^54 factors completely; psi, sigma, d and squarefreeness
-share the last two factorizations, so a query for f(n) and g(n) factors n
-once.  The vectorized blocks and the kernel read their primes from
-prime_engine's one grown list, the first block from its stdlib sieve
-first_primes.  numpy is imported by the functions that make (unannotated)
-arrays, so a command that builds no table and whose every n factors by
-the first block (a cofactor then below 2^16 or proven prime), such as a
-scan or props, runs without it.
+found by dividing n by the smooth part.  A scan's prefix, at most 5,581
+n, takes exact Python ints from a stdlib smallest-prime-factor sieve
+(multiplicative_ints) instead, with neither numpy nor a factorization
+per n.  Single queries use trial division by the primes below 2^27, those
+below 256 as Python ints and the rest vectorized, with one deterministic
+Miller-Rabin proof per cofactor, so every n < 2^54 factors completely;
+psi, sigma, d and squarefreeness share the last two factorizations, so a
+query for f(n) and g(n) factors n once.  The vectorized blocks and the
+kernel read their primes from prime_engine's one grown list, the first
+block from its stdlib sieve first_primes.  numpy is imported by the
+functions that make (unannotated) arrays, so a command that builds no
+table and whose every n factors by the first block (a cofactor then below
+2^16 or proven prime), such as a scan, whose candidates are below 5583,
+or props, runs without it.
 """
 
 from __future__ import annotations
@@ -178,6 +181,35 @@ def num_divisors(n: int) -> int:
 
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n).factors)
+
+
+def multiplicative_ints(lo: int, hi: int, want_sigma: bool) -> list[int]:
+    """Exact psi(n), or sigma(n) when want_sigma, for 1 <= lo <= n < hi as
+    Python ints, from a smallest-prime-factor table of [0, hi) in a list:
+    no numpy and no trial division.
+
+    Each d from isqrt(hi - 1) down to 2 strikes d^2, d^2 + d, ..., so the
+    last write to a composite n is its least divisor d > 1, a prime, and
+    an n never struck is 1 or prime.  Then n = p^k m, p = spf(n) not
+    dividing m, has the value of p^k times that of m < n, found before it.
+    Time and memory grow with hi, not hi - lo: its caller, a scan's
+    prefix, ends at 5583 at most.
+    """
+    if lo < 1 or hi <= lo:
+        raise DomainError(f"need 1 <= lo < hi, got lo={lo} hi={hi}")
+    spf = list(range(hi))
+    for d in range(math.isqrt(hi - 1), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, hi, d))
+    values = [0, 1] + [0] * (hi - 2)
+    for n in range(2, hi):
+        p = spf[n]
+        m, pk = n // p, p
+        while m % p == 0:
+            m //= p
+            pk *= p
+        values[n] = values[m] * ((pk * p - 1) // (p - 1) if want_sigma
+                                 else pk + pk // p)
+    return values[lo:]
 
 
 # The kernel starts every n from its pattern part: the part of n made of the

@@ -31,8 +31,9 @@ from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/span
 
 # The ceilings are budgets, measured at the ceiling (the whole command, on a
 # 2-core Xeon with 7 GB, 3 fresh runs each).  No command here loads numpy:
-# a scan factors the n of [2, X) and props the l N_k of its identity check
-# by the primes below 256 in Python ints.
+# a scan sieves the n of [2, X) in the stdlib and factors its candidates,
+# and props the l N_k of its identity check, by the primes below 256 in
+# Python ints.
 SUPERABUNDANT_CEILING = 10**30  # 1.2-1.4 s, 151 MB: 191 of 726,662 HR n;
 #                      as scan g's hi - 1 (ratio_records), 1.3-1.5 s, 151 MB
 S_SEQUENCE_CEILING = 10**300  # 0.25-0.36 s, 57 MB: 41,712 terms, 9 MB CSV;

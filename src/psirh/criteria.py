@@ -24,9 +24,12 @@ at least B at the clamp of B's minimum into [a, b - 1], less the ratio of
 the last superabundant number <= b - 1: chunks are walked in the order of
 that bound, and only until it clears the least margin found.
 
-The scans use the same records (N_k for psi, superabundant for sigma): a
-scan decides n by n, through _criterion, only the prefix [lo, X) they
-leave open (X = 47 for f, 5583 for g), and they settle everything past X.
+The scans use the same records (N_k for psi, superabundant for sigma):
+they settle everything past X and leave open only the prefix [lo, X)
+(X = 47 for f, 5583 for g).  Its numerators come from one stdlib sieve
+(arith.multiplicative_ints), its float values from _criterion's own
+expression (_float_value), and _criterion decides only the candidates,
+the n whose value is at least -ESCALATION_BAND: 10 for f and 27 for g.
 numpy is imported by the functions that make (unannotated) arrays, which
 only the sigma bound calls, so a scan runs without it: factorize tries
 the primes below 256 in Python ints, which factor every n below 2^16.
@@ -38,7 +41,8 @@ import enum
 import functools
 import math
 
-from .arith import dedekind_psi, multiplicative_range, sigma
+from .arith import (dedekind_psi, multiplicative_ints, multiplicative_range,
+                    sigma)
 from .constants import CONSTANTS, DEFAULT_SIGMA_BOUND_C, Decision, Record
 from .errors import DomainError, ResourceLimitError
 from .prime_engine import _simple_sieve  # noqa: F401 (wrapped by perfbench/spans.py)
@@ -61,8 +65,8 @@ _CANDIDATE_BAND = 1e-6
 # the 382 chunks of [3, 10^8): --c 1e6 one, 0.28 s in 34 MB, --c 50 102 of
 # them, 1.2-1.7 s in 41 MB.
 SCAN_CEILING = 10**8
-# The sigma head, the one range walk left (a scan decides its prefix n by
-# n), holds one chunk at a time, in its caller's thread.  At --c 50, 2^17
+# The sigma head, the one range walk left (a scan sieves its prefix in one
+# call), holds one chunk at a time, in its caller's thread.  At --c 50, 2^17
 # chunks took 1.4-2.0 s in 36 MB and 2^19 1.1-1.5 s in 49 MB.
 DEFAULT_CHUNK = 1 << 18
 
@@ -163,13 +167,18 @@ def _decided_value(n: int, numer: int, c: float = 0.0) -> float:
         dps *= 2
 
 
+def _float_value(n: int, numer: int) -> tuple[float, float, float]:
+    """(numer/n, threshold(n), their difference), each rounded once: the
+    one float criterion value, of _criterion and of a scan's prefix."""
+    ratio, thr = numer / n, threshold(n)
+    return ratio, thr, ratio - thr
+
+
 def _criterion(n: int, kind: CriterionKind) -> CriterionValue:
     if n <= 1:
         raise DomainError(f"log log n undefined for n={n}")
     numer = (sigma if kind is CriterionKind.ROBIN_G else dedekind_psi)(n)
-    ratio = numer / n
-    thr = threshold(n)
-    value = ratio - thr
+    ratio, thr, value = _float_value(n, numer)
     escalated = abs(value) < ESCALATION_BAND
     if escalated:
         value = _decided_value(n, numer)
@@ -241,9 +250,13 @@ def _loglog_root(level: float) -> float:
 
 
 def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
-    """All n in [lo, hi) with criterion value >= 0, each n of the prefix
-    [lo, X) the ratio records leave open decided by _criterion, the one
-    exact decision path, up to the records' ceilings.
+    """All n in [lo, hi) with criterion value >= 0, up to the records'
+    ceilings.  The ratio records leave open only the prefix [lo, X).  Its
+    numerators come from one call to arith.multiplicative_ints and each
+    float value from _float_value, as in _criterion.  _criterion, the one
+    exact decision path, then decides each n whose value is at least
+    -ESCALATION_BAND; a lower value is neither escalated nor reported
+    there, so the report is _criterion's at every n of the prefix.
 
     Lemma.  For n <= x, ratio(n) <= ratio(s), s the last strict ratio
     record <= x: the largest ratio on [1, x] is first reached at a record.
@@ -262,8 +275,9 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
     an n is below -_CANDIDATE_BAND: none would be escalated, and the report
     is that of _criterion at every n of [lo, hi).  The least margin at a
     record past 10^6, 1.36 for f and 0.141 for g, is far above the slack.
-    X is 47 for f and 5583 for g at every hi past them, so a scan decides
-    at most 5,581 n, each factored in Python ints (arith.factorize).
+    X is 47 for f and 5583 for g at every hi past them, so a scan sieves
+    at most 5,581 n and decides the 10 or 27 candidates among them, each
+    factored in Python ints (arith.factorize).
     """
     if lo < 2 or hi <= lo:
         raise DomainError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
@@ -275,18 +289,19 @@ def scan_exceptions(kind: CriterionKind, lo: int, hi: int) -> ExceptionReport:
                            / CONSTANTS.e_gamma)
         if x_r > r:
             x_end = math.ceil(min(nxt, x_r))
-    found = []
-    escalations = 0
-    for n in range(lo, x_end):
-        cv = _criterion(n, kind)
-        escalations += cv.precision_escalated
-        if cv.value >= 0:
-            found.append(cv)
+    candidates = []
+    if x_end > lo:
+        numers = multiplicative_ints(lo, x_end, kind is CriterionKind.ROBIN_G)
+        candidates = [n for n, numer in zip(range(lo, x_end), numers)
+                      if _float_value(n, numer)[2] >= -ESCALATION_BAND]
+    decided = [_criterion(n, kind) for n in candidates]
+    found = tuple(cv for cv in decided if cv.value >= 0)
     exceptions = tuple(cv.n for cv in found)
     return ExceptionReport(kind=kind, lo=lo, hi=hi, exceptions=exceptions,
-                           values=tuple(found),
+                           values=found,
                            largest=max(exceptions, default=None),
-                           escalations=escalations)
+                           escalations=sum(cv.precision_escalated
+                                           for cv in decided))
 
 
 def check_sigma_upper_bound(lo: int, hi: int, c: float = DEFAULT_SIGMA_BOUND_C

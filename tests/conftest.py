@@ -3,7 +3,7 @@ import time
 import pytest
 
 import psirh
-from psirh import arith, champions, prime_engine
+from psirh import arith, champions, criteria, prime_engine
 
 TABLE1_INDICES = (10, 10**3, 10**5, 10**7)
 DECADES = tuple(10**k for k in range(1, 8))
@@ -43,6 +43,17 @@ def set_workers(monkeypatch):
     def set_(workers):
         monkeypatch.setattr(prime_engine, "WORKERS", workers)
     return set_
+
+
+@pytest.fixture
+def sieved(monkeypatch):
+    """The (lo, hi) of each call a scan makes to arith's stdlib sieve, as
+    criteria looks it up, filled in as the calls run."""
+    calls = []
+    fn = criteria.multiplicative_ints
+    monkeypatch.setattr(criteria, "multiplicative_ints", lambda lo, hi, s:
+                        calls.append((lo, hi)) or fn(lo, hi, s))
+    return calls
 
 
 @pytest.fixture

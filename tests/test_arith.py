@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import psirh
 from oracles import pattern_reference, sieve_reference
 from psirh import arith, prime_engine
-from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_range,
-                         psi_table, sigma_table)
+from psirh.arith import (_MR_BASES, _MR_PSI, _is_prime, multiplicative_ints,
+                         multiplicative_range, psi_table, sigma_table)
 from psirh.champions import first_primes
 from psirh.errors import DomainError, ResourceLimitError
 from psirh.prime_engine import _simple_sieve, iter_prime_chunks
@@ -402,6 +402,45 @@ class TestKernel:
             assert np.array_equal(np.concatenate(parts), whole)
             for n in sample:
                 assert whole[n - lo] == fn(n)
+
+
+class TestStdlibSieve:
+    """multiplicative_ints, the stdlib sieve behind a scan's prefix, against
+    the pointwise functions and the numpy kernel at every n < 2^16, and on
+    sub-ranges ending at q^2 for each prime q < 2^8, where the last base
+    prime must strike n = q^2."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["psi", "sigma"])
+    def want(self, request):
+        want_sigma = request.param
+        fn = psirh.sigma if want_sigma else psirh.dedekind_psi
+        values = [fn(n) for n in range(1, 1 << 16)]
+        assert values == multiplicative_range(1, 1 << 16, want_sigma).tolist()
+        return want_sigma, values
+
+    def test_every_n_below_2_16(self, want):
+        want_sigma, values = want
+        got = multiplicative_ints(1, 1 << 16, want_sigma)
+        assert all(type(v) is int for v in got)
+        assert got == values
+
+    def test_sub_ranges(self, want):
+        want_sigma, values = want
+        rng = random.Random(37)
+        for q in first_primes(54):
+            hi = q * q + 1
+            for lo in (rng.randrange(1, hi), q * q):
+                assert multiplicative_ints(lo, hi, want_sigma) \
+                    == values[lo - 1:hi - 1], (lo, hi)
+        for _ in range(10):
+            lo, hi = sorted(rng.sample(range(1, 1 << 16), 2))
+            assert multiplicative_ints(lo, hi, want_sigma) \
+                == values[lo - 1:hi - 1], (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (-3, 5), (5, 5), (6, 5)])
+    def test_range_validation(self, lo, hi):
+        with pytest.raises(DomainError):
+            multiplicative_ints(lo, hi, True)
 
 
 def reference_range(lo, hi, want_sigma):

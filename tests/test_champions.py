@@ -458,8 +458,8 @@ class TestChunkDriver:
         criteria.check_sigma_upper_bound(3, DRIVER_LIMIT, 1e6)
         last = 3 + (DRIVER_LIMIT - 4) // chunk_size * chunk_size
         assert spans == [(last, DRIVER_LIMIT)]
-        # a scan decides its prefix n by n, and the record sequences are
-        # built by structure: none walks a range
+        # a scan sieves its prefix in the stdlib, and the record sequences
+        # are built by structure: none walks a range
         for caller in (
                 lambda limit: criteria.scan_exceptions(CriterionKind.ROBIN_G,
                                                        2, limit),
@@ -483,24 +483,21 @@ class TestChunkDriver:
         assert any(lo <= witness < hi for lo, hi in spans)
 
     @pytest.mark.parametrize("kind", CriterionKind)
-    def test_scans_walk_only_the_open_chunks(self, monkeypatch, kind,
+    def test_scans_walk_only_the_open_chunks(self, sieved, kind,
                                              shared_superabundant):
-        walked = []
-        decide = criteria._criterion
-        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
-                            walked.append(n) or decide(n, k))
         # the record windows leave open only the windows' span, [2, 47) for
         # f and [2, 5583) for g, at 10^8 and at the records' ceiling, and no
-        # n of [10^7, 1.5 * 10^7) or of [10^20, 10^20 + 10)
+        # n of [10^7, 1.5 * 10^7) or of [10^20, 10^20 + 10): the sieve is
+        # called for that span alone
         end = {CriterionKind.DEDEKIND_F: 47, CriterionKind.ROBIN_G: 5583}[kind]
         for hi in (10**8, RECORD_CEILING[kind]):
-            walked.clear()
+            sieved.clear()
             criteria.scan_exceptions(kind, 2, hi)
-            assert walked == list(range(2, end))
+            assert sieved == [(2, end)]
         for lo, hi in ((10**7, 15 * 10**6), (10**20, 10**20 + 10)):
-            walked.clear()
+            sieved.clear()
             assert criteria.scan_exceptions(kind, lo, hi).exceptions == ()
-            assert walked == []
+            assert sieved == []
 
     def test_exact_path_alone(self, every_n_a_record_candidate):
         check_record_scans(DRIVER_LIMIT)

@@ -13,7 +13,7 @@ import pytest
 
 import psirh
 import psirh.cli
-from psirh import champions, criteria, prime_engine
+from psirh import champions, criteria
 from psirh.arith import dedekind_psi, multiplicative_range, sigma
 from psirh.criteria import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, CriterionKind,
                             check_sigma_upper_bound, scan_exceptions)
@@ -244,6 +244,28 @@ class TestScanExceptions:
         a = scan_exceptions(CriterionKind.ROBIN_G, 2, 10**4)
         assert set(b.exceptions) <= set(a.exceptions)
 
+    @pytest.mark.parametrize("band", [1e-9, 0.05, 0.5])
+    @pytest.mark.parametrize("kind, end", [(CriterionKind.DEDEKIND_F, 47),
+                                           (CriterionKind.ROBIN_G, 5583)])
+    def test_candidates_give_the_n_by_n_report(self, monkeypatch, kind, end,
+                                               band):
+        # whatever the escalation band, _criterion decides just the n of
+        # the prefix [2, end) it would escalate or report, and the report
+        # is the one deciding every n of it gives
+        monkeypatch.setattr(criteria, "ESCALATION_BAND", band)
+        every = [criteria._criterion(n, kind) for n in range(2, end)]
+        decided = []
+        decide = criteria._criterion
+        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
+                            decided.append(n) or decide(n, k))
+        rep = scan_exceptions(kind, 2, 10**4)
+        assert decided == [cv.n for cv in every
+                           if cv.precision_escalated or cv.value >= 0]
+        assert (rep.values, rep.escalations) == (
+            tuple(cv for cv in every if cv.value >= 0),
+            sum(cv.precision_escalated for cv in every))
+        assert rep.escalations > 0 if band > 1e-9 else rep.escalations == 0
+
     def test_chunk_size_invariance(self, monkeypatch):
         reps = []
         for cs in (64, 999, 10**4, 1 << 20):
@@ -281,21 +303,20 @@ class TestSkipRule:
     n give, each candidate decided by _criterion."""
 
     @staticmethod
-    def check(monkeypatch, kind, lo, hi, size):
+    def check(monkeypatch, sieved, kind, lo, hi, size):
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", size)
-        walked = []
-        decide = criteria._criterion
-        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
-                            walked.append(n) or decide(n, k))
         rep = scan_exceptions(kind, lo, hi)
-        # one run of consecutive n from lo, whatever the chunk size
+        # one run of consecutive n from lo, from one sieve call at most,
+        # whatever the chunk size
+        assert len(sieved) <= 1
+        walked = [n for a, b in sieved for n in range(a, b)]
         assert walked == list(range(lo, lo + len(walked)))
         skipped = np.ones(hi - lo, dtype=bool)
         skipped[:len(walked)] = False
         assert skipped.any()
         values = range_values(kind, lo, hi)
         assert values[skipped].max() <= -criteria._CANDIDATE_BAND
-        found = [decide(lo + int(off), kind)
+        found = [criteria._criterion(lo + int(off), kind)
                  for off in np.nonzero(values > -criteria._CANDIDATE_BAND)[0]]
         assert (rep.values, rep.escalations) == (
             tuple(cv for cv in found if cv.value >= 0),
@@ -305,25 +326,26 @@ class TestSkipRule:
     @pytest.mark.parametrize("size", [64, 999, 1 << 16])
     @pytest.mark.parametrize("kind, largest", [
         (CriterionKind.DEDEKIND_F, 30), (CriterionKind.ROBIN_G, 5040)])
-    def test_skipped_chunks_are_clean(self, monkeypatch, kind, largest, size):
-        walked = self.check(monkeypatch, kind, 2, 2 * 10**6, size)
+    def test_skipped_chunks_are_clean(self, monkeypatch, sieved, kind, largest,
+                                      size):
+        walked = self.check(monkeypatch, sieved, kind, 2, 2 * 10**6, size)
         assert largest in walked
 
     @pytest.mark.parametrize("kind", CriterionKind)
-    def test_seeded_window_below_the_ceiling(self, monkeypatch, kind):
+    def test_seeded_window_below_the_ceiling(self, monkeypatch, sieved, kind):
         rng = np.random.default_rng(25)
         lo = int(rng.integers(10**7, 10**8 - 5 * 10**6))
-        self.check(monkeypatch, kind, lo, lo + 5 * 10**6, 1 << 18)
+        self.check(monkeypatch, sieved, kind, lo, lo + 5 * 10**6, 1 << 18)
 
 
 def walked_n(monkeypatch, kind, lo, hi):
-    """The n scan_exceptions(kind, lo, hi) decides, in order; each is given
-    the value -1, so no n is an exception."""
+    """The n whose numerators scan_exceptions(kind, lo, hi) takes from
+    arith's sieve, in order; each is given the numerator -n, whose value
+    -1 - threshold(n) is below -0.3, so no n is a candidate, and no table
+    is built."""
     walked = []
-    monkeypatch.setattr(criteria, "_criterion", lambda n, k: walked.append(n)
-                        or criteria.CriterionValue(
-                            n=n, kind=k, ratio=0.0, threshold=1.0,
-                            value=-1.0, precision_escalated=False))
+    monkeypatch.setattr(criteria, "multiplicative_ints", lambda a, b, s:
+                        walked.extend(range(a, b)) or [-n for n in range(a, b)])
     scan_exceptions(kind, lo, hi)
     return walked
 
@@ -394,15 +416,11 @@ class TestRecordWindows:
 
     @pytest.mark.parametrize("kind, hi, largest", [
         (CriterionKind.DEDEKIND_F, 40, 30), (CriterionKind.ROBIN_G, 5100, 5040)])
-    def test_the_walk_ends_at_hi_inside_the_last_window(self, monkeypatch,
-                                                        kind, hi, largest):
+    def test_the_walk_ends_at_hi_inside_the_last_window(self, sieved, kind,
+                                                        hi, largest):
         # hi lies inside the last window, [30, 47) for f, [5040, 5583) for g
-        walked = []
-        decide = criteria._criterion
-        monkeypatch.setattr(criteria, "_criterion", lambda n, k:
-                            walked.append(n) or decide(n, k))
         assert scan_exceptions(kind, 2, hi).largest == largest
-        assert walked == list(range(2, hi))
+        assert sieved == [(2, hi)]
 
 
 @pytest.fixture
@@ -516,28 +534,15 @@ class TestSigmaUpperBound:
 
 class TestChunkPipeline:
     """The sigma head, the one range walk left, computes each chunk in its
-    caller's thread, whatever the worker count: it starts no thread, and a
-    kernel's error reaches the caller as it is.  The prime stream, which
-    sieves ahead on pool threads, stops them all when closed mid-walk."""
-
-    @pytest.fixture(autouse=True)
-    def chunks_of_7(self, monkeypatch):
-        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
-
-    def test_close_mid_walk_stops_every_worker(self, set_workers):
-        # 300,000 primes end in the third of three segments: with three
-        # workers the first read finds the other two sieving ahead
-        set_workers(3)
-        before = threading.active_count()
-        stream = prime_engine.iter_prime_chunks(300_000)
-        assert int(next(stream)[0]) == 2
-        assert threading.active_count() > before
-        stream.close()
-        assert threading.active_count() == before
+    caller's thread, whatever the worker count: a kernel's error reaches
+    the caller as it is.  TestThreadBudget (test_prime_engine.py) checks
+    that it starts no thread."""
 
     def test_worker_error_keeps_its_type(self, monkeypatch, set_workers):
-        # at c = 50 the head is all of [3, 1000), and its chunks are walked
-        # from the top, where B is least: the third one computed raises
+        # at c = 50 the head is all of [3, 1000), in chunks of 7, and its
+        # chunks are walked from the top, where B is least: the third one
+        # computed raises
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
         set_workers(2)
 
         class Boom(Exception):
@@ -560,21 +565,6 @@ class TestChunkPipeline:
         assert seen == [997, 990]
         assert callers == {threading.get_ident()}
         assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9), (2, 1000),
-                                             (3, 1000)])
-    def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
-                                          computed, workers, hi):
-        set_workers(workers)
-
-        def refuse(self):
-            raise AssertionError("thread started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert check_sigma_upper_bound(3, hi, 50.0).passed
-        # [3, 9) is one chunk; to 1000 the walk stops after 24 of 142
-        assert [lo for lo, _ in computed] == (
-            [3] if hi == 9 else list(range(997, 835, -7)))
 
 
 def same_bits(a, b):

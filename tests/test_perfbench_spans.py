@@ -27,9 +27,10 @@ def test_span_install_resolves_every_layer():
 
 
 def test_scan_float_pass_is_a_prefilter_span():
-    # a scan decides each n of its prefix, [2, 5583) for g, through
-    # criteria._criterion: one criteria.criterion span per n, inside the
-    # scan's span, and no criteria.prefilter span
+    # a scan takes the numerators of its prefix, [2, 5583) for g, from one
+    # stdlib sieve call and decides through criteria._criterion only the
+    # 27 candidates, SET_A: one criteria.criterion span per candidate,
+    # inside the scan's span, and no criteria.prefilter span
     out = run_with_spans(
         "from psirh import criteria\n"
         "criteria.scan_exceptions(criteria.CriterionKind.ROBIN_G, 2, 10**4)\n"
@@ -38,7 +39,7 @@ def test_scan_float_pass_is_a_prefilter_span():
         "print(sum(s[0] == 'criteria.criterion' and s[3] == scan\n"
         "          for s in rec.spans),\n"
         "      sum(s[0] == 'criteria.prefilter' for s in rec.spans))")
-    assert out.split() == ["5581", "0"]
+    assert out.split() == ["27", "0"]
 
 
 def test_record_scan_and_props_attrs():

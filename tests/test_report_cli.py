@@ -692,9 +692,9 @@ class TestStartUp:
         assert code == 0
         assert strip_runtime(out) == strip_runtime(run_fresh(*argv)[1])
 
-    # a scan decides its prefix n by n, and props' identity check factors
-    # 43-smooth l N_k: every factorization ends at the primes below 256,
-    # tried in Python ints
+    # a scan sieves its prefix in the stdlib and factors its candidates,
+    # below 5583, and props' identity check factors 43-smooth l N_k: every
+    # factorization ends at the primes below 256, tried in Python ints
     @pytest.mark.parametrize("argv", [
         ["scan", "--criterion", "f", "--hi", str(10**7)],
         ["scan", "--criterion", "g", "--hi", str(10**7)],
