@@ -13,7 +13,7 @@ import pytest
 
 import psirh
 import psirh.cli
-from psirh import champions, criteria
+from psirh import champions, criteria, prime_engine
 from psirh.arith import dedekind_psi, multiplicative_range, sigma
 from psirh.criteria import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, CriterionKind,
                             check_sigma_upper_bound, scan_exceptions)
@@ -534,15 +534,28 @@ class TestSigmaUpperBound:
 
 class TestChunkPipeline:
     """The sigma head, the one range walk left, computes each chunk in its
-    caller's thread, whatever the worker count: a kernel's error reaches
-    the caller as it is.  TestThreadBudget (test_prime_engine.py) checks
-    that it starts no thread."""
+    caller's thread, whatever the worker count: it starts no thread, and a
+    kernel's error reaches the caller as it is.  The prime stream, which
+    sieves ahead on pool threads, stops them all when closed mid-walk."""
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_7(self, monkeypatch):
+        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
+
+    def test_close_mid_walk_stops_every_worker(self, set_workers):
+        # 300,000 primes end in the third of three segments: with three
+        # workers the first read finds the other two sieving ahead
+        set_workers(3)
+        before = threading.active_count()
+        stream = prime_engine.iter_prime_chunks(300_000)
+        assert int(next(stream)[0]) == 2
+        assert threading.active_count() > before
+        stream.close()
+        assert threading.active_count() == before
 
     def test_worker_error_keeps_its_type(self, monkeypatch, set_workers):
-        # at c = 50 the head is all of [3, 1000), in chunks of 7, and its
-        # chunks are walked from the top, where B is least: the third one
-        # computed raises
-        monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
+        # at c = 50 the head is all of [3, 1000), and its chunks are walked
+        # from the top, where B is least: the third one computed raises
         set_workers(2)
 
         class Boom(Exception):
@@ -565,6 +578,21 @@ class TestChunkPipeline:
         assert seen == [997, 990]
         assert callers == {threading.get_ident()}
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, hi", [(1, 1000), (2, 9), (2, 1000),
+                                             (3, 1000)])
+    def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
+                                          computed, workers, hi):
+        set_workers(workers)
+
+        def refuse(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert check_sigma_upper_bound(3, hi, 50.0).passed
+        # [3, 9) is one chunk; to 1000 the walk stops after 24 of 142
+        assert [lo for lo, _ in computed] == (
+            [3] if hi == 9 else list(range(997, 835, -7)))
 
 
 def same_bits(a, b):

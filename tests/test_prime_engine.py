@@ -256,19 +256,14 @@ class TestPrimeStreamPipeline:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_close_mid_stream_stops_every_worker(self, set_workers):
-        # (workers, stream length, reads before the close): 300,000 primes
-        # end in the third of three segments, so with three workers the
-        # first read finds the other two sieving ahead
-        for workers, n, reads in ((2, PRIMES_BELOW_2E7, 2), (3, 300_000, 1)):
-            set_workers(workers)
-            before = threading.active_count()
-            stream = iter_prime_chunks(n)
-            assert int(next(stream)[0]) == 2
-            for _ in range(reads - 1):
-                next(stream)
-            assert threading.active_count() > before
-            stream.close()
-            assert threading.active_count() == before
+        set_workers(2)
+        before = threading.active_count()
+        stream = iter_prime_chunks(PRIMES_BELOW_2E7)
+        next(stream)
+        next(stream)
+        assert threading.active_count() > before
+        stream.close()
+        assert threading.active_count() == before
 
     def test_nth_prime_leaves_no_worker(self, set_workers):
         # p_1e6 is in the last of its stream's 8 segments; the stream of
@@ -350,10 +345,8 @@ class TestThreadBudget:
         # p_300000 = 4256233 is in the last of 3 segments
         assert self.threads_started(iter_prime_chunks(300_000)) == threads
 
-    @pytest.mark.parametrize("workers, his", [
-        (1, (1000,)), (2, (9, 1000)), (3, (1000,))], ids=["1", "2", "3"])
-    def test_walk_starts_no_thread(self, set_workers, monkeypatch, workers,
-                                   his):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_walk_starts_no_thread(self, set_workers, monkeypatch, workers):
         # a scan's prefix, [2, 30), from one stdlib sieve call, and the
         # sigma head on [3, 30) at c = 1e6, in chunks of 7: every kernel
         # runs in the caller's thread, with no other thread alive
@@ -364,27 +357,15 @@ class TestThreadBudget:
         for name in ("multiplicative_ints", "_chunk_values", "_chunk_ratios"):
             fn = getattr(criteria, name)
             monkeypatch.setattr(criteria, name, lambda *a, fn=fn, name=name:
-                                seen.append((name, a[0], threading.get_ident(),
+                                seen.append((name, threading.get_ident(),
                                              threading.active_count()))
                                 or fn(*a))
         criteria.scan_exceptions(criteria.CriterionKind.DEDEKIND_F, 2, 30)
         criteria.check_sigma_upper_bound(3, 30, 1e6)
         assert {name for name, *_ in seen} == {"multiplicative_ints",
                                                "_chunk_ratios"}
-        assert {tuple(s[2:]) for s in seen} == {(threading.get_ident(),
+        assert {tuple(s[1:]) for s in seen} == {(threading.get_ident(),
                                                  before)}
-
-        # and, with Thread.start refused, on [3, hi) at c = 50
-        def refuse(self):
-            raise AssertionError("thread started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        for hi in his:
-            seen.clear()
-            assert criteria.check_sigma_upper_bound(3, hi, 50.0).passed
-            # [3, 9) is one chunk; to 1000 the walk stops after 24 of 142
-            assert [lo for name, lo, *_ in seen if name == "_chunk_ratios"] \
-                == ([3] if hi == 9 else list(range(997, 835, -7)))
 
 
 class TestNthPrime:
