@@ -86,6 +86,9 @@ def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
 # 2 vCPUs.  2^15 measured the same peak RSS and more wall time.
 _BLOCK = 1 << 16
 
+# The float slack on check_primorial_bounds' run bounds (see its docstring)
+_SLACK = 1e-12
+
 
 def _pass(n_max: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
     """The one ordered pass over the first n_max primes, a block of at most
@@ -200,6 +203,29 @@ def check_primorial_bounds(last: int, first: int | None = None
     They are claimed only for p_n >= 20000; first defaults to the first such
     index.  The range is checked before the pass starts: one that is empty,
     passes the index ceiling or starts below that index is rejected.
+
+    Lemma.  theta_cum and r_cum are float prefix sums of positive terms
+    plus a float start, so they never fall along a block, and log p rises
+    along consecutive primes.  log p - 0.123/log p rises and
+    -0.698 log p + 0.220/log p falls with log p (the slope is negative, the
+    offsets are not).  So on a run of consecutive indices [a, b] margin 1
+    is at least loglog N_a - (log p_b - 0.123/log p_b), and margin 2 at
+    least (-0.698 log p_b + 0.220/log p_b) - exp(R_b) + e^gamma loglog N_a.
+    A block's margins are computed unless, for both margins, the least of
+    these bounds over its runs of _BLOCK // 64 indices, less
+    _SLACK = 1e-12, lies strictly above the least margin found so far.
+
+    Slack.  Every float term of a margin or a bound, log p (below 20),
+    loglog N, e^gamma loglog N and exp(R) (below 40), lies within a few ulps
+    of 40, about 1e-14, of exact: numpy's log measured within 0.5 ulp and
+    its exp within 0.65 ulp (20,000 random arguments each, against
+    mpmath), and a term takes at most two roundings more.  A margin or a
+    bound adds at most four terms, so a float margin on a run is at least
+    the run's float bound less about 1e-13, well under _SLACK.  A skipped
+    block so holds only margins strictly above the least found (near
+    1.5e-3 on the primes), and _lower moves only to a margin strictly below
+    the least: the skip moves neither least margin nor its first witness,
+    which are those of computing every block.
     """
     import numpy as np
     below = prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1)
@@ -215,9 +241,21 @@ def check_primorial_bounds(last: int, first: int | None = None
             f"bound is only claimed for p_n >= {BOUND_PRIME_THRESHOLD}; "
             f"p_{first} = {int(below[first - 1])}")
     worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
+    run = max(_BLOCK // 64, 1)
     for c_first, pf, logs, _, _, theta_cum, r_cum, _ in _pass(last):
         start = max(first - c_first, 0)
         if start >= len(pf):
+            continue
+        # the lemma's bounds on each run: loglog N at its first index, log p
+        # and R at its last
+        a = np.arange(start, len(pf), run)
+        b = np.minimum(a + run - 1, len(pf) - 1)
+        llga, lpb = np.log(theta_cum[a]), logs[b]
+        low1 = llga - (lpb - LOGLOG_BOUND_OFFSET / lpb)
+        low2 = (F_BOUND_SLOPE * lpb + F_BOUND_OFFSET / lpb - np.exp(r_cum[b])
+                + CONSTANTS.e_gamma * llga)
+        if (low1.min() - _SLACK > worst_m1[0]
+                and low2.min() - _SLACK > worst_m2[0]):
             continue
         # the two margins in the block's rows, each op rounded as in the
         # formulas: theta_cum becomes loglog N, r_cum f and pf the margin

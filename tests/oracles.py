@@ -5,9 +5,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from psirh import arith, champions, criteria
+from psirh import arith, champions, criteria, primorial
 from psirh.arith import dedekind_psi
-from psirh.criteria import CriterionKind
+from psirh.criteria import CONSTANTS, CriterionKind, Decision
 
 # the default c (n0 = 7), the paper's, two with n0 = 3, n0 = 18 and 209,
 # n0 near e^200 and n0 past every float
@@ -26,6 +26,41 @@ def mp_value(n, numer, c=0.0, dps=30):
     with mp.workdps(dps):
         llg = mp.log(mp.log(n))
         return mp.mpf(numer) / n - mp_e_gamma() * llg - mp.mpf(c) / llg
+
+
+def bounds_reference(last, first):
+    """Both primorial bounds over [first, last] with their margins computed
+    at every index of primorial._pass, read at call time with the module's
+    constants: the oracle of primorial.check_primorial_bounds, which skips
+    blocks that cannot hold a least margin."""
+    def lower(worst, margins, at):  # the first least margin, if lower
+        i = int(margins.argmin())
+        return (float(margins[i]), at + i) if margins[i] < worst[0] else worst
+
+    worst_m1 = worst_m2 = (math.inf, 0)
+    for c_first, pf, logs, _, _, theta_cum, r_cum, _ in primorial._pass(last):
+        start = max(first - c_first, 0)
+        if start >= len(pf):
+            continue
+        logp, llgn = logs[start:], theta_cum[start:]
+        f, m = r_cum[start:], pf[start:]
+        np.log(llgn, out=llgn)
+        np.divide(primorial.LOGLOG_BOUND_OFFSET, logp, out=m)
+        np.subtract(logp, m, out=m)
+        np.subtract(llgn, m, out=m)
+        worst_m1 = lower(worst_m1, m, c_first + start)
+        np.exp(f, out=f)
+        llgn *= CONSTANTS.e_gamma
+        f -= llgn
+        np.multiply(logp, primorial.F_BOUND_SLOPE, out=m)
+        np.divide(primorial.F_BOUND_OFFSET, logp, out=llgn)
+        m += llgn
+        m -= f
+        worst_m2 = lower(worst_m2, m, c_first + start)
+    return tuple(Decision(name, first, last, margin > 0, worst_margin=margin,
+                          witness=witness)
+                 for name, (margin, witness) in (("loglogN_lower", worst_m1),
+                                                 ("f_primorial_upper", worst_m2)))
 
 
 def pattern_reference(want_sigma):

@@ -20,6 +20,7 @@ from psirh.criteria import (CONSTANTS, DEFAULT_SIGMA_BOUND_C, CriterionKind,
 from psirh.errors import DomainError, ResourceLimitError
 
 from oracles import SIGMA_BOUND_CS, mp_e_gamma, mp_value
+from thread_checks import close_mid_stream, walk_on_the_callers_thread
 
 SET_A = (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 20, 24, 30, 36, 48, 60, 72, 84,
          120, 180, 240, 360, 720, 840, 2520, 5040)
@@ -546,12 +547,7 @@ class TestChunkPipeline:
         # 300,000 primes end in the third of three segments: with three
         # workers the first read finds the other two sieving ahead
         set_workers(3)
-        before = threading.active_count()
-        stream = prime_engine.iter_prime_chunks(300_000)
-        assert int(next(stream)[0]) == 2
-        assert threading.active_count() > before
-        stream.close()
-        assert threading.active_count() == before
+        assert int(close_mid_stream(300_000, reads=1)[0]) == 2
 
     def test_worker_error_keeps_its_type(self, monkeypatch, set_workers):
         # at c = 50 the head is all of [3, 1000), and its chunks are walked
@@ -584,12 +580,9 @@ class TestChunkPipeline:
     def test_serial_walk_starts_no_thread(self, monkeypatch, set_workers,
                                           computed, workers, hi):
         set_workers(workers)
-
-        def refuse(self):
-            raise AssertionError("thread started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert check_sigma_upper_bound(3, hi, 50.0).passed
+        passed, _ = walk_on_the_callers_thread(
+            monkeypatch, lambda: check_sigma_upper_bound(3, hi, 50.0).passed)
+        assert passed
         # [3, 9) is one chunk; to 1000 the walk stops after 24 of 142
         assert [lo for lo, _ in computed] == (
             [3] if hi == 9 else list(range(997, 835, -7)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import psirh
 from oracles import sieve_reference
+from thread_checks import close_mid_stream, walk_on_the_callers_thread
 from psirh import criteria, prime_engine
 from psirh.errors import CacheParseError, CacheVersionError, DomainError, ResourceLimitError
 from psirh.prime_engine import (CHUNK_SUM_MAX_VALUES, PRIME_INDEX_CEILING,
@@ -257,13 +258,7 @@ class TestPrimeStreamPipeline:
 
     def test_close_mid_stream_stops_every_worker(self, set_workers):
         set_workers(2)
-        before = threading.active_count()
-        stream = iter_prime_chunks(PRIMES_BELOW_2E7)
-        next(stream)
-        next(stream)
-        assert threading.active_count() > before
-        stream.close()
-        assert threading.active_count() == before
+        close_mid_stream(PRIMES_BELOW_2E7, reads=2)
 
     def test_nth_prime_leaves_no_worker(self, set_workers):
         # p_1e6 is in the last of its stream's 8 segments; the stream of
@@ -352,20 +347,13 @@ class TestThreadBudget:
         # runs in the caller's thread, with no other thread alive
         set_workers(workers)
         monkeypatch.setattr(criteria, "DEFAULT_CHUNK", 7)
-        before = threading.active_count()
-        seen = []
-        for name in ("multiplicative_ints", "_chunk_values", "_chunk_ratios"):
-            fn = getattr(criteria, name)
-            monkeypatch.setattr(criteria, name, lambda *a, fn=fn, name=name:
-                                seen.append((name, threading.get_ident(),
-                                             threading.active_count()))
-                                or fn(*a))
-        criteria.scan_exceptions(criteria.CriterionKind.DEDEKIND_F, 2, 30)
-        criteria.check_sigma_upper_bound(3, 30, 1e6)
-        assert {name for name, *_ in seen} == {"multiplicative_ints",
-                                               "_chunk_ratios"}
-        assert {tuple(s[1:]) for s in seen} == {(threading.get_ident(),
-                                                 before)}
+
+        def walk():
+            criteria.scan_exceptions(criteria.CriterionKind.DEDEKIND_F, 2, 30)
+            criteria.check_sigma_upper_bound(3, 30, 1e6)
+
+        _, names = walk_on_the_callers_thread(monkeypatch, walk)
+        assert set(names) == {"multiplicative_ints", "_chunk_ratios"}
 
 
 class TestNthPrime:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import psirh
+from oracles import bounds_reference
 from psirh import prime_engine, primorial
 from psirh.champions import first_primes
 from psirh.criteria import CONSTANTS, Decision
@@ -438,6 +439,92 @@ class TestBounds:
 
     def test_slope_constant(self):
         assert f_bound_slope_from_constants() == pytest.approx(-0.698, abs=0.001)
+
+
+def decision_bits(decisions):
+    return [(d.claim, d.first, d.last, d.passed, d.cases_checked,
+             d.worst_margin.hex(), d.witness, d.failures) for d in decisions]
+
+
+class TestSkippedBlocks:
+    """check_primorial_bounds computes the margins only on blocks whose run
+    bounds do not clear the least margins found; its decisions equal, to
+    the bit, those of computing every margin (bounds_reference)."""
+
+    @pytest.mark.parametrize("first, last", [(2263, 2263), (2263, 10**5),
+                                             (5000, 300000)])
+    def test_matches_every_index(self, first, last):
+        assert decision_bits(psirh.check_primorial_bounds(last, first)) == \
+            decision_bits(bounds_reference(last, first))
+
+    @pytest.mark.parametrize("slope, offset, witnesses", [
+        (-0.6985, 0.123, (2931549, 2954369)),
+        (-0.699, 0.0, (108703, 2954369))])
+    def test_least_margins_planted_late(self, monkeypatch, slope, offset,
+                                        witnesses):
+        monkeypatch.setattr(primorial, "F_BOUND_SLOPE", slope)
+        monkeypatch.setattr(primorial, "LOGLOG_BOUND_OFFSET", offset)
+        want = bounds_reference(3 * 10**6, 100000)
+        assert tuple(d.witness for d in want) == witnesses
+        assert decision_bits(psirh.check_primorial_bounds(3 * 10**6, 100000)) \
+            == decision_bits(want)
+
+    def test_a_dip_inside_a_run(self, monkeypatch):
+        # three blocks of monotone rows whose margins rise slowly with the
+        # index, except where log p jumps by 0.004 at offset 300 of the
+        # second block while loglog N and R wait 20 indices: both least
+        # margins are at the wait's last index, inside a run
+        size = primorial._BLOCK
+        i = np.arange(3 * size, dtype=float)
+        logp = 10.0 + 1e-7 * i
+        dip = size + 300
+        logp[dip:] += 0.004
+        llgn = (logp - primorial.LOGLOG_BOUND_OFFSET / logp
+                + 0.01 + 1e-3 * i / size)
+        llgn[dip:dip + 20] = llgn[dip - 1]
+        exp_r = (primorial.F_BOUND_SLOPE * logp + primorial.F_BOUND_OFFSET / logp
+                 + CONSTANTS.e_gamma * llgn - 0.02 - 1e-3 * i / size)
+        exp_r[dip:dip + 20] = exp_r[dip - 1]
+        theta_cum, r_cum = np.exp(llgn), np.log(exp_r)
+        for row in (logp, theta_cum, r_cum):
+            assert (np.diff(row) >= 0).all()
+
+        def rows(last):
+            for lo in range(0, last, size):
+                block = slice(lo, lo + size)
+                yield (lo + 1, np.exp(logp[block]), logp[block].copy(), None,
+                       None, theta_cum[block].copy(), r_cum[block].copy(), [])
+
+        monkeypatch.setattr(primorial, "_pass", rows)
+        want = bounds_reference(3 * size, 2263)
+        assert tuple(d.witness for d in want) == (dip + 20, dip + 20)
+        assert decision_bits(psirh.check_primorial_bounds(3 * size, 2263)) \
+            == decision_bits(want)
+
+    def test_blocks_computed(self, monkeypatch):
+        # both least margins are at index 2347, in the first block: of the
+        # 46 blocks to 3 * 10^6 the margins are computed on 4
+        calls = []
+        lower = primorial._lower
+        monkeypatch.setattr(primorial, "_lower", lambda worst, m, first:
+                            calls.append(first) or lower(worst, m, first))
+        loglog, f_bound = psirh.check_primorial_bounds(3 * 10**6)
+        assert (loglog.witness, f_bound.witness) == (2347, 2347)
+        assert len(calls) == 2 * 4
+
+    def test_log_p_rises(self):
+        # the premises of the skip: np.log of consecutive primes strictly
+        # increases, and the theta and R prefix sums never fall in a block
+        last = -math.inf
+        for chunk in prime_engine.iter_prime_chunks(10**6):
+            logs = np.log(chunk.astype(float))
+            assert logs[0] > last and (logs[1:] > logs[:-1]).all()
+            last = logs[-1]
+
+    def test_prefix_sums_never_fall_in_a_block(self):
+        for _, _, _, _, _, theta_cum, r_cum, _ in primorial._pass(10**6):
+            for row in (theta_cum, r_cum):
+                assert (row[1:] >= row[:-1]).all()
 
 
 class TestTables:
