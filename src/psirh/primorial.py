@@ -19,7 +19,8 @@ from .prime_engine import (ThetaPoint, cache_load, cache_save, check_n_max,
                            chunk_sum_dd, dd_pair, iter_prime_chunks)
 from .prime_engine import nth_prime  # noqa: F401 (wrapped by perfbench/spans.py)
 
-# numpy is imported by _pass and check_primorial_bounds, which make arrays.
+# numpy is imported by _pass, _margins and check_primorial_bounds, which
+# make arrays.
 
 BOUND_PRIME_THRESHOLD = 20000
 F_BOUND_SLOPE = -0.698
@@ -79,6 +80,17 @@ def _lower(worst: tuple[float, int], margins, first: int) -> tuple[float, int]:
     margins[i] belongs to index first + i."""
     i = int(margins.argmin())
     return (float(margins[i]), first + i) if margins[i] < worst[0] else worst
+
+
+def _margins(loglog_n, log_p, r):
+    """loglog N - (log p - 0.123/log p) and
+    (-0.698 log p + 0.220/log p) - (exp(R) - e^gamma loglog N), each
+    operation rounded as written: the two margins of
+    check_primorial_bounds, and its bounds on a run."""
+    import numpy as np
+    return (loglog_n - (log_p - LOGLOG_BOUND_OFFSET / log_p),
+            F_BOUND_SLOPE * log_p + F_BOUND_OFFSET / log_p
+            - (np.exp(r) - CONSTANTS.e_gamma * loglog_n))
 
 
 # The most primes in a block of the pass, so its one workspace is 2.6 MB
@@ -210,22 +222,26 @@ def check_primorial_bounds(last: int, first: int | None = None
     -0.698 log p + 0.220/log p falls with log p (the slope is negative, the
     offsets are not).  So on a run of consecutive indices [a, b] margin 1
     is at least loglog N_a - (log p_b - 0.123/log p_b), and margin 2 at
-    least (-0.698 log p_b + 0.220/log p_b) - exp(R_b) + e^gamma loglog N_a.
-    A block's margins are computed unless, for both margins, the least of
-    these bounds over its runs of _BLOCK // 64 indices, less
-    _SLACK = 1e-12, lies strictly above the least margin found so far.
+    least (-0.698 log p_b + 0.220/log p_b) - (exp(R_b) - e^gamma loglog N_a):
+    what _margins gives at loglog N_a, log p_b and R_b.  Each block is cut
+    into runs of _BLOCK // 64 indices, and a run's margins are computed,
+    by _margins on its rows, only when for either margin its bound less
+    _SLACK = 1e-12 is not above the least margin found at its block's
+    start.
 
     Slack.  Every float term of a margin or a bound, log p (below 20),
     loglog N, e^gamma loglog N and exp(R) (below 40), lies within a few ulps
     of 40, about 1e-14, of exact: numpy's log measured within 0.5 ulp and
     its exp within 0.65 ulp (20,000 random arguments each, against
     mpmath), and a term takes at most two roundings more.  A margin or a
-    bound adds at most four terms, so a float margin on a run is at least
-    the run's float bound less about 1e-13, well under _SLACK.  A skipped
-    block so holds only margins strictly above the least found (near
-    1.5e-3 on the primes), and _lower moves only to a margin strictly below
-    the least: the skip moves neither least margin nor its first witness,
-    which are those of computing every block.
+    bound adds at most four terms (margin 2 and its bound: the right side's
+    two, exp(R) and e^gamma loglog N), so a float margin on a run is at
+    least the run's float bound less about 1e-13, well under _SLACK.  A
+    skipped run so holds only margins strictly above the least found at its
+    block's start (near 1.5e-3 on the primes), which never rises, and
+    _lower moves only to a margin strictly below the least: the skip moves
+    neither least margin nor its first witness, which are those of
+    computing every run.
     """
     import numpy as np
     below = prime_engine._simple_sieve(BOUND_PRIME_THRESHOLD - 1)
@@ -242,38 +258,17 @@ def check_primorial_bounds(last: int, first: int | None = None
             f"p_{first} = {int(below[first - 1])}")
     worst_m1 = worst_m2 = (math.inf, 0)  # (margin, witness index)
     run = max(_BLOCK // 64, 1)
-    for c_first, pf, logs, _, _, theta_cum, r_cum, _ in _pass(last):
-        start = max(first - c_first, 0)
-        if start >= len(pf):
-            continue
-        # the lemma's bounds on each run: loglog N at its first index, log p
-        # and R at its last
-        a = np.arange(start, len(pf), run)
-        b = np.minimum(a + run - 1, len(pf) - 1)
-        llga, lpb = np.log(theta_cum[a]), logs[b]
-        low1 = llga - (lpb - LOGLOG_BOUND_OFFSET / lpb)
-        low2 = (F_BOUND_SLOPE * lpb + F_BOUND_OFFSET / lpb - np.exp(r_cum[b])
-                + CONSTANTS.e_gamma * llga)
-        if (low1.min() - _SLACK > worst_m1[0]
-                and low2.min() - _SLACK > worst_m2[0]):
-            continue
-        # the two margins in the block's rows, each op rounded as in the
-        # formulas: theta_cum becomes loglog N, r_cum f and pf the margin
-        logp, llgn = logs[start:], theta_cum[start:]
-        f, m = r_cum[start:], pf[start:]
-        np.log(llgn, out=llgn)
-        np.divide(LOGLOG_BOUND_OFFSET, logp, out=m)
-        np.subtract(logp, m, out=m)
-        np.subtract(llgn, m, out=m)  # loglog N - (log p - c / log p)
-        worst_m1 = _lower(worst_m1, m, c_first + start)
-        np.exp(f, out=f)
-        llgn *= CONSTANTS.e_gamma
-        f -= llgn  # f(N_n) = exp(R_n) - e^gamma loglog N
-        np.multiply(logp, F_BOUND_SLOPE, out=m)
-        np.divide(F_BOUND_OFFSET, logp, out=llgn)
-        m += llgn
-        m -= f
-        worst_m2 = _lower(worst_m2, m, c_first + start)
+    for c_first, _, logs, _, _, theta_cum, r_cum, _ in _pass(last):
+        # the block's runs [a, b) from index first on, and the lemma's
+        # bounds on each: loglog N at its first index, log p and R at its last
+        a = np.arange(max(first - c_first, 0), len(logs), run)
+        b = np.minimum(a + run, len(logs))
+        low1, low2 = _margins(np.log(theta_cum[a]), logs[b - 1], r_cum[b - 1])
+        open_ = (low1 - _SLACK <= worst_m1[0]) | (low2 - _SLACK <= worst_m2[0])
+        for i, j in zip(a[open_].tolist(), b[open_].tolist()):
+            m1, m2 = _margins(np.log(theta_cum[i:j]), logs[i:j], r_cum[i:j])
+            worst_m1 = _lower(worst_m1, m1, c_first + i)
+            worst_m2 = _lower(worst_m2, m2, c_first + i)
     return tuple(Decision(name, first, last, margin > 0, worst_margin=margin,
                           witness=witness)
                  for name, (margin, witness) in (("loglogN_lower", worst_m1),

@@ -32,7 +32,7 @@ def bounds_reference(last, first):
     """Both primorial bounds over [first, last] with their margins computed
     at every index of primorial._pass, read at call time with the module's
     constants: the oracle of primorial.check_primorial_bounds, which skips
-    blocks that cannot hold a least margin."""
+    runs that cannot hold a least margin."""
     def lower(worst, margins, at):  # the first least margin, if lower
         i = int(margins.argmin())
         return (float(margins[i]), at + i) if margins[i] < worst[0] else worst

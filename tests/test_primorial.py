@@ -446,10 +446,23 @@ def decision_bits(decisions):
              d.worst_margin.hex(), d.witness, d.failures) for d in decisions]
 
 
+def block_rows(logp, theta_cum, r_cum):
+    """A stand-in for primorial._pass that yields the given rows a block of
+    _BLOCK at a time, with the fields check_primorial_bounds reads."""
+    def rows(last):
+        size = primorial._BLOCK
+        for lo in range(0, last, size):
+            block = slice(lo, lo + size)
+            yield (lo + 1, np.exp(logp[block]), logp[block].copy(), None,
+                   None, theta_cum[block].copy(), r_cum[block].copy(), [])
+    return rows
+
+
 class TestSkippedBlocks:
-    """check_primorial_bounds computes the margins only on blocks whose run
-    bounds do not clear the least margins found; its decisions equal, to
-    the bit, those of computing every margin (bounds_reference)."""
+    """check_primorial_bounds computes the margins only on runs whose
+    bounds do not clear the least margins found at their block's start; its
+    decisions equal, to the bit, those of computing every margin
+    (bounds_reference)."""
 
     @pytest.mark.parametrize("first, last", [(2263, 2263), (2263, 10**5),
                                              (5000, 300000)])
@@ -488,29 +501,42 @@ class TestSkippedBlocks:
         theta_cum, r_cum = np.exp(llgn), np.log(exp_r)
         for row in (logp, theta_cum, r_cum):
             assert (np.diff(row) >= 0).all()
-
-        def rows(last):
-            for lo in range(0, last, size):
-                block = slice(lo, lo + size)
-                yield (lo + 1, np.exp(logp[block]), logp[block].copy(), None,
-                       None, theta_cum[block].copy(), r_cum[block].copy(), [])
-
-        monkeypatch.setattr(primorial, "_pass", rows)
+        monkeypatch.setattr(primorial, "_pass",
+                            block_rows(logp, theta_cum, r_cum))
         want = bounds_reference(3 * size, 2263)
         assert tuple(d.witness for d in want) == (dip + 20, dip + 20)
         assert decision_bits(psirh.check_primorial_bounds(3 * size, 2263)) \
             == decision_bits(want)
 
+    def test_a_dip_under_the_slack(self, monkeypatch):
+        # two blocks of constant rows, but loglog N rises by 4e-13 at the
+        # second block's start and falls 8e-13 at its offset 300: a fall
+        # of the size the slack stands for, so the first run of the second
+        # block has bounds above the first block's margins by less than
+        # _SLACK, and both least margins are at offset 300
+        size = primorial._BLOCK
+        logp = np.full(2 * size, 10.0)
+        llgn = np.full(2 * size, 10.0)
+        llgn[size:size + 300] += 4e-13
+        llgn[size + 300:] -= 4e-13
+        r_cum = np.full(2 * size, 2.0)
+        monkeypatch.setattr(primorial, "_pass",
+                            block_rows(logp, np.exp(llgn), r_cum))
+        want = bounds_reference(2 * size, 2263)
+        assert tuple(d.witness for d in want) == (size + 301, size + 301)
+        assert decision_bits(psirh.check_primorial_bounds(2 * size, 2263)) \
+            == decision_bits(want)
+
     def test_blocks_computed(self, monkeypatch):
-        # both least margins are at index 2347, in the first block: of the
-        # 46 blocks to 3 * 10^6 the margins are computed on 4
-        calls = []
+        # both least margins are at index 2347, in the first block: to
+        # 3 * 10^6 the margins are computed on 179 runs, 183,045 indices
+        sizes = []
         lower = primorial._lower
         monkeypatch.setattr(primorial, "_lower", lambda worst, m, first:
-                            calls.append(first) or lower(worst, m, first))
+                            sizes.append(len(m)) or lower(worst, m, first))
         loglog, f_bound = psirh.check_primorial_bounds(3 * 10**6)
         assert (loglog.witness, f_bound.witness) == (2347, 2347)
-        assert len(calls) == 2 * 4
+        assert (len(sizes), sum(sizes)) == (2 * 179, 2 * 183045)
 
     def test_log_p_rises(self):
         # the premises of the skip: np.log of consecutive primes strictly
