@@ -224,10 +224,15 @@ def check_primorial_bounds(last: int, first: int | None = None
     is at least loglog N_a - (log p_b - 0.123/log p_b), and margin 2 at
     least (-0.698 log p_b + 0.220/log p_b) - (exp(R_b) - e^gamma loglog N_a):
     what _margins gives at loglog N_a, log p_b and R_b.  Each block is cut
-    into runs of _BLOCK // 64 indices, and a run's margins are computed,
-    by _margins on its rows, only when for either margin its bound less
-    _SLACK = 1e-12 is not above the least margin found at its block's
-    start.
+    into runs of _BLOCK // 64 indices, and a run is open when for either
+    margin its bound less _SLACK = 1e-12 is not above the least margin
+    found at its block's start.  Of each 16 runs, _margins computes the
+    rows from the first open run to the end of the last in one call, so a
+    block where every run stays open costs 4 calls, not 64: each numpy
+    call on a long row gives up the GIL, which the prime stream's pool
+    thread takes, and 16 runs keep a temporary near 128 KB.  A closed run
+    between open ones is computed too, which changes nothing, since the
+    decisions are those of computing every run.
 
     Slack.  Every float term of a margin or a bound, log p (below 20),
     loglog N, e^gamma loglog N and exp(R) (below 40), lies within a few ulps
@@ -265,10 +270,16 @@ def check_primorial_bounds(last: int, first: int | None = None
         b = np.minimum(a + run, len(logs))
         low1, low2 = _margins(np.log(theta_cum[a]), logs[b - 1], r_cum[b - 1])
         open_ = (low1 - _SLACK <= worst_m1[0]) | (low2 - _SLACK <= worst_m2[0])
-        for i, j in zip(a[open_].tolist(), b[open_].tolist()):
-            m1, m2 = _margins(np.log(theta_cum[i:j]), logs[i:j], r_cum[i:j])
-            worst_m1 = _lower(worst_m1, m1, c_first + i)
-            worst_m2 = _lower(worst_m2, m2, c_first + i)
+        # of each 16 runs, the rows from the first open one to the last
+        for g in range(0, len(a), 16):
+            o = np.flatnonzero(open_[g:g + 16])
+            if o.size:
+                i, j = int(a[g + o[0]]), int(b[g + o[-1]])
+                m1, m2 = _margins(np.log(theta_cum[i:j]), logs[i:j],
+                                  r_cum[i:j])
+                worst_m1 = _lower(worst_m1, m1, c_first + i)
+                worst_m2 = _lower(worst_m2, m2, c_first + i)
+                del m1, m2  # not kept through the next call's temporaries
     return tuple(Decision(name, first, last, margin > 0, worst_margin=margin,
                           witness=witness)
                  for name, (margin, witness) in (("loglogN_lower", worst_m1),

@@ -2,12 +2,11 @@
 
 For each row: copy src/ to a temporary directory, make the row's one
 replacement there, and run the row's tests against that copy in a fresh
-pytest process.  The mutant is killed when pytest exits 1 (some test
-failed); any other exit, a pass, a missing test id (4) or a run that did
-not import the copy (99), fails the table.
+pytest process.  The mutant is killed when every one of the row's test
+ids fails; a listed id that passes, is skipped or is not found, or a run
+that did not import the copy, fails the table.
 
-    python tests/run_mutants.py            # every row
-    python tests/run_mutants.py NAME ...   # the named rows
+    python tests/run_mutants.py
 """
 
 import os
@@ -21,12 +20,21 @@ from mutants import MUTANTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# pytest's exit code 1 only if psirh came from the mutated copy
+# exits 0 only if every listed id failed and psirh came from the copy
 _CHILD = """\
 import os, sys, pytest
-code = pytest.main(sys.argv[2:])
+class Failed:
+    ids = set()
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids.add(report.nodeid)
+pytest.main(sys.argv[2:], plugins=[Failed()])
 import psirh
-sys.exit(code if psirh.__file__.startswith(sys.argv[1] + os.sep) else 99)
+missed = [a for a in sys.argv[2:] if '::' in a and a not in Failed.ids]
+for a in missed:
+    print('did not fail:', a)
+sys.exit(1 if missed or not psirh.__file__.startswith(sys.argv[1] + os.sep)
+         else 0)
 """
 
 
@@ -52,23 +60,21 @@ def run(name, mutant):
             text=True)
 
 
-def main(names):
-    rows = {name: MUTANTS[name] for name in names or MUTANTS}
+def main():
     survivors = []
-    for name, mutant in rows.items():
+    for name, mutant in MUTANTS.items():
         t0 = time.perf_counter()
         proc = run(name, mutant)
-        code = proc.returncode
-        verdict = "killed" if code == 1 else f"NOT killed (exit {code})"
+        verdict = "killed" if proc.returncode == 0 else "NOT killed"
         print(f"{name}: {verdict} in {time.perf_counter() - t0:.1f} s",
               flush=True)
-        if code != 1:
+        if proc.returncode != 0:
             print(proc.stdout)
             survivors.append(name)
     if survivors:
-        raise SystemExit(f"{len(survivors)} of {len(rows)} mutants not "
+        raise SystemExit(f"{len(survivors)} of {len(MUTANTS)} mutants not "
                          f"killed: {', '.join(survivors)}")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -458,6 +458,33 @@ def block_rows(logp, theta_cum, r_cum):
     return rows
 
 
+def check_a_dip(monkeypatch, offset):
+    """Three blocks of monotone rows whose margins rise slowly with the
+    index, except where log p jumps by 0.004 at the given offset of the
+    second block while loglog N and R wait 20 indices: both least margins
+    are at the wait's last index, inside a run, and check_primorial_bounds
+    finds them as bounds_reference does."""
+    size = primorial._BLOCK
+    i = np.arange(3 * size, dtype=float)
+    logp = 10.0 + 1e-7 * i
+    dip = size + offset
+    logp[dip:] += 0.004
+    llgn = (logp - primorial.LOGLOG_BOUND_OFFSET / logp
+            + 0.01 + 1e-3 * i / size)
+    llgn[dip:dip + 20] = llgn[dip - 1]
+    exp_r = (primorial.F_BOUND_SLOPE * logp + primorial.F_BOUND_OFFSET / logp
+             + CONSTANTS.e_gamma * llgn - 0.02 - 1e-3 * i / size)
+    exp_r[dip:dip + 20] = exp_r[dip - 1]
+    theta_cum, r_cum = np.exp(llgn), np.log(exp_r)
+    for row in (logp, theta_cum, r_cum):
+        assert (np.diff(row) >= 0).all()
+    monkeypatch.setattr(primorial, "_pass", block_rows(logp, theta_cum, r_cum))
+    want = bounds_reference(3 * size, 2263)
+    assert tuple(d.witness for d in want) == (dip + 20, dip + 20)
+    assert decision_bits(psirh.check_primorial_bounds(3 * size, 2263)) \
+        == decision_bits(want)
+
+
 class TestSkippedBlocks:
     """check_primorial_bounds computes the margins only on runs whose
     bounds do not clear the least margins found at their block's start; its
@@ -483,30 +510,12 @@ class TestSkippedBlocks:
             == decision_bits(want)
 
     def test_a_dip_inside_a_run(self, monkeypatch):
-        # three blocks of monotone rows whose margins rise slowly with the
-        # index, except where log p jumps by 0.004 at offset 300 of the
-        # second block while loglog N and R wait 20 indices: both least
-        # margins are at the wait's last index, inside a run
-        size = primorial._BLOCK
-        i = np.arange(3 * size, dtype=float)
-        logp = 10.0 + 1e-7 * i
-        dip = size + 300
-        logp[dip:] += 0.004
-        llgn = (logp - primorial.LOGLOG_BOUND_OFFSET / logp
-                + 0.01 + 1e-3 * i / size)
-        llgn[dip:dip + 20] = llgn[dip - 1]
-        exp_r = (primorial.F_BOUND_SLOPE * logp + primorial.F_BOUND_OFFSET / logp
-                 + CONSTANTS.e_gamma * llgn - 0.02 - 1e-3 * i / size)
-        exp_r[dip:dip + 20] = exp_r[dip - 1]
-        theta_cum, r_cum = np.exp(llgn), np.log(exp_r)
-        for row in (logp, theta_cum, r_cum):
-            assert (np.diff(row) >= 0).all()
-        monkeypatch.setattr(primorial, "_pass",
-                            block_rows(logp, theta_cum, r_cum))
-        want = bounds_reference(3 * size, 2263)
-        assert tuple(d.witness for d in want) == (dip + 20, dip + 20)
-        assert decision_bits(psirh.check_primorial_bounds(3 * size, 2263)) \
-            == decision_bits(want)
+        check_a_dip(monkeypatch, 300)
+
+    def test_a_dip_in_the_last_run_of_16(self, monkeypatch):
+        # the dip in the 16th run of the second block, the last of the
+        # first 16 runs that one call computes
+        check_a_dip(monkeypatch, 15 * (primorial._BLOCK // 64) + 300)
 
     def test_a_dip_under_the_slack(self, monkeypatch):
         # two blocks of constant rows, but loglog N rises by 4e-13 at the
@@ -529,14 +538,15 @@ class TestSkippedBlocks:
 
     def test_blocks_computed(self, monkeypatch):
         # both least margins are at index 2347, in the first block: to
-        # 3 * 10^6 the margins are computed on 179 runs, 183,045 indices
+        # 3 * 10^6 the 179 open runs are computed in 12 calls, on 184,069
+        # indices (one closed run lies between open ones of a 16)
         sizes = []
         lower = primorial._lower
         monkeypatch.setattr(primorial, "_lower", lambda worst, m, first:
                             sizes.append(len(m)) or lower(worst, m, first))
         loglog, f_bound = psirh.check_primorial_bounds(3 * 10**6)
         assert (loglog.witness, f_bound.witness) == (2347, 2347)
-        assert (len(sizes), sum(sizes)) == (2 * 179, 2 * 183045)
+        assert (len(sizes), sum(sizes)) == (2 * 12, 2 * 184069)
 
     def test_log_p_rises(self):
         # the premises of the skip: np.log of consecutive primes strictly
